@@ -14,14 +14,12 @@ from dataclasses import dataclass, replace
 class Tolerances:
     # Moebius algebra
     unit_det: float = 1e-12          # |u|^2 - |v|^2 = 1 after renormalization
-    on_circle: float = 1e-12         # boundary images stay on the unit circle
     parabolic_trace: float = 1e-9    # |tr| within this of 2 reports parabolic
 
     # incidence and geodesic predicates
     on_geodesic: float = 1e-12       # signed_side reports 0 inside this band
     endpoint_gap: float = 1e-12      # minimal angular separation of endpoints
     orthogonality: float = 1e-10     # geodesic/circle orthogonality residual
-    perp_angle: float = 1e-9         # common perpendicular right-angle residual
 
     # octagon validation
     right_angle: float = 1e-8

@@ -266,9 +266,6 @@ class Geodesic:
             object.__setattr__(self, "center", c)
             object.__setattr__(self, "radius", math.sqrt(max(abs(c) ** 2 - 1.0, 0.0)))
 
-    def endpoint_angles(self) -> tuple[float, float]:
-        return self.p.theta, self.q.theta
-
     def transform(self, m: MoebiusTransform) -> "Geodesic":
         return Geodesic(
             BoundaryPoint.from_complex(m.apply(self.p.point)),
@@ -427,11 +424,6 @@ def boundary_action(m: MoebiusTransform, t) -> tuple[BoundaryPoint, float]:
 def apply_many(u: complex, v: complex, z: np.ndarray) -> np.ndarray:
     """Moebius action on an array of complex points."""
     return (u * z + v) / (np.conj(v) * z + np.conj(u))
-
-
-def deriv_many(u: complex, v: complex, z: np.ndarray) -> np.ndarray:
-    """Angular derivative modulus on an array of boundary points."""
-    return 1.0 / np.abs(np.conj(v) * z + np.conj(u)) ** 2
 
 
 def lift_light(z: np.ndarray) -> np.ndarray:

@@ -137,8 +137,6 @@ class PantsGeometry:
         gens = (ga, ga.inverse(), gb, gb.inverse())
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "interior_ref", 1j * math.tanh(0.25 * self.axis_gap))
-        object.__setattr__(self, "_gen_u", np.array([g.u for g in gens]))
-        object.__setattr__(self, "_gen_v", np.array([g.v for g in gens]))
         object.__setattr__(self, "_arc_lo", np.array([a.lo for a in self.arcs]))
         object.__setattr__(self, "_arc_len", np.array([a.length for a in self.arcs]))
         ref = _lift(self.interior_ref)
@@ -153,13 +151,6 @@ class PantsGeometry:
         object.__setattr__(self, "_cache", {})
 
     # -- convenience lookups -------------------------------------------------
-
-    def generator(self, symbol: int) -> MoebiusTransform:
-        """Boundary-map branch attached to a symbol (phi_tau)."""
-        return self.gens[symbol]
-
-    def arc(self, symbol: int) -> Arc:
-        return self.arcs[symbol]
 
     def side(self, label: str) -> OctagonSide:
         return self.sides[SIDE_ORDER.index(label)]

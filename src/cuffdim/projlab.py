@@ -176,8 +176,19 @@ def unit_square_cover() -> BoxCover:
 def project_cover_length(cover: BoxCover, lam: float) -> float:
     """Length of the projection of the box union onto the direction ``lam``.
 
-    Boxes project to intervals; intervals are merged exactly (gap
-    tolerance zero) and the total length of the union is returned.
+    Boxes project to intervals ``mid -/+ hw`` from their centres and
+    half-widths; intervals are merged exactly (gap tolerance zero) and the
+    total length of the union is returned.
+
+    The union depends only on the multiset of starts and the multiset of
+    ends: a point x is covered iff more starts than ends lie at or below
+    it.  So starts and ends are sorted separately and the k-th start is
+    paired with the k-th end.  Each pair is a valid interval (the k-th
+    smallest end dominates the k-th smallest start, since every end
+    dominates its own start), the pairing has the same coverage count as
+    the boxes, and with the ends sorted the running maximum of the ends
+    is the ends themselves.  The union length is then exactly
+    ``sum(max(0, hi[k] - max(lo[k], hi[k-1])))``.
     """
     if cover.n_boxes == 0:
         return 0.0
@@ -186,11 +197,12 @@ def project_cover_length(cover: BoxCover, lam: float) -> float:
     mid = cx * c + cy * s
     hw = 0.5 * (cover.x1 - cover.x0) * abs(c) + 0.5 * (cover.y1 - cover.y0) * abs(s)
     lo, hi = mid - hw, mid + hw
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    runmax = np.maximum.accumulate(hi)
-    prev = np.concatenate(([-np.inf], runmax[:-1]))
-    return float(np.sum(np.maximum(0.0, hi - np.maximum(lo, prev))))
+    lo.sort()
+    hi.sort()
+    # lo[k] <- max(lo[k], hi[k-1]) for k >= 1, then each piece hi - lo
+    np.maximum(lo[1:], hi[:-1], out=lo[1:])
+    np.subtract(hi, lo, out=hi)
+    return float(np.sum(np.maximum(hi, 0.0, out=hi)))
 
 
 def lambda_grid(grid: int) -> np.ndarray:

@@ -122,10 +122,6 @@ def pressure(p: PantsGeometry, s: float, n: int, tol: Tolerances = DEFAULT) -> f
     return math.log(lam)
 
 
-def pressure_curve(p: PantsGeometry, s_values, n: int) -> list[tuple[float, float]]:
-    return [(float(s), pressure(p, float(s), n)) for s in s_values]
-
-
 # ---------------------------------------------------------------------------
 # Dimension as the pressure root
 
@@ -278,9 +274,6 @@ class CylinderMeasure:
     weights: np.ndarray
     cover: CylinderCover
     s: float
-
-    def weight_of(self, word) -> float:
-        return float(self.weights[self.cover.index_of(word)])
 
     def symbol_marginals(self) -> np.ndarray:
         out = np.zeros(4)

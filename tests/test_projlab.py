@@ -138,6 +138,86 @@ def test_projected_length_lipschitz_in_direction():
     assert dl.max() / dlam < lip_bound
 
 
+def _union_length_sweep(cover, lam):
+    """Reference: merge the projected intervals one at a time in sorted order."""
+    c, s = math.cos(lam), math.sin(lam)
+    cx, cy = cover.centers
+    mid = cx * c + cy * s
+    hw = 0.5 * (cover.x1 - cover.x0) * abs(c) + 0.5 * (cover.y1 - cover.y0) * abs(s)
+    pieces = []
+    cur_lo = cur_hi = None
+    for a, b in sorted(zip((mid - hw).tolist(), (mid + hw).tolist())):
+        if cur_hi is None or a > cur_hi:
+            if cur_hi is not None:
+                pieces.append(cur_hi - cur_lo)
+            cur_lo, cur_hi = a, b
+        else:
+            cur_hi = max(cur_hi, b)
+    if cur_hi is not None:
+        pieces.append(cur_hi - cur_lo)
+    return math.fsum(pieces)
+
+
+def _quantised_boxes(seed, n, q=16):
+    # corners on a 1/q lattice: many tied starts, zero widths, duplicates
+    rng = np.random.default_rng(seed)
+    x0 = rng.integers(0, q, n) / q
+    y0 = rng.integers(0, q, n) / q
+    x1 = x0 + rng.integers(0, 4, n) / q
+    y1 = y0 + rng.integers(0, 4, n) / q
+    return BoxCover(label=f"quantised-{seed}", depth=0, x0=x0, x1=x1, y0=y0, y1=y1)
+
+
+def _nested_boxes():
+    # concentric squares plus an exact duplicate and a degenerate point box
+    r = np.array([0.5, 0.4, 0.25, 0.1, 0.1, 0.0])
+    return BoxCover(label="nested", depth=0, x0=0.5 - r, x1=0.5 + r, y0=0.5 - r, y1=0.5 + r)
+
+
+KERNEL_LAMS = (0.0, 0.3, LAM_HALF, math.pi / 2 - 1e-3, math.pi / 2, math.pi / 2 + 1e-3, 2.0, math.pi - 0.1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _quantised_boxes(0, 1),
+        lambda: _quantised_boxes(1, 7),
+        lambda: _quantised_boxes(2, 64),
+        lambda: _quantised_boxes(3, 500, q=4),
+        lambda: _quantised_boxes(4, 2000),
+        _nested_boxes,
+        unit_square_cover,
+        lambda: four_corner_cover(4),
+        lambda: segment_cover(6),
+    ],
+)
+def test_projection_matches_plain_sweep(make):
+    cover = make()
+    for lam in KERNEL_LAMS:
+        assert abs(project_cover_length(cover, lam) - _union_length_sweep(cover, lam)) <= 1e-12
+
+
+def test_projection_matches_plain_sweep_on_product_cover(pants222):
+    cover = product_cover(pants222, 3)
+    for lam in KERNEL_LAMS:
+        assert abs(project_cover_length(cover, lam) - _union_length_sweep(cover, lam)) <= 1e-12
+
+
+def test_projection_leaves_cover_unchanged():
+    cover = _quantised_boxes(5, 300)
+    before = [a.copy() for a in (cover.x0, cover.x1, cover.y0, cover.y1)]
+    for lam in KERNEL_LAMS:
+        project_cover_length(cover, lam)
+    for a, b in zip(before, (cover.x0, cover.x1, cover.y0, cover.y1)):
+        assert np.array_equal(a, b)
+
+
+def test_projection_of_empty_cover_is_zero():
+    e = np.zeros(0)
+    empty = BoxCover(label="empty", depth=0, x0=e, x1=e, y0=e, y1=e)
+    assert project_cover_length(empty, 0.7) == 0.0
+
+
 def test_favard_grid_minimum():
     with pytest.raises(GeometryError):
         favard_estimate(unit_square_cover(), grid=8)
