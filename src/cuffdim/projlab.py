@@ -181,14 +181,16 @@ def project_cover_length(cover: BoxCover, lam: float) -> float:
     total length of the union is returned.
 
     The union depends only on the multiset of starts and the multiset of
-    ends: a point x is covered iff more starts than ends lie at or below
-    it.  So starts and ends are sorted separately and the k-th start is
-    paired with the k-th end.  Each pair is a valid interval (the k-th
-    smallest end dominates the k-th smallest start, since every end
-    dominates its own start), the pairing has the same coverage count as
-    the boxes, and with the ends sorted the running maximum of the ends
-    is the ends themselves.  The union length is then exactly
-    ``sum(max(0, hi[k] - max(lo[k], hi[k-1])))``.
+    ends: a point x is covered iff more starts lie at or below x than
+    ends lie below x.  So starts and ends are sorted separately and the
+    k-th start is paired with the k-th end.  Each pair is a valid
+    interval (the k-th smallest end dominates the k-th smallest start,
+    since every end dominates its own start), the pairing has the same
+    coverage count as the boxes, and with the ends sorted the running
+    maximum of the ends is the ends themselves.  The union length is
+    then exactly ``sum(hi[k] - max(lo[k], hi[k-1]))``, every term being
+    non-negative; only the rounding of the summed pieces differs from a
+    sweep over the boxes.
     """
     if cover.n_boxes == 0:
         return 0.0
@@ -199,10 +201,9 @@ def project_cover_length(cover: BoxCover, lam: float) -> float:
     lo, hi = mid - hw, mid + hw
     lo.sort()
     hi.sort()
-    # lo[k] <- max(lo[k], hi[k-1]) for k >= 1, then each piece hi - lo
+    # lo[k] <- max(lo[k], hi[k-1]) for k >= 1; each piece is then hi - lo
     np.maximum(lo[1:], hi[:-1], out=lo[1:])
-    np.subtract(hi, lo, out=hi)
-    return float(np.sum(np.maximum(hi, 0.0, out=hi)))
+    return float(np.sum(np.subtract(hi, lo, out=hi)))
 
 
 def lambda_grid(grid: int) -> np.ndarray:
