@@ -171,10 +171,15 @@ def _quantised_boxes(seed, n, q=16):
 def _nested_boxes():
     # concentric squares plus an exact duplicate and a degenerate point box
     r = np.array([0.5, 0.4, 0.25, 0.1, 0.1, 0.0])
-    return BoxCover(label="nested", depth=0, x0=0.5 - r, x1=0.5 + r, y0=0.5 - r, y1=0.5 + r)
+    return BoxCover(
+        label="nested", depth=0, x0=0.5 - r, x1=0.5 + r, y0=0.5 - r, y1=0.5 + r
+    )
 
 
-KERNEL_LAMS = (0.0, 0.3, LAM_HALF, math.pi / 2 - 1e-3, math.pi / 2, math.pi / 2 + 1e-3, 2.0, math.pi - 0.1)
+# directions on both sides of pi/2, where cos changes sign
+KERNEL_LAMS = (
+    0.0, 0.3, LAM_HALF, math.pi / 2 - 1e-3, math.pi / 2, math.pi / 2 + 1e-3, 2.0, math.pi - 0.1
+)
 
 
 @pytest.mark.parametrize(
