@@ -194,7 +194,8 @@ def _cmd_delta(args) -> tuple[dict, dict, int]:
     )
     value = dict(value)
     value["cached"] = cached
-    status = 0 if value.get("validator_passed", True) else 1
+    ok = value.get("validator_passed", True) and value.get("converged", True)
+    status = 0 if ok else 1
     return value, {"pressure_residual": value["pressure_residual"]}, status
 
 

@@ -7,7 +7,7 @@ are the values asserted by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,6 @@ class Tolerances:
     # incidence and geodesic predicates
     on_geodesic: float = 1e-12       # signed_side reports 0 inside this band
     endpoint_gap: float = 1e-12      # minimal angular separation of endpoints
-    orthogonality: float = 1e-10     # geodesic/circle orthogonality residual
 
     # octagon validation
     right_angle: float = 1e-8
@@ -31,9 +30,6 @@ class Tolerances:
     # eigenproblem
     power_rtol: float = 1e-12
     power_maxiter: int = 100_000
-
-    def with_(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 DEFAULT = Tolerances()

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import DEFAULT, Tolerances
 from .hyperbolic import (
@@ -35,6 +34,7 @@ from .hyperbolic import (
     Geodesic,
     GeometryError,
     MoebiusTransform,
+    _brentq,
     _lift,
     _light,
     _mink,
@@ -212,7 +212,7 @@ def _solve_axis_gap(a: float, b: float, c: float, sigma: int) -> float:
                 f"trace solve failed to bracket |tr(g_alpha g_beta^{sigma:+d})|"
                 f" = 2cosh(c/2) for cuffs ({a}, {b}, {c})"
             )
-    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def _far_arc(g: Geodesic, interior_ref: complex) -> Arc:

@@ -653,10 +653,16 @@ def sample_complete_geodesic_points(
 
 
 def ks_uniform_statistic(values: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance of samples in [0, 1) from uniform."""
-    from scipy.stats import kstest
+    """Kolmogorov-Smirnov distance of samples in [0, 1) from uniform.
 
-    return float(kstest(values, "uniform").statistic)
+    With x sorted and clipped to [0, 1], the distance is the larger of
+    max(i/n - x_i) and max(x_i - (i-1)/n) over i = 1..n.
+    """
+    x = np.clip(np.sort(np.asarray(values, dtype=float)), 0.0, 1.0)
+    n = x.shape[0]
+    d_plus = (np.arange(1.0, n + 1) / n - x).max()
+    d_minus = (x - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
 
 
 # ---------------------------------------------------------------------------

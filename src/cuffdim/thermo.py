@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import brentq
 
 from .config import DEFAULT, Tolerances
-from .hyperbolic import GeometryError
+from .hyperbolic import GeometryError, _brentq
 from .pants import PantsGeometry, build_pants
 from .symbolic import CylinderCover, cylinder_cover
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOG3 = math.log(3.0)
 
@@ -81,7 +83,13 @@ class TransferMatrix:
 
 
 def transfer_matrix(p: PantsGeometry, s: float, n: int) -> TransferMatrix:
-    """Weighted depth-n transition matrix at exponent s."""
+    """Weighted depth-n transition matrix at exponent s.
+
+    The only place a sparse matrix is built, so ``scipy.sparse`` is
+    imported here: callers that need no transfer matrix never load it.
+    """
+    import scipy.sparse as sp
+
     if not 0.0 <= s <= 1.5:
         raise GeometryError(f"exponent s={s} outside [0, 1.5]")
     skel = transition_skeleton(p, n)
@@ -155,7 +163,7 @@ def pressure_root(p: PantsGeometry, n: int, bracket=(0.001, 0.999)) -> float:
             f"pressure has no sign change on [{lo}, {hi}] at depth {n}: "
             f"P({lo})={f_lo:.4f}, P({hi})={f_hi:.4f}"
         )
-    return brentq(lambda s: pressure(p, s, n), lo, hi, xtol=1e-12, rtol=8.9e-16)
+    return _brentq(lambda s: pressure(p, s, n), lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def hausdorff_delta(
@@ -368,7 +376,7 @@ def _bracketed_solve(g, xs, target: float, tol: float, what: str) -> float:
         if v0 == 0.0:
             return float(x0)
         if v0 * v1 < 0:
-            root = brentq(g, x0, x1, xtol=1e-10, rtol=8.9e-16)
+            root = _brentq(g, x0, x1, xtol=1e-10, rtol=8.9e-16)
             if abs(g(root)) > tol:
                 raise GeometryError(
                     f"{what} converged but |delta-target|={abs(g(root)):.2e} > {tol}"

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import cuffdim
 from cuffdim.cli import run
 from cuffdim.projlab import read_point_cloud
 
@@ -25,14 +28,16 @@ def run_json(capsys, argv) -> tuple[int, dict]:
 
 
 def test_delta_command_summary_schema(workdir, capsys):
+    # depth 4 -> 6 moves the root by 2.8e-4: converged at 1e-3, exit 0
     status, summary = run_json(
-        capsys, ["delta", "--cuffs", "2,2,2", "--tol", "1e-4", "--depths", "4,6"]
+        capsys, ["delta", "--cuffs", "2,2,2", "--tol", "1e-3", "--depths", "4,6"]
     )
     assert status == 0
     assert set(summary) == {"command", "params", "results", "residuals", "wall_ms", "version"}
     res = summary["results"]
     assert abs(res["delta"] - 0.56998) < 1e-3
     assert res["depth_used"] == 6
+    assert res["converged"] is True
     assert res["validator_passed"] is True
     assert res["cached"] is False
 
@@ -73,6 +78,49 @@ def test_ledger_supersede_and_recompute_determinism(workdir, capsys):
     )
     assert fresh["results"]["delta"] == high["results"]["delta"]
     assert fresh["results"]["roots"] == high["results"]["roots"]
+
+
+def test_unconverged_delta_exits_one_but_reports_and_records(workdir, capsys):
+    argv = ["delta", "--cuffs", "1,1,1", "--tol", "1e-4", "--depths", "4"]
+    status, summary = run_json(capsys, argv)
+    assert status == 1
+    assert summary["results"]["converged"] is False
+    assert summary["results"]["validator_passed"] is True
+    with open(os.environ["CUFFDIM_LEDGER"]) as fh:
+        entries = [json.loads(line) for line in fh]
+    assert len(entries) == 1
+    assert entries[0]["value"]["converged"] is False
+    # the ledger hit reports the same unconverged result and exit status
+    status, again = run_json(capsys, argv)
+    assert status == 1
+    assert again["results"]["cached"] is True
+    assert again["results"]["delta"] == summary["results"]["delta"]
+
+
+IMPORT_PROBE = """
+import sys
+import cuffdim, cuffdim.cli
+from cuffdim import build_pants, hausdorff_delta, product_cover, project_cover_length
+p = build_pants((2.0, 2.0, 2.0))
+project_cover_length(product_cover(p, 6), 0.3)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+hausdorff_delta(p, depths=(4, 6))
+print("scipy.sparse" in sys.modules, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_import_path_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cuffdim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    res = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    before, after = res.stdout.strip().splitlines()
+    assert before == "[]"
+    # a delta solve builds the sparse transfer matrix but needs no scipy root finder
+    assert after == "True False"
 
 
 def test_ledger_corrupt_line_skipped(workdir, capsys):
