@@ -55,5 +55,5 @@ traced = cutting_sequence_trace(pants, geo, 12)
 print(f"  intended: {word_to_string(xi[:12])}")
 print(f"  traced:   {word_to_string(traced)}   (double precision, 12 symbols)")
 traced_deep = cutting_sequence_trace(pants, pair, 30, prec=80)
-print(f"  deep:     {word_to_string(traced_deep)}   (extended precision, 30 symbols)")
+print(f"  deep:     {word_to_string(traced_deep)}   (shift-renormalized, 30 symbols)")
 print(f"  match:    {traced_deep == xi[:30]}")

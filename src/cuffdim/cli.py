@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--xi-period", default="")
     tr.add_argument("--eta-period", default="")
     tr.add_argument("-n", type=int, default=30)
-    tr.add_argument("--prec", type=int, default=None)
+    tr.add_argument("--prec", type=int, default=None, help="no effect: traces run in doubles")
 
     fv = sub.add_parser("favard", help="projected-length profile CSV over depths")
     fv.add_argument("--cuffs", default="2,2,2")

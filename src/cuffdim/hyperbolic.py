@@ -34,25 +34,28 @@ class GeometryError(ValueError):
     """Raised when inputs violate a geometric precondition."""
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+def _brentq(
+    f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100, fa=None, fb=None
+) -> float:
     """Root of f on the sign-changing bracket [xa, xb] by Brent's method.
 
     A line-for-line port of scipy's C ``brentq``: the same interpolation,
     extrapolation and bisection rules in the same floating-point order, so
     roots are bit-identical to ``scipy.optimize.brentq`` with equal
-    arguments.  A same-sign bracket, a NaN value or an exhausted
-    ``maxiter`` raises ``GeometryError``.
+    arguments.  ``fa``/``fb`` are f(xa)/f(xb) when the caller already
+    has them; f is then not evaluated there again.  A same-sign bracket,
+    a NaN value or an exhausted ``maxiter`` raises ``GeometryError``.
     """
 
-    def call(x: float) -> float:
-        fx = float(f(x))
+    def call(x: float, fx=None) -> float:
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise GeometryError(f"root solve hit a NaN value at x={x!r}")
         return fx
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = call(xpre, fa), call(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

@@ -20,6 +20,7 @@ involution s -> s ^ 1.  The boundary map on the arc of symbol s applies
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,6 @@ from .config import DEFAULT, Tolerances
 from .hyperbolic import (
     TWO_PI,
     BoundaryPoint,
-    CommonPerpendicular,
     DiskPoint,
     Geodesic,
     GeometryError,
@@ -136,9 +136,16 @@ class PantsGeometry:
         ga, gb = self.g_alpha, self.g_beta
         gens = (ga, ga.inverse(), gb, gb.inverse())
         object.__setattr__(self, "gens", gens)
+        # inverse-branch coefficients (u, v, conj v, conj u) per symbol, as
+        # Python complex for scalar loops
+        inv = [g.inverse() for g in gens]
+        branches = tuple((m.u, m.v, m.v.conjugate(), m.u.conjugate()) for m in inv)
+        object.__setattr__(self, "_branches", branches)
         object.__setattr__(self, "interior_ref", 1j * math.tanh(0.25 * self.axis_gap))
         object.__setattr__(self, "_arc_lo", np.array([a.lo for a in self.arcs]))
         object.__setattr__(self, "_arc_len", np.array([a.length for a in self.arcs]))
+        ends = tuple((cmath.exp(1j * a.lo), cmath.exp(1j * a.hi)) for a in self.arcs)
+        object.__setattr__(self, "_arc_ends", ends)
         ref = _lift(self.interior_ref)
         normals = np.empty((8, 3))
         for i, side in enumerate(self.sides):
@@ -148,6 +155,7 @@ class PantsGeometry:
                 raise GeometryError("interior reference point lies on an octagon side")
             normals[i] = n if s > 0 else -n
         object.__setattr__(self, "_normals", normals)
+        object.__setattr__(self, "_normal_rows", tuple(tuple(map(float, n)) for n in normals))
         object.__setattr__(self, "_cache", {})
 
     # -- convenience lookups -------------------------------------------------
@@ -202,9 +210,9 @@ def _solve_axis_gap(a: float, b: float, c: float, sigma: int) -> float:
         return tr + target if sigma == -1 else tr - target
 
     lo, hi = 1e-9, 1.0
-    flo = f(lo)
+    flo, fhi = f(lo), f(hi)
     for _ in range(64):
-        if flo * f(hi) < 0:
+        if flo * fhi < 0:
             break
         hi *= 2.0
         if hi > 1e6:
@@ -212,7 +220,8 @@ def _solve_axis_gap(a: float, b: float, c: float, sigma: int) -> float:
                 f"trace solve failed to bracket |tr(g_alpha g_beta^{sigma:+d})|"
                 f" = 2cosh(c/2) for cuffs ({a}, {b}, {c})"
             )
-    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        fhi = f(hi)
+    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, fa=flo, fb=fhi)
 
 
 def _far_arc(g: Geodesic, interior_ref: complex) -> Arc:

@@ -566,8 +566,7 @@ def _realize_word_endpoints(p: PantsGeometry, words: np.ndarray) -> np.ndarray:
     """Cylinder-arc midpoints of word rows, as unit complex numbers."""
     mids = np.exp(1j * (p._arc_lo + 0.5 * p._arc_len))
     z = mids[words[:, -1].astype(np.int64)]
-    gu = np.asarray([g.inverse().u for g in p.gens])
-    gv = np.asarray([g.inverse().v for g in p.gens])
+    gu, gv = np.array([b[:2] for b in p._branches]).T
     for k in range(words.shape[1] - 2, -1, -1):
         s = words[:, k].astype(np.int64)
         u, v = gu[s], gv[s]

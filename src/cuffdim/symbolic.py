@@ -11,8 +11,9 @@ endpoint difference would lose all precision.
 
 Geodesics are realized from symbolic endpoint data and traced through the
 octagon by repeated clipping: after each crossing the geodesic is pulled
-back into the fundamental octagon, which keeps coordinates bounded no
-matter how long the traced word is.
+back into the fundamental octagon.  A symbolic pair is pulled back on its
+endpoint words and realized afresh each time, so no precision is lost
+however long the traced word is.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .hyperbolic import (
     TWO_PI,
+    CLIP_EPS,
     BoundaryPoint,
     Geodesic,
     GeometryError,
@@ -194,8 +196,7 @@ def cylinder_cover(p: PantsGeometry, n: int) -> CylinderCover:
         first = words[:, 0]
         for tau in range(4):
             mask = first != bar(tau)
-            inv = p.gens[tau].inverse()
-            u, v = inv.u, inv.v
+            u, v = p._branches[tau][:2]
             sel_p, sel_q = zp[mask], zq[mask]
             den_p = np.abs(np.conj(v) * sel_p + np.conj(u))
             den_q = np.abs(np.conj(v) * sel_q + np.conj(u))
@@ -305,25 +306,31 @@ def realize_ray(p: PantsGeometry, ray: Ray, depth: int = 12) -> BoundaryPoint:
     prefix.  Prefix-only rays use the midpoint of the prefix cylinder
     (truncated to ``depth`` symbols if longer).
     """
-    if ray.period is not None:
-        ret = word_to_element(p, tuple(reversed(ray.period)))
-        info = classify_isometry(ret)
-        if info.kind != "hyperbolic":
-            raise GeometryError(f"period {ray.period} gives a non-hyperbolic element")
-        z = info.fixed_points[1]  # repelling: the expanding branch fixes it
-        for s in reversed(ray.prefix):
-            z = p.gens[s].inverse()(z)
-            z = z / abs(z)
-        return BoundaryPoint.from_complex(z)
+    return BoundaryPoint.from_complex(_realize(p, ray.prefix, ray.period, depth))
 
-    word = ray.prefix[: max(1, depth)]
-    arc = p.arcs[word[-1]]
-    zp, zq = np.exp(1j * arc.lo), np.exp(1j * arc.hi)
-    for s in reversed(word[:-1]):
-        inv = p.gens[s].inverse()
-        zp, zq = inv(zp), inv(zq)
+
+def _realize(p: PantsGeometry, prefix: Word, period: Word | None, depth: int) -> complex:
+    """Unit complex point of the word prefix + period^inf (see realize_ray).
+
+    Only contracting inverse branches are applied, so the point carries
+    full double precision however long the word is.
+    """
+    if period is not None:
+        info = classify_isometry(word_to_element(p, tuple(reversed(period))))
+        if info.kind != "hyperbolic":
+            raise GeometryError(f"period {period} gives a non-hyperbolic element")
+        zp = zq = info.fixed_points[1]  # repelling: the expanding branch fixes it
+        tail = prefix
+    else:
+        word = prefix[: max(1, depth)]
+        zp, zq = p._arc_ends[word[-1]]
+        tail = word[:-1]
+    for s in reversed(tail):
+        u, v, cv, cu = p._branches[s]
+        zp = (u * zp + v) / (cv * zp + cu)
+        zq = (u * zq + v) / (cv * zq + cu)
     m = zp / abs(zp) + zq / abs(zq)
-    return BoundaryPoint.from_complex(m / abs(m))
+    return m / abs(m)
 
 
 def geodesic_from_pair(p: PantsGeometry, pair: GeodesicPair, depth: int = 12) -> Geodesic:
@@ -337,56 +344,6 @@ def geodesic_from_pair(p: PantsGeometry, pair: GeodesicPair, depth: int = 12) ->
 
 
 # ---------------------------------------------------------------------------
-# Extended-precision endpoint realization.
-#
-# A boundary point carries about 16 decimal digits as a double, and one
-# expansion symbol consumes log10 |phi'| ~ 1 of them, so any fixed-precision
-# trace of an individual geodesic is limited to roughly 15-18 symbols at
-# moderate cuff lengths.  Deep traces therefore run on mpmath complex
-# numbers; the octagon, its side normals and the generator coefficients
-# remain the double-precision objects that define the group, cast exactly.
-
-
-def _mp():
-    import mpmath
-
-    return mpmath
-
-
-def _realize_ray_mp(p: PantsGeometry, ray: Ray, depth: int, mp):
-    if ray.period is not None:
-        u, v = mp.mpc(1), mp.mpc(0)
-        for s in reversed(ray.period):
-            gu, gv = mp.mpc(p.gens[s].u), mp.mpc(p.gens[s].v)
-            u, v = u * gu + v * mp.conj(gv), u * gv + v * mp.conj(gu)
-        # boundary fixed points: conj(v) z^2 + (conj(u) - u) z - v = 0
-        disc = mp.sqrt((mp.conj(u) - u) ** 2 + 4 * mp.conj(v) * v)
-        roots = [
-            ((u - mp.conj(u)) + disc) / (2 * mp.conj(v)),
-            ((u - mp.conj(u)) - disc) / (2 * mp.conj(v)),
-        ]
-        # the expanding return map fixes the point where |m'| > 1
-        z = min(roots, key=lambda r: abs(mp.conj(v) * r + mp.conj(u)))
-        z = z / abs(z)
-        tail = ray.prefix
-    else:
-        word = ray.prefix[: max(1, depth)]
-        arc = p.arcs[word[-1]]
-        lo = mp.mpf(arc.lo)
-        ln = mp.mpf(arc.length)
-        zp, zq = mp.expjpi(lo / mp.pi), mp.expjpi((lo + ln) / mp.pi)
-        m = zp + zq
-        z = m / abs(m)
-        tail = word[:-1]
-    for s in reversed(tail):
-        inv = p.gens[s].inverse()
-        u, v = mp.mpc(inv.u), mp.mpc(inv.v)
-        z = (u * z + v) / (mp.conj(v) * z + mp.conj(u))
-        z = z / abs(z)
-    return z
-
-
-# ---------------------------------------------------------------------------
 # Clipping, tracing, suspension
 
 
@@ -395,6 +352,29 @@ def _clip_once(p: PantsGeometry, z_fwd: complex, z_back: complex):
     l_fwd = lift_light(np.array([z_fwd]))
     t_in, t_out, s_in, s_out = clip_chord(l_back[0], l_fwd[0], p.interior_normals)
     return float(t_in), float(t_out), int(s_in), int(s_out)
+
+
+def _exit_side(normals, z_fwd: complex, z_back: complex) -> int | None:
+    """Exit side of the chord from z_back to z_fwd, None when it misses.
+
+    The scalar form of ``clip_chord``'s rule: each side's crossing is
+    compared through exp(2 t_cross) = -a/b instead of its logarithm.
+    """
+    x_in, x_out, side = 0.0, math.inf, None
+    for i, (nx, ny, nt) in enumerate(normals):
+        a = nx * z_back.real + ny * z_back.imag - nt
+        b = nx * z_fwd.real + ny * z_fwd.imag - nt
+        if a < -CLIP_EPS:
+            if b > CLIP_EPS:
+                x_in = max(x_in, -a / b)
+            else:
+                return None
+        elif a > CLIP_EPS:
+            if b < -CLIP_EPS and -a / b < x_out:
+                x_out, side = -a / b, i
+        elif b < -CLIP_EPS:
+            return None
+    return side if x_in < x_out else None
 
 
 def octagon_crossing(p: PantsGeometry, g: Geodesic):
@@ -423,21 +403,17 @@ def cutting_sequence_trace(
     output over n crossings equals the boundary expansion of the forward
     endpoint.  Output shorter than n signals escape through a cuff side.
 
-    Accepts either a realized Geodesic (double-precision trace, reliable
-    to roughly 15 symbols) or a GeodesicPair together with ``prec``
-    (decimal digits), in which case the endpoints are realized and traced
-    in extended precision; ``depth`` controls the realization depth and
-    defaults to n plus a safety margin.
+    A realized Geodesic is traced by pushing its endpoints forward, which
+    loses about one digit per crossing (reliable to roughly 15 symbols).
+    A GeodesicPair is traced to any length by shift renormalization (see
+    ``_trace_pair``), realizing prefix-only words to ``depth`` symbols,
+    by default n plus a safety margin.  ``prec`` no longer changes the
+    result: every trace runs in double precision.
     """
     if n > MAX_TRACE_LEN:
         raise GeometryError(f"trace length {n} exceeds {MAX_TRACE_LEN}")
     if isinstance(g, GeodesicPair):
-        if depth is None:
-            depth = n + 18
-        if prec is None:
-            g = geodesic_from_pair(p, g, depth)
-        else:
-            return _trace_mp(p, g, n, prec, depth)
+        return _trace_pair(p, g, n, n + 18 if depth is None else depth)
     z_fwd, z_back = g.p.point, g.q.point
     first = _clip_once(p, z_fwd, z_back)
     if not (first[0] < first[1]):
@@ -459,40 +435,51 @@ def cutting_sequence_trace(
     return tuple(out)
 
 
-def _trace_mp(p: PantsGeometry, pair: GeodesicPair, n: int, prec: int, depth: int) -> Word:
-    mp = _mp()
-    with mp.workdps(prec):
-        z_fwd = _realize_ray_mp(p, pair.xi, depth, mp)
-        z_back = _realize_ray_mp(p, pair.eta, depth, mp)
-        normals = [tuple(mp.mpf(x) for x in row) for row in p.interior_normals]
-        gens = [(mp.mpc(g.u), mp.mpc(g.v)) for g in p.gens]
-        out = []
-        for step in range(n):
-            exit_side, exit_x = None, None
-            missed = False
-            for i, (nx, ny, nt) in enumerate(normals):
-                a = nx * z_back.real + ny * z_back.imag - nt
-                b = nx * z_fwd.real + ny * z_fwd.imag - nt
-                if a < 0 and b < 0:
-                    missed = True
-                    break
-                if a > 0 and b < 0:
-                    x = -a / b  # exp(2 t_cross); smallest x exits first
-                    if exit_x is None or x < exit_x:
-                        exit_x, exit_side = x, i
-            if missed or exit_side is None:
-                if step == 0:
-                    raise GeometryError("geodesic misses the octagon")
-                break
-            if exit_side in CUFF_SIDE_INDICES:
-                break
-            sym = SEAM_SIDE_SYMBOL[exit_side]
-            out.append(sym)
-            u, v = gens[sym]
-            z_fwd = (u * z_fwd + v) / (mp.conj(v) * z_fwd + mp.conj(u))
-            z_back = (u * z_back + v) / (mp.conj(v) * z_back + mp.conj(u))
-            z_fwd = z_fwd / abs(z_fwd)
-            z_back = z_back / abs(z_back)
+def _shift(prefix: Word, period: Word | None, sym: int):
+    """Word of g_sym(z) from the word of z.
+
+    g_sym undoes a leading sym, and maps every other point into the arc of
+    bar(sym); a bare period rotates instead.
+    """
+    if prefix:
+        if prefix[0] == sym:
+            return prefix[1:], period
+        return (bar(sym),) + prefix, period
+    if period[0] == sym:
+        return (), period[1:] + period[:1]
+    return (bar(sym),), period
+
+
+def _trace_pair(p: PantsGeometry, pair: GeodesicPair, n: int, depth: int) -> Word:
+    """Trace a symbolic pair by shift renormalization, in double precision.
+
+    The state is the two endpoint words, not the two points.  Before every
+    crossing both endpoints are realized afresh from their words, which
+    applies contracting inverse branches only, so no digit is lost however
+    many crossings are traced.  After a crossing through the side of sym,
+    both words are updated for z -> g_sym(z) symbolically and exactly.  A
+    geometrically wrong crossing still shows as a wrong symbol or an
+    escape.  A prefix-only ray carries no symbols past its prefix, so the
+    trace stops when the forward word runs out.
+    """
+    normals = p._normal_rows
+    fwd, back = (pair.xi.prefix, pair.xi.period), (pair.eta.prefix, pair.eta.period)
+    out = []
+    for step in range(n):
+        if not (fwd[0] or fwd[1]) or not (back[0] or back[1]):
+            break
+        z_fwd = _realize(p, *fwd, depth)
+        z_back = _realize(p, *back, depth)
+        side = _exit_side(normals, z_fwd, z_back)
+        if side is None:
+            if step == 0:
+                raise GeometryError("geodesic misses the octagon")
+            break
+        if side in CUFF_SIDE_INDICES:
+            break
+        sym = SEAM_SIDE_SYMBOL[side]
+        out.append(sym)
+        fwd, back = _shift(*fwd, sym), _shift(*back, sym)
     return tuple(out)
 
 

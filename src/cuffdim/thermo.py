@@ -163,7 +163,9 @@ def pressure_root(p: PantsGeometry, n: int, bracket=(0.001, 0.999)) -> float:
             f"pressure has no sign change on [{lo}, {hi}] at depth {n}: "
             f"P({lo})={f_lo:.4f}, P({hi})={f_hi:.4f}"
         )
-    return _brentq(lambda s: pressure(p, s, n), lo, hi, xtol=1e-12, rtol=8.9e-16)
+    return _brentq(
+        lambda s: pressure(p, s, n), lo, hi, xtol=1e-12, rtol=8.9e-16, fa=f_lo, fb=f_hi
+    )
 
 
 def hausdorff_delta(
@@ -212,8 +214,7 @@ def moran_cover_counts(p: PantsGeometry, eps_ladder) -> tuple[np.ndarray, np.nda
     arc_p = np.exp(1j * p._arc_lo)
     arc_q = np.exp(1j * (p._arc_lo + p._arc_len))
     arc_chord = np.abs(arc_q - arc_p)
-    giu = np.asarray([g.inverse().u for g in p.gens])
-    giv = np.asarray([g.inverse().v for g in p.gens])
+    giu, giv = np.array([b[:2] for b in p._branches]).T
 
     u = np.ones(4, complex)
     v = np.zeros(4, complex)
@@ -376,7 +377,7 @@ def _bracketed_solve(g, xs, target: float, tol: float, what: str) -> float:
         if v0 == 0.0:
             return float(x0)
         if v0 * v1 < 0:
-            root = _brentq(g, x0, x1, xtol=1e-10, rtol=8.9e-16)
+            root = _brentq(g, x0, x1, xtol=1e-10, rtol=8.9e-16, fa=v0, fb=v1)
             if abs(g(root)) > tol:
                 raise GeometryError(
                     f"{what} converged but |delta-target|={abs(g(root)):.2e} > {tol}"

@@ -101,11 +101,16 @@ IMPORT_PROBE = """
 import sys
 import cuffdim, cuffdim.cli
 from cuffdim import build_pants, hausdorff_delta, product_cover, project_cover_length
+from cuffdim.symbolic import GeodesicPair, Ray, cutting_sequence_trace
 p = build_pants((2.0, 2.0, 2.0))
 project_cover_length(product_cover(p, 6), 0.3)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 hausdorff_delta(p, depths=(4, 6))
 print("scipy.sparse" in sys.modules, "scipy.optimize" in sys.modules)
+xi = (0, 2, 1, 3) * 12
+pair = GeodesicPair(Ray(xi), Ray((2,) + xi[1:]))
+assert cutting_sequence_trace(p, pair, 30, prec=80) == xi[:30]
+print(sorted(m for m in sys.modules if m.split(".")[0] == "mpmath"))
 """
 
 
@@ -117,10 +122,12 @@ def test_import_path_loads_no_scipy():
         [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
-    before, after = res.stdout.strip().splitlines()
+    before, after, mp_modules = res.stdout.strip().splitlines()
     assert before == "[]"
     # a delta solve builds the sparse transfer matrix but needs no scipy root finder
     assert after == "True False"
+    # a deep trace runs in doubles, whatever precision it is asked for
+    assert mp_modules == "[]"
 
 
 def test_ledger_corrupt_line_skipped(workdir, capsys):
@@ -173,6 +180,17 @@ def test_trace_command(workdir, capsys):
     )
     assert status == 0
     assert summary["results"]["word"] == "ababab"
+
+
+def test_trace_command_deep_periodic(workdir, capsys):
+    # 40 symbols is past what pushing the endpoints forward in doubles reaches
+    status, summary = run_json(
+        capsys,
+        ["trace", "--cuffs", "2,2,2", "--xi-period", "ab", "--eta-period", "BA", "-n", "40"],
+    )
+    assert status == 0
+    assert summary["results"]["word"] == "ab" * 20
+    assert summary["results"]["length"] == 40
 
 
 def test_favard_four_corner_csv(workdir, capsys):

@@ -12,20 +12,26 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from cuffdim import pants
+from cuffdim import pants, thermo
 from cuffdim.hyperbolic import GeometryError, _brentq
 from cuffdim.pants import build_pants
 from cuffdim.projlab import ks_uniform_statistic
 from cuffdim.thermo import pressure
 
 
-def assert_same_root(f, lo, hi, **kw):
-    """Same root and the same sequence of evaluation points as scipy."""
+def assert_same_root(f, lo, hi, fa=None, fb=None, **kw):
+    """Same root and the same sequence of evaluation points as scipy.
+
+    Bracket-end values passed in as ``fa``/``fb`` spare those evaluations,
+    so the sequence is then scipy's without them.
+    """
     ours_x, theirs_x = [], []
-    ours = _brentq(lambda x: ours_x.append(x) or f(x), lo, hi, **kw)
+    ours = _brentq(lambda x: ours_x.append(x) or f(x), lo, hi, fa=fa, fb=fb, **kw)
     theirs = brentq(lambda x: theirs_x.append(x) or f(x), lo, hi, **kw)
     assert ours == theirs, (ours, theirs)
-    assert ours_x == theirs_x
+    assert theirs_x[:2] == [lo, hi]
+    skipped = [x for x, fx in ((lo, fa), (hi, fb)) if fx is not None]
+    assert ours_x == [x for x in theirs_x[:2] if x not in skipped] + theirs_x[2:]
 
 
 def cubic(x):
@@ -71,6 +77,40 @@ def test_brentq_bit_equal_on_axis_gap(cuffs, monkeypatch):
         assert_same_root(f, lo, hi, **kw)
 
 
+@pytest.mark.parametrize(
+    "f,lo,hi",
+    [(cubic, 2.0, 3.0), (lambda x: math.exp(x) - 2.0, -50.0, 50.0)],
+    ids=["cubic", "exp"],
+)
+def test_brentq_with_end_values_skips_the_bracket_points(f, lo, hi):
+    assert_same_root(f, lo, hi, fa=f(lo), fb=f(hi), xtol=1e-12, rtol=8.9e-16)
+    p = build_pants((2.0, 2.0, 2.0))
+
+    def g(s):
+        return pressure(p, s, 4)
+
+    assert_same_root(g, 0.001, 0.999, fa=g(0.001), fb=g(0.999), xtol=1e-12, rtol=8.9e-16)
+    assert_same_root(g, 0.001, 0.999, fb=g(0.999), xtol=1e-12, rtol=8.9e-16)
+
+
+def test_pressure_root_evaluates_each_point_once(monkeypatch):
+    p = build_pants((1.0, 2.0, 3.0))
+    seen = []
+
+    def spy(p_, s, n):
+        seen.append(s)
+        return pressure(p_, s, n)
+
+    monkeypatch.setattr(thermo, "pressure", spy)
+    root = thermo.pressure_root(p, 6)
+    scipy_x = []
+    assert root == brentq(
+        lambda s: scipy_x.append(s) or pressure(p, s, 6), 0.001, 0.999, xtol=1e-12, rtol=8.9e-16
+    )
+    assert seen == scipy_x
+    assert len(set(seen)) == len(seen)
+
+
 def test_brentq_returns_an_endpoint_root():
     assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12, 8.9e-16) == 1.0
     assert _brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12, 8.9e-16) == 1.0
@@ -90,6 +130,11 @@ def test_brentq_raises_when_iterations_run_out():
 def test_brentq_raises_on_nan():
     with pytest.raises(GeometryError, match="NaN"):
         _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 8.9e-16)
+
+
+def test_brentq_raises_on_a_nan_end_value():
+    with pytest.raises(GeometryError, match="NaN"):
+        _brentq(lambda x: x - 0.7, 0.0, 1.0, 1e-12, 8.9e-16, fb=math.nan)
 
 
 @pytest.mark.parametrize(
