@@ -10,7 +10,6 @@ box-counting dimension of complete-geodesic point clouds).
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT, Tolerances
 from .hyperbolic import (
     BoundaryPoint,
     DiskPoint,

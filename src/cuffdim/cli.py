@@ -2,7 +2,7 @@
 
 Every command prints a single JSON summary line to standard output with
 the fixed top-level shape {command, params, results, residuals, wall_ms,
-version}; invalid configurations produce a machine-readable JSON error on
+version}; invalid inputs produce a machine-readable JSON error on
 standard error and a nonzero exit.  File artifacts (CSV, SVG, JSON,
 point clouds) are written with deterministic bytes so repeated runs with
 the same seed can be compared directly; wall times never enter artifact
@@ -41,7 +41,7 @@ from .projlab import (
 from .symbolic import Ray, GeodesicPair, cover_to_csv, cutting_sequence_trace, cylinder_cover, word_to_string
 from .thermo import gibbs_measure, hausdorff_delta, solve_locus, solve_locus_symmetric
 
-DEFAULT_LEDGER = "cuffdim-ledger.jsonl"
+LEDGER_FILE = "cuffdim-ledger.jsonl"
 
 
 def fmt17(x: float) -> str:
@@ -53,7 +53,7 @@ def fmt17(x: float) -> str:
 
 
 def ledger_path() -> str:
-    return os.environ.get("CUFFDIM_LEDGER", DEFAULT_LEDGER)
+    return os.environ.get("CUFFDIM_LEDGER", LEDGER_FILE)
 
 
 def _canonical_key(command: str, params: dict) -> str:
@@ -264,7 +264,7 @@ def _cmd_octagon(args) -> tuple[dict, dict, int]:
         fh.write(svg)
     residuals = {c.name: c.residual for c in report.checks}
     return (
-        {"out": args.out, "validator_passed": report.passed, "sigma": p.sigma},
+        {"out": args.out, "validator_passed": report.passed},
         residuals,
         0 if report.passed else 1,
     )

@@ -25,9 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
-
 TWO_PI = 2.0 * math.pi
+
+IDENTITY_TOL = 1e-12  # |u - 1| and |v| below this classify as the identity
+PARABOLIC_TRACE_TOL = 1e-9  # |tr| within this of 2 classifies as parabolic
+ON_GEODESIC_TOL = 1e-12  # |sinh(signed distance)| below this lies on the geodesic
+ENDPOINT_GAP = 1e-12  # minimal angular separation of geodesic endpoints
 
 
 class GeometryError(ValueError):
@@ -313,10 +316,10 @@ class Geodesic:
     def __post_init__(self):
         tp, tq = self.p.theta, self.q.theta
         gap = min((tp - tq) % TWO_PI, (tq - tp) % TWO_PI)
-        if gap <= DEFAULT.endpoint_gap:
-            raise GeometryError("geodesic endpoints coincide")
         n = _mcross(_light(tp), _light(tq))
-        nn = _mink(n, n)
+        nn = _mink(n, n)  # loses all digits, or its sign, for near-equal endpoints
+        if gap <= ENDPOINT_GAP or not nn > 0.0:
+            raise GeometryError("geodesic endpoints coincide")
         n = n / math.sqrt(nn)
         object.__setattr__(self, "normal", n)
 
@@ -354,13 +357,13 @@ def _geodesic_from_normal(n: np.ndarray) -> Geodesic:
     return Geodesic(BoundaryPoint(phi - half), BoundaryPoint(phi + half))
 
 
-def signed_side(g: Geodesic, z, tol: Tolerances = DEFAULT) -> int:
+def signed_side(g: Geodesic, z) -> int:
     """Side of ``g`` on which the disk point ``z`` lies.
 
     Returns +1 on the side containing the disk center; when ``g`` passes
     through the center the +1 side is the one containing the boundary
     point in the middle of the counterclockwise arc from the smaller
-    endpoint angle to the larger one.  Returns 0 within ``tol.on_geodesic``
+    endpoint angle to the larger one.  Returns 0 within ``ON_GEODESIC_TOL``
     of the geodesic (hyperbolic distance scale).
     """
     zz = _zval(z)
@@ -372,7 +375,7 @@ def signed_side(g: Geodesic, z, tol: Tolerances = DEFAULT) -> int:
         ref = _mink(_light(0.5 * (lo + hi)), n)
         orient = 1.0 if ref > 0 else -1.0
     s = orient * _mink(_lift(zz), n)  # equals sinh(signed distance)
-    if abs(s) <= tol.on_geodesic:
+    if abs(s) <= ON_GEODESIC_TOL:
         return 0
     return 1 if s > 0 else -1
 
@@ -396,6 +399,8 @@ class CommonPerpendicular:
 def _foot(n_perp: np.ndarray, n_line: np.ndarray) -> DiskPoint:
     t = _mcross(n_perp, n_line)
     tt = _mink(t, t)
+    if not tt < 0.0:
+        raise GeometryError("common perpendicular meets a geodesic outside the disk")
     w = t / math.sqrt(-tt)
     if w[2] < 0:
         w = -w
@@ -421,7 +426,7 @@ def common_perpendicular(g1: Geodesic, g2: Geodesic) -> CommonPerpendicular:
     )
 
 
-def ray_crossing(start, target, g: Geodesic, tol: Tolerances = DEFAULT):
+def ray_crossing(start, target, g: Geodesic):
     """First crossing of the ray from ``start`` toward ``target`` with ``g``.
 
     Returns (arclength, DiskPoint) or None.  A start point on ``g`` gives
@@ -433,7 +438,7 @@ def ray_crossing(start, target, g: Geodesic, tol: Tolerances = DEFAULT):
     u = c * ell - w
     a = _mink(w, g.normal)
     b = _mink(u, g.normal)
-    if abs(a) <= tol.on_geodesic:
+    if abs(a) <= ON_GEODESIC_TOL:
         return 0.0, DiskPoint(_drop(w))
     if abs(b) <= abs(a):
         return None
@@ -456,16 +461,16 @@ class IsometryInfo:
     fixed_points: tuple[complex, ...]
 
 
-def classify_isometry(m: MoebiusTransform, tol: Tolerances = DEFAULT) -> IsometryInfo:
+def classify_isometry(m: MoebiusTransform) -> IsometryInfo:
     """Classify by trace; hyperbolic maps carry their axis.
 
     The axis endpoints are the boundary fixed points with the attracting
     one listed first.  Translation length is 2*arccosh(|tr|/2).
     """
-    if m.is_identity(tol.unit_det):
+    if m.is_identity(IDENTITY_TOL):
         return IsometryInfo("identity", 0.0, None, ())
     tr = abs(m.trace)
-    if abs(tr - 2.0) <= tol.parabolic_trace:
+    if abs(tr - 2.0) <= PARABOLIC_TRACE_TOL:
         fix = ()
         if abs(m.v) > 0:
             fix = ((1j * m.u.imag) / m.v.conjugate(),)

@@ -9,9 +9,9 @@ the expanding boundary map acts.
 Canonical placement: the axis of ``g_alpha`` (translation length b) is the
 horizontal diameter with attracting fixed point at angle 0, and the common
 perpendicular between the axes of ``g_alpha`` and ``g_beta`` is the
-vertical diameter, crossing at the origin.  The whole configuration is
-then symmetric under reflection across the vertical diameter, so the
-origin is the midpoint of the octagon side lying on the horizontal axis.
+vertical diameter, crossing at the origin.  The whole figure is then
+symmetric under reflection across the vertical diameter, so the origin
+is the midpoint of the octagon side lying on the horizontal axis.
 
 Symbols are the integers ALPHA=0, ABAR=1, BETA=2, BBAR=3 with the bar
 involution s -> s ^ 1.  The boundary map on the arc of symbol s applies
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .hyperbolic import (
     TWO_PI,
     BoundaryPoint,
@@ -123,7 +122,6 @@ class PantsGeometry:
     cuffs: CuffLengths
     g_alpha: MoebiusTransform
     g_beta: MoebiusTransform
-    sigma: int
     axis_gap: float  # distance between the axes of g_alpha and g_beta
     sides: tuple[OctagonSide, ...]
     arcs: tuple[Arc, Arc, Arc, Arc]  # symbol order ALPHA, ABAR, BETA, BBAR
@@ -193,21 +191,17 @@ def _raw_trace(m: MoebiusTransform, n: MoebiusTransform) -> float:
     return 2.0 * (m.u * n.u + m.v * n.v.conjugate()).real
 
 
-def _solve_axis_gap(a: float, b: float, c: float, sigma: int) -> float:
-    """Separation d of the two axes with |tr(g_alpha g_beta^sigma)| = 2cosh(c/2).
+def _solve_axis_gap(a: float, b: float, c: float) -> float:
+    """Separation d of the two axes with tr(g_alpha g_beta^-1) = -2cosh(c/2).
 
-    The signed trace of the product is monotone in d, so the equation is
-    solved on the branch tr = -2cosh(c/2) for sigma = -1 (the branch that
-    yields the gluing cuff) and tr = +2cosh(c/2) for sigma = +1.
+    The signed trace of the product is monotone in d, and this branch is
+    the one that yields the gluing cuff.
     """
     ga = MoebiusTransform.real_translation(b)
     target = 2.0 * math.cosh(0.5 * c)
 
     def f(d: float) -> float:
-        gb = _g_beta_at(a, d)
-        other = gb.inverse() if sigma == -1 else gb
-        tr = _raw_trace(ga, other)
-        return tr + target if sigma == -1 else tr - target
+        return _raw_trace(ga, _g_beta_at(a, d).inverse()) + target
 
     lo, hi = 1e-9, 1.0
     flo, fhi = f(lo), f(hi)
@@ -217,8 +211,7 @@ def _solve_axis_gap(a: float, b: float, c: float, sigma: int) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise GeometryError(
-                f"trace solve failed to bracket |tr(g_alpha g_beta^{sigma:+d})|"
-                f" = 2cosh(c/2) for cuffs ({a}, {b}, {c})"
+                "trace solve failed to bracket tr(g_alpha g_beta^-1) = -2cosh(c/2)"
             )
         fhi = f(hi)
     return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, fa=flo, fb=fhi)
@@ -247,95 +240,83 @@ def _arcs_disjoint(arcs) -> tuple[bool, float]:
     return min(gaps) > 0.0, min(gaps)
 
 
-def build_pants(cuffs, tol: Tolerances = DEFAULT) -> PantsGeometry:
+def build_pants(cuffs) -> PantsGeometry:
     """Construct the canonical octagon for cuff lengths (a, b, c).
 
-    Tries the gluing sign sigma = -1 first, then +1, keeping the first
-    configuration whose Schottky arcs are pairwise disjoint.
+    g_beta enters the gluing inverted: the two cuff-c lifts are the axes of
+    g_alpha g_beta^-1 and g_beta^-1 g_alpha.  Any failure raises one
+    GeometryError naming the cuffs.
     """
     cuffs = CuffLengths.coerce(cuffs)
-    errors = []
-    for sigma in (-1, +1):
-        try:
-            return _build_with_sigma(cuffs, sigma)
-        except GeometryError as exc:
-            errors.append(f"sigma={sigma:+d}: {exc}")
-    raise GeometryError(
-        "pants construction failed for cuffs "
-        f"{cuffs.as_tuple()}: " + "; ".join(errors)
-    )
+    a, b, c = cuffs.as_tuple()
+    try:
+        d = _solve_axis_gap(a, b, c)
+        g_alpha = MoebiusTransform.real_translation(b)
+        g_beta = _g_beta_at(a, d)
+        gbi = g_beta.inverse()
 
+        axis_b = Geodesic(BoundaryPoint(0.0), BoundaryPoint(math.pi))
+        info_a = classify_isometry(g_beta)
+        info_c1 = classify_isometry(g_alpha @ gbi)
+        info_c2 = classify_isometry(gbi @ g_alpha)
+        for name, info in (("g_beta", info_a), ("g_alpha*g_beta^-1", info_c1)):
+            if info.kind != "hyperbolic":
+                raise GeometryError(f"{name} is not hyperbolic (trace solve inconsistent)")
+        axis_a = info_a.axis
+        lift_c1 = info_c1.axis  # cuff-c lift on the abar side
+        lift_c2 = info_c2.axis  # cuff-c lift on the alpha side
 
-def _build_with_sigma(cuffs: CuffLengths, sigma: int) -> PantsGeometry:
-    a, b, c = cuffs.a, cuffs.b, cuffs.c
-    d = _solve_axis_gap(a, b, c, sigma)
-    g_alpha = MoebiusTransform.real_translation(b)
-    g_beta = _g_beta_at(a, d)
-    gb_s = g_beta.inverse() if sigma == -1 else g_beta
+        seam_alpha = common_perpendicular(axis_b, lift_c2)
+        seam_bbar = common_perpendicular(axis_a, lift_c1)
+        u1, w1 = seam_alpha.foot1.z, seam_alpha.foot2.z
+        y1, x1 = seam_bbar.foot1.z, seam_bbar.foot2.z
+        u2, w2 = g_alpha(u1), g_alpha(w1)
+        y2, x2 = gbi(y1), gbi(x1)
 
-    axis_b = Geodesic(BoundaryPoint(0.0), BoundaryPoint(math.pi))
-    info_a = classify_isometry(g_beta)
-    info_c1 = classify_isometry(g_alpha @ gb_s)
-    info_c2 = classify_isometry(gb_s @ g_alpha)
-    for name, info in (("g_beta", info_a), ("g_alpha*g_beta^sigma", info_c1)):
-        if info.kind != "hyperbolic":
-            raise GeometryError(f"{name} is not hyperbolic (trace solve inconsistent)")
-    axis_a = info_a.axis
-    lift_c1 = info_c1.axis  # cuff-c lift on the abar side
-    lift_c2 = info_c2.axis  # cuff-c lift on the alpha side
+        if not (u1.real < 0.0 < u2.real):
+            raise GeometryError(
+                "octagon orientation check failed: seam feet on the g_alpha axis "
+                f"are at {u1.real:.6f}, {u2.real:.6f}"
+            )
 
-    seam_alpha = common_perpendicular(axis_b, lift_c2)
-    seam_bbar = common_perpendicular(axis_a, lift_c1)
-    u1, w1 = seam_alpha.foot1.z, seam_alpha.foot2.z
-    y1, x1 = seam_bbar.foot1.z, seam_bbar.foot2.z
-    u2, w2 = g_alpha(u1), g_alpha(w1)
-    gbi = g_beta.inverse()
-    y2, x2 = gbi(y1), gbi(x1)
+        s_alpha = seam_alpha.geodesic
+        s_abar = s_alpha.transform(g_alpha)
+        s_bbar = seam_bbar.geodesic
+        s_beta = s_bbar.transform(gbi)
 
-    if not (u1.real < 0.0 < u2.real):
-        raise GeometryError(
-            "octagon orientation check failed: seam feet on the g_alpha axis "
-            f"are at {u1.real:.6f}, {u2.real:.6f}"
+        verts = tuple(DiskPoint(z) for z in (w1, u1, u2, w2, x1, y1, y2, x2))
+        sides = (
+            OctagonSide("alpha", s_alpha, verts[0], verts[1]),
+            OctagonSide("b", axis_b, verts[1], verts[2]),
+            OctagonSide("abar", s_abar, verts[2], verts[3]),
+            OctagonSide("c1", lift_c1, verts[3], verts[4]),
+            OctagonSide("bbar", s_bbar, verts[4], verts[5]),
+            OctagonSide("a", axis_a, verts[5], verts[6]),
+            OctagonSide("beta", s_beta, verts[6], verts[7]),
+            OctagonSide("c2", lift_c2, verts[7], verts[0]),
         )
 
-    s_alpha = seam_alpha.geodesic
-    s_abar = s_alpha.transform(g_alpha)
-    s_bbar = seam_bbar.geodesic
-    s_beta = s_bbar.transform(gbi)
+        interior_ref = 1j * math.tanh(0.25 * d)
+        arcs = (
+            _far_arc(s_alpha, interior_ref),
+            _far_arc(s_abar, interior_ref),
+            _far_arc(s_beta, interior_ref),
+            _far_arc(s_bbar, interior_ref),
+        )
+        if not _arcs_disjoint(arcs)[0]:
+            raise GeometryError("Schottky arcs are not pairwise disjoint")
 
-    verts = tuple(DiskPoint(z) for z in (w1, u1, u2, w2, x1, y1, y2, x2))
-    sides = (
-        OctagonSide("alpha", s_alpha, verts[0], verts[1]),
-        OctagonSide("b", axis_b, verts[1], verts[2]),
-        OctagonSide("abar", s_abar, verts[2], verts[3]),
-        OctagonSide("c1", lift_c1, verts[3], verts[4]),
-        OctagonSide("bbar", s_bbar, verts[4], verts[5]),
-        OctagonSide("a", axis_a, verts[5], verts[6]),
-        OctagonSide("beta", s_beta, verts[6], verts[7]),
-        OctagonSide("c2", lift_c2, verts[7], verts[0]),
-    )
-
-    interior_ref = 1j * math.tanh(0.25 * d)
-    arcs = (
-        _far_arc(s_alpha, interior_ref),
-        _far_arc(s_abar, interior_ref),
-        _far_arc(s_beta, interior_ref),
-        _far_arc(s_bbar, interior_ref),
-    )
-    ok, _gap = _arcs_disjoint(arcs)
-    if not ok:
-        raise GeometryError("Schottky arcs are not pairwise disjoint")
-
-    return PantsGeometry(
-        cuffs=cuffs,
-        g_alpha=g_alpha,
-        g_beta=g_beta,
-        sigma=sigma,
-        axis_gap=d,
-        sides=sides,
-        arcs=arcs,
-        vertices=verts,
-    )
+        return PantsGeometry(
+            cuffs=cuffs,
+            g_alpha=g_alpha,
+            g_beta=g_beta,
+            axis_gap=d,
+            sides=sides,
+            arcs=arcs,
+            vertices=verts,
+        )
+    except GeometryError as exc:
+        raise GeometryError(f"pants construction failed for cuffs {cuffs.as_tuple()}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +352,14 @@ def expansion_map_step(p: PantsGeometry, t) -> tuple[int | None, BoundaryPoint, 
 # Validation
 
 
+# validate_pants bounds
+VERTEX_MATCH_TOL = 1e-10
+RIGHT_ANGLE_TOL = 1e-8
+SIDE_LENGTH_TOL = 1e-8
+CUFF_RECOVERY_TOL = 1e-8
+GLUING_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
@@ -403,7 +392,7 @@ class PantsReport:
         return "\n".join(lines)
 
 
-def validate_pants(p: PantsGeometry, tol: Tolerances = DEFAULT) -> PantsReport:
+def validate_pants(p: PantsGeometry) -> PantsReport:
     """Recheck every structural property of a built octagon."""
     checks = []
 
@@ -413,33 +402,32 @@ def validate_pants(p: PantsGeometry, tol: Tolerances = DEFAULT) -> PantsReport:
     vres = max(
         abs(p.sides[i].end.z - p.sides[(i + 1) % 8].start.z) for i in range(8)
     )
-    checks.append(ValidationCheck("vertex_closure", vres <= tol.vertex_match, vres))
+    checks.append(ValidationCheck("vertex_closure", vres <= VERTEX_MATCH_TOL, vres))
 
     ares = 0.0
     for i in range(8):
         n1 = p.sides[i].geodesic.normal
         n2 = p.sides[(i + 1) % 8].geodesic.normal
         ares = max(ares, abs(_mink(n1, n2)))
-    checks.append(ValidationCheck("right_angles", ares <= tol.right_angle, ares))
+    checks.append(ValidationCheck("right_angles", ares <= RIGHT_ANGLE_TOL, ares))
 
     a, b, c = p.cuffs.as_tuple()
     expected = {"b": b, "a": a, "c1": 0.5 * c, "c2": 0.5 * c}
     sres = max(abs(p.side(k).length - v) for k, v in expected.items())
-    checks.append(ValidationCheck("side_lengths", sres <= tol.side_length, sres))
+    checks.append(ValidationCheck("side_lengths", sres <= SIDE_LENGTH_TOL, sres))
 
-    gb_s = p.g_beta.inverse() if p.sigma == -1 else p.g_beta
     recovered = (
         abs(classify_isometry(p.g_alpha).translation_length - b),
         abs(classify_isometry(p.g_beta).translation_length - a),
-        abs(classify_isometry(p.g_alpha @ gb_s).translation_length - c),
+        abs(classify_isometry(p.g_alpha @ p.g_beta.inverse()).translation_length - c),
     )
     cres = max(recovered)
     checks.append(
         ValidationCheck(
             "cuff_recovery",
-            cres <= tol.cuff_recovery,
+            cres <= CUFF_RECOVERY_TOL,
             cres,
-            "lengths of g_alpha, g_beta, g_alpha*g_beta^sigma vs (b, a, c)",
+            "lengths of g_alpha, g_beta, g_alpha*g_beta^-1 vs (b, a, c)",
         )
     )
 
@@ -449,7 +437,7 @@ def validate_pants(p: PantsGeometry, tol: Tolerances = DEFAULT) -> PantsReport:
     )
 
     gres = _gluing_residual(p)
-    checks.append(ValidationCheck("gluing", gres <= tol.gluing, gres))
+    checks.append(ValidationCheck("gluing", gres <= GLUING_TOL, gres))
 
     return PantsReport(checks=tuple(checks), min_arc_gap=gap)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .hyperbolic import GeometryError, chord_point, clip_chord, lift_light
 from .pants import PantsGeometry
 from .symbolic import cylinder_cover
-from .thermo import CylinderMeasure, GibbsChain, gibbs_chain
+from .thermo import CylinderMeasure, GibbsChain
 
 POINT_CLOUD_MAGIC = b"CSPTS001"
 
@@ -594,10 +594,7 @@ def sample_complete_geodesic_points(
     """
     if count > 10**7:
         raise GeometryError(f"sample count {count} above 1e7")
-    if isinstance(mu, CylinderMeasure):
-        chain = gibbs_chain(p, mu.s, mu.depth)
-    else:
-        chain = mu
+    chain = mu.chain if isinstance(mu, CylinderMeasure) else mu
     if chain.depth < 4:
         raise GeometryError("sampling needs a chain of depth >= 4")
     word_len = max(word_len, chain.depth)

@@ -405,33 +405,56 @@ def cutting_sequence_trace(
 
     A realized Geodesic is traced by pushing its endpoints forward, which
     loses about one digit per crossing (reliable to roughly 15 symbols).
-    A GeodesicPair is traced to any length by shift renormalization (see
-    ``_trace_pair``), realizing prefix-only words to ``depth`` symbols,
-    by default n plus a safety margin.  ``prec`` no longer changes the
-    result: every trace runs in double precision.
+    A GeodesicPair is traced to any length by shift renormalization: the
+    state is the two endpoint words, not the two points.  Before every
+    crossing both endpoints are realized afresh from their words, which
+    applies contracting inverse branches only, so no digit is lost however
+    many crossings are traced; prefix-only words are realized to ``depth``
+    symbols, by default n plus a safety margin.  After a crossing through
+    the side of sym, both words are updated for z -> g_sym(z) symbolically
+    and exactly.  A geometrically wrong crossing still shows as a wrong
+    symbol or an escape.  A prefix-only ray carries no symbols past its
+    prefix, so the trace stops when the forward word runs out.  ``prec``
+    no longer changes the result: every trace runs in double precision.
     """
     if n > MAX_TRACE_LEN:
         raise GeometryError(f"trace length {n} exceeds {MAX_TRACE_LEN}")
     if isinstance(g, GeodesicPair):
-        return _trace_pair(p, g, n, n + 18 if depth is None else depth)
-    z_fwd, z_back = g.p.point, g.q.point
-    first = _clip_once(p, z_fwd, z_back)
-    if not (first[0] < first[1]):
-        raise GeometryError("geodesic misses the octagon")
+        depth = n + 18 if depth is None else depth
+        ends = ((g.xi.prefix, g.xi.period), (g.eta.prefix, g.eta.period))
+
+        def point(word):
+            return _realize(p, *word, depth) if word[0] or word[1] else None
+
+        def push(word, sym):
+            return _shift(*word, sym)
+
+    else:
+        ends = (g.p.point, g.q.point)
+
+        def point(z):
+            return z
+
+        def push(z, sym):
+            z = p.gens[sym](z)
+            return z / abs(z)
+
+    normals = p._normal_rows
     out = []
-    for _ in range(n):
-        t_in, t_out, _, s_out = _clip_once(p, z_fwd, z_back)
-        if not (t_in < t_out):
+    for step in range(n):
+        z_fwd, z_back = point(ends[0]), point(ends[1])
+        if z_fwd is None or z_back is None:
             break
-        if s_out in CUFF_SIDE_INDICES:
+        side = _exit_side(normals, z_fwd, z_back)
+        if side is None:
+            if step == 0:
+                raise GeometryError("geodesic misses the octagon")
             break
-        sym = SEAM_SIDE_SYMBOL[s_out]
+        if side in CUFF_SIDE_INDICES:
+            break
+        sym = SEAM_SIDE_SYMBOL[side]
         out.append(sym)
-        gmap = p.gens[sym]
-        z_fwd = gmap(z_fwd)
-        z_back = gmap(z_back)
-        z_fwd /= abs(z_fwd)
-        z_back /= abs(z_back)
+        ends = (push(ends[0], sym), push(ends[1], sym))
     return tuple(out)
 
 
@@ -448,39 +471,6 @@ def _shift(prefix: Word, period: Word | None, sym: int):
     if period[0] == sym:
         return (), period[1:] + period[:1]
     return (bar(sym),), period
-
-
-def _trace_pair(p: PantsGeometry, pair: GeodesicPair, n: int, depth: int) -> Word:
-    """Trace a symbolic pair by shift renormalization, in double precision.
-
-    The state is the two endpoint words, not the two points.  Before every
-    crossing both endpoints are realized afresh from their words, which
-    applies contracting inverse branches only, so no digit is lost however
-    many crossings are traced.  After a crossing through the side of sym,
-    both words are updated for z -> g_sym(z) symbolically and exactly.  A
-    geometrically wrong crossing still shows as a wrong symbol or an
-    escape.  A prefix-only ray carries no symbols past its prefix, so the
-    trace stops when the forward word runs out.
-    """
-    normals = p._normal_rows
-    fwd, back = (pair.xi.prefix, pair.xi.period), (pair.eta.prefix, pair.eta.period)
-    out = []
-    for step in range(n):
-        if not (fwd[0] or fwd[1]) or not (back[0] or back[1]):
-            break
-        z_fwd = _realize(p, *fwd, depth)
-        z_back = _realize(p, *back, depth)
-        side = _exit_side(normals, z_fwd, z_back)
-        if side is None:
-            if step == 0:
-                raise GeometryError("geodesic misses the octagon")
-            break
-        if side in CUFF_SIDE_INDICES:
-            break
-        sym = SEAM_SIDE_SYMBOL[side]
-        out.append(sym)
-        fwd, back = _shift(*fwd, sym), _shift(*back, sym)
-    return tuple(out)
 
 
 def suspension_time(p: PantsGeometry, pair: GeodesicPair, depth: int = 12) -> float:

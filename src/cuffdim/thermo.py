@@ -17,12 +17,11 @@ produce branch derivatives spanning hundreds of orders of magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .hyperbolic import GeometryError, _brentq
 from .pants import PantsGeometry, build_pants
 from .symbolic import CylinderCover, cylinder_cover
@@ -31,6 +30,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 LOG3 = math.log(3.0)
+POWER_RTOL = 1e-12  # power iteration stops at l1 residual <= POWER_RTOL * lambda
+POWER_MAXITER = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -106,27 +107,26 @@ def transfer_matrix(p: PantsGeometry, s: float, n: int) -> TransferMatrix:
 # Perron data and pressure
 
 
-def _perron(mat: sp.csr_matrix, tol: Tolerances = DEFAULT) -> tuple[float, np.ndarray]:
+def _perron(mat: sp.csr_matrix) -> tuple[float, np.ndarray]:
     """Perron eigenvalue and positive right eigenvector by power iteration."""
     n = mat.shape[0]
     x = np.full(n, 1.0 / n)
     lam = 1.0
-    for _ in range(tol.power_maxiter):
+    for _ in range(POWER_MAXITER):
         y = mat @ x
         lam = y.sum()
         res = np.abs(y - lam * x).sum()
         x = y / lam
-        if res <= tol.power_rtol * lam:
+        if res <= POWER_RTOL * lam:
             return lam, x
     raise GeometryError(
-        f"power iteration did not reach residual {tol.power_rtol} "
-        f"in {tol.power_maxiter} steps"
+        f"power iteration did not reach residual {POWER_RTOL} in {POWER_MAXITER} steps"
     )
 
 
-def pressure(p: PantsGeometry, s: float, n: int, tol: Tolerances = DEFAULT) -> float:
+def pressure(p: PantsGeometry, s: float, n: int) -> float:
     """Depth-n pressure of -s log|phi'|: log of the Perron eigenvalue."""
-    lam, _ = _perron(transfer_matrix(p, s, n).matrix, tol)
+    lam, _ = _perron(transfer_matrix(p, s, n).matrix)
     return math.log(lam)
 
 
@@ -277,12 +277,16 @@ def cover_scaling_delta(p: PantsGeometry, max_leaves: int = 250_000):
 
 @dataclass(frozen=True, eq=False)
 class CylinderMeasure:
-    """Probability weights on depth-n cylinders, aligned with the cover."""
+    """Probability weights on depth-n cylinders, aligned with the cover.
+
+    ``chain`` is the Gibbs chain whose stationary law the weights are.
+    """
 
     depth: int
     weights: np.ndarray
     cover: CylinderCover
     s: float
+    chain: GibbsChain = field(repr=False)
 
     def symbol_marginals(self) -> np.ndarray:
         out = np.zeros(4)
@@ -302,10 +306,10 @@ class GibbsChain:
     eigenvalue: float
 
 
-def gibbs_chain(p: PantsGeometry, s: float, n: int, tol: Tolerances = DEFAULT) -> GibbsChain:
+def gibbs_chain(p: PantsGeometry, s: float, n: int) -> GibbsChain:
     tm = transfer_matrix(p, s, n)
-    lam, right = _perron(tm.matrix, tol)
-    _, left = _perron(tm.matrix.T.tocsr(), tol)
+    lam, right = _perron(tm.matrix)
+    _, left = _perron(tm.matrix.T.tocsr())
     skel = tm.skeleton
     weights = np.exp(s * skel.log_deriv)  # (N, 3) branch weights
     probs = weights * right[skel.cols] / (lam * right[:, None])
@@ -322,16 +326,16 @@ def gibbs_chain(p: PantsGeometry, s: float, n: int, tol: Tolerances = DEFAULT) -
     )
 
 
-def gibbs_measure(p: PantsGeometry, s: float, n: int, tol: Tolerances = DEFAULT) -> CylinderMeasure:
+def gibbs_measure(p: PantsGeometry, s: float, n: int) -> CylinderMeasure:
     """Cylinder weights of the equilibrium state at exponent s.
 
     Meaningful near the pressure root, where the measure is the invariant
     Gibbs measure of the boundary map; weights are products of left and
     right Perron vector entries, normalized.
     """
-    chain = gibbs_chain(p, s, n, tol)
+    chain = gibbs_chain(p, s, n)
     return CylinderMeasure(
-        depth=n, weights=chain.stationary, cover=chain.skeleton.cover, s=s
+        depth=n, weights=chain.stationary, cover=chain.skeleton.cover, s=s, chain=chain
     )
 
 
@@ -363,12 +367,20 @@ def _bracketed_solve(g, xs, target: float, tol: float, what: str) -> float:
 
     Scan points where the dimension itself is not computable (degenerate
     geometry, eigen-solver failure) are skipped but reported when no
-    bracket exists.
+    bracket exists.  g is evaluated at most once per point, so the recheck
+    of the root reuses the value Brent's method computed there.
     """
+    seen = {}
+
+    def g_once(x: float) -> float:
+        if x not in seen:
+            seen[x] = g(x)
+        return seen[x]
+
     vals = []
     for x in xs:
         try:
-            vals.append(g(x))
+            vals.append(g_once(x))
         except GeometryError:
             vals.append(None)
     for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
@@ -377,11 +389,10 @@ def _bracketed_solve(g, xs, target: float, tol: float, what: str) -> float:
         if v0 == 0.0:
             return float(x0)
         if v0 * v1 < 0:
-            root = _brentq(g, x0, x1, xtol=1e-10, rtol=8.9e-16, fa=v0, fb=v1)
-            if abs(g(root)) > tol:
-                raise GeometryError(
-                    f"{what} converged but |delta-target|={abs(g(root)):.2e} > {tol}"
-                )
+            root = _brentq(g_once, x0, x1, xtol=1e-10, rtol=8.9e-16, fa=v0, fb=v1)
+            err = abs(g_once(root))
+            if err > tol:
+                raise GeometryError(f"{what} converged but |delta-target|={err:.2e} > {tol}")
             return float(root)
     scanned = ", ".join(
         f"{x:.3f}: " + ("failed" if v is None else f"delta={v + target:.4f}")

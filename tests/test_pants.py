@@ -1,7 +1,9 @@
 """Octagon construction, Schottky arcs, boundary map, validation."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +36,33 @@ def test_cuff_range_enforced():
         CuffLengths(1.0, 25.0, 1.0)
     with pytest.raises(GeometryError):
         build_pants((1.0, -2.0, 1.0))
+
+
+def test_construction_failure_names_the_cuffs():
+    with pytest.raises(GeometryError, match=r"cuffs \(0\.01, 0\.01, 20\)"):
+        build_pants((0.01, 0.01, 20))
+
+
+@pytest.mark.parametrize(
+    "cuffs", [(12, 0.01, 0.01), (16, 0.02, 0.2), (20, 0.01, 5), (8, 0.01, 12)]
+)
+def test_construction_failure_is_a_geometry_error(cuffs):
+    # these once escaped as a bare ValueError from a square root of a
+    # negative Minkowski norm
+    with pytest.raises(GeometryError, match=re.escape(f"cuffs {cuffs}")):
+        build_pants(cuffs)
+
+
+def test_every_grid_triple_builds_or_names_itself():
+    vals = (0.01, 0.05, 0.2, 1, 5, 12, 20)
+    built = 0
+    for cuffs in itertools.product(vals, repeat=3):
+        try:
+            build_pants(cuffs)
+            built += 1
+        except GeometryError as exc:
+            assert f"cuffs {cuffs}" in str(exc)
+    assert built >= 314  # the count on this grid when the sweep was added
 
 
 def test_build_symmetric_pants_validates(pants222):

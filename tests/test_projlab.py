@@ -28,6 +28,7 @@ from cuffdim.projlab import (
     BoxCover,
     ks_uniform_statistic,
 )
+from cuffdim import projlab, thermo
 from cuffdim.thermo import gibbs_measure
 
 LAM_HALF = math.atan(0.5)
@@ -382,6 +383,23 @@ def test_sampler_deterministic(pants222):
     assert np.array_equal(s1.points, s2.points)
     s3 = sample_complete_geodesic_points(pants222, mu, 5_000, seed=4)
     assert not np.array_equal(s1.points, s3.points)
+
+
+def test_sampler_reads_the_chain_the_measure_carries(pants222, monkeypatch):
+    calls = []
+    orig = thermo.gibbs_chain
+
+    def spy(*args):
+        calls.append(args[1:])
+        return orig(*args)
+
+    monkeypatch.setattr(thermo, "gibbs_chain", spy)
+    monkeypatch.setattr(projlab, "gibbs_chain", spy, raising=False)
+    mu = gibbs_measure(pants222, 0.57, 5)
+    s1 = sample_complete_geodesic_points(pants222, mu, 5_000, seed=3)
+    assert calls == [(0.57, 5)]
+    s2 = sample_complete_geodesic_points(pants222, orig(pants222, 0.57, 5), 5_000, seed=3)
+    assert np.array_equal(s1.points, s2.points)
 
 
 def test_sampler_seed_stability_of_dimension(pants222):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cuffdim.hyperbolic import GeometryError, Geodesic, BoundaryPoint, classify_isometry
+from cuffdim import symbolic
 from cuffdim.pants import ABAR, ALPHA, BBAR, BETA
 from cuffdim.symbolic import (
     CylinderCover,
@@ -171,6 +172,21 @@ def test_trace_of_generator_axis_is_constant_word(pants222):
     axis = classify_isometry(pants222.g_alpha).axis
     word = cutting_sequence_trace(pants222, axis, 10)
     assert word in {(ALPHA,) * 10, (ABAR,) * 10}
+
+
+def test_geodesic_trace_clips_each_crossing_once(pants222, monkeypatch):
+    calls = {"_exit_side": 0, "_clip_once": 0}
+    for name in calls:
+        orig = getattr(symbolic, name)
+
+        def spy(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(symbolic, name, spy)
+    axis = classify_isometry(pants222.g_alpha).axis
+    assert len(cutting_sequence_trace(pants222, axis, 10)) == 10
+    assert calls == {"_exit_side": 10, "_clip_once": 0}
 
 
 def test_trace_reproduces_forward_prefix_double_precision(pants222):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cuffdim import thermo
 from cuffdim.hyperbolic import GeometryError
 from cuffdim.pants import build_pants
 from cuffdim.symbolic import lex_rank
@@ -194,6 +195,20 @@ def test_solve_locus_symmetric_half():
     assert abs(a - A_HALF) < 1e-6
     d10 = hausdorff_delta(build_pants((a, a, a)), tol=1e-6, depths=(10,)).delta
     assert abs(d10 - 0.5) < 5e-3
+
+
+def test_locus_solves_each_point_once(monkeypatch):
+    calls = []
+    orig = thermo._delta_at
+
+    def spy(cuffs, depths, tol):
+        calls.append(cuffs)
+        return orig(cuffs, depths, tol)
+
+    monkeypatch.setattr(thermo, "_delta_at", spy)
+    a = solve_locus_symmetric(0.5, depths=(4, 6))
+    assert (a, a, a) in calls
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_solve_locus_round_trip():
