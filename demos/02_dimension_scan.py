@@ -24,4 +24,4 @@ for a in np.geomspace(0.4, 8.0, 10):
 a_half = solve_locus_symmetric(0.5, tol=1e-3)
 print(f"\ndimension 1/2 at a = b = c = {a_half:.8f}")
 check = hausdorff_delta(build_pants((a_half,) * 3), tol=1e-5, depths=(8, 10))
-print(f"recheck at depth {check.depth_used}: delta = {check.delta:.8f}")
+print(f"recheck at level {check.depth_used} ({check.nodes} nodes per arc): delta = {check.delta:.8f}")

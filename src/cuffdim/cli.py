@@ -9,9 +9,10 @@ the same seed can be compared directly; wall times never enter artifact
 files except the delta-scan CSV, whose schema carries a wall_ms column.
 
 Computed dimensions are cached in an append-only JSON-lines ledger keyed
-by canonicalized parameters (rounded to 1e-9); entries at higher depth
-supersede lower ones.  The ledger path comes from the CUFFDIM_LEDGER
-environment variable, defaulting to ./cuffdim-ledger.jsonl.
+by canonicalized parameters (rounded to 1e-9) and the name of the delta
+solver; entries at higher depth supersede lower ones.  The ledger path
+comes from the CUFFDIM_LEDGER environment variable, defaulting to
+./cuffdim-ledger.jsonl.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ from .projlab import (
     write_point_cloud,
 )
 from .symbolic import Ray, GeodesicPair, cover_to_csv, cutting_sequence_trace, cylinder_cover, word_to_string
-from .thermo import gibbs_measure, hausdorff_delta, solve_locus, solve_locus_symmetric
+from .thermo import _delta_at, gibbs_measure, hausdorff_delta, solve_locus, solve_locus_symmetric
 
 LEDGER_FILE = "cuffdim-ledger.jsonl"
+# named in every delta ledger key, so values from another solver are misses
+DELTA_SOLVER = "chebyshev-collocation"
 
 
 def fmt17(x: float) -> str:
@@ -179,11 +182,12 @@ def _cmd_delta(args) -> tuple[dict, dict, int]:
             "pressure_residual": res.pressure_residual,
             "roots": {str(d): r for d, r in res.roots},
             "converged": res.converged,
+            "nodes": res.nodes,
             "validator_passed": report.passed,
         }
 
     # the key excludes the depth ladder: entries are superseded by depth
-    params = {"cuffs": list(cuffs), "tol": args.tol}
+    params = {"cuffs": list(cuffs), "tol": args.tol, "solver": DELTA_SOLVER}
     value, cached = ledger_lookup_or_compute(
         "delta",
         params,
@@ -234,24 +238,23 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_locus(args) -> tuple[dict, dict, int]:
+    # delta at the root is read back from the cache of the locus solve's _delta_at
     depths = parse_depths(args.depths)
     if args.symmetric:
         a = solve_locus_symmetric(args.target, tol=args.tol, depths=depths)
-        p = build_pants((a, a, a))
-        res = hausdorff_delta(p, tol=1e-5, depths=depths)
+        delta = _delta_at((a, a, a), depths, tol=1e-5)
         return (
-            {"a": a, "delta": res.delta, "target": args.target},
-            {"delta_error": abs(res.delta - args.target)},
+            {"a": a, "delta": delta, "target": args.target},
+            {"delta_error": abs(delta - args.target)},
             0,
         )
     if args.a is None or args.b is None:
         raise GeometryError("locus wants --symmetric or both --a and --b")
     c = solve_locus(args.a, args.b, args.target, tol=args.tol, depths=depths)
-    p = build_pants((args.a, args.b, c))
-    res = hausdorff_delta(p, tol=1e-5, depths=depths)
+    delta = _delta_at((args.a, args.b, c), depths, tol=1e-5)
     return (
-        {"c": c, "delta": res.delta, "target": args.target},
-        {"delta_error": abs(res.delta - args.target)},
+        {"c": c, "delta": delta, "target": args.target},
+        {"delta_error": abs(delta - args.target)},
         0,
     )
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import cuffdim
-from cuffdim.cli import run
+from cuffdim import cli, thermo
+from cuffdim.cli import _canonical_key, run
 from cuffdim.projlab import read_point_cloud
 
 
@@ -28,7 +29,7 @@ def run_json(capsys, argv) -> tuple[int, dict]:
 
 
 def test_delta_command_summary_schema(workdir, capsys):
-    # depth 4 -> 6 moves the root by 2.8e-4: converged at 1e-3, exit 0
+    # level 4 -> 6 moves the root by 1.4e-9: converged at 1e-3, exit 0
     status, summary = run_json(
         capsys, ["delta", "--cuffs", "2,2,2", "--tol", "1e-3", "--depths", "4,6"]
     )
@@ -124,10 +125,43 @@ def test_import_path_loads_no_scipy():
     assert res.returncode == 0, res.stderr
     before, after, mp_modules = res.stdout.strip().splitlines()
     assert before == "[]"
-    # a delta solve builds the sparse transfer matrix but needs no scipy root finder
-    assert after == "True False"
+    # a delta solve is dense collocation: no sparse matrix, no scipy root finder
+    assert after == "False False"
     # a deep trace runs in doubles, whatever precision it is asked for
     assert mp_modules == "[]"
+
+
+def test_ledger_ignores_depth_ladder_entries(workdir, capsys):
+    # an entry keyed without the solver was written by the depth ladder
+    old_key = _canonical_key("delta", {"cuffs": [2.0, 2.0, 2.0], "tol": 1e-4})
+    stale = {"delta": 0.123, "depth_used": 10, "pressure_residual": 0.0,
+             "roots": {"10": 0.123}, "converged": True, "validator_passed": True}
+    with open(os.environ["CUFFDIM_LEDGER"], "w") as fh:
+        fh.write(json.dumps({"key": old_key, "depth": 10, "value": stale}) + "\n")
+    status, summary = run_json(capsys, ["delta", "--cuffs", "2,2,2", "--tol", "1e-4"])
+    assert status == 0
+    assert summary["results"]["cached"] is False
+    assert abs(summary["results"]["delta"] - 0.5699656495) < 1e-9
+
+
+def test_locus_reads_delta_at_root_from_the_solve(workdir, capsys, monkeypatch):
+    calls = []
+    orig = thermo.hausdorff_delta
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].cuffs.as_tuple())
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "hausdorff_delta", spy)
+    monkeypatch.setattr(cli, "hausdorff_delta", spy)
+    thermo._delta_at.cache_clear()
+    status, summary = run_json(
+        capsys, ["locus", "--target", "0.5", "--symmetric", "--depths", "4,6,8"]
+    )
+    assert status == 0
+    assert abs(summary["results"]["delta"] - 0.5) < 1e-9
+    # 14 scan and Brent points; the reported delta is the root's, not a 15th solve
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_ledger_corrupt_line_skipped(workdir, capsys):
