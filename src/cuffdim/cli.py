@@ -40,7 +40,7 @@ from .projlab import (
     write_point_cloud,
 )
 from .symbolic import Ray, GeodesicPair, cover_to_csv, cutting_sequence_trace, cylinder_cover, word_to_string
-from .thermo import _delta_at, gibbs_measure, hausdorff_delta, solve_locus, solve_locus_symmetric
+from .thermo import LOCUS_DELTA_TOL, _delta_at, gibbs_measure, hausdorff_delta, solve_locus, solve_locus_symmetric
 
 LEDGER_FILE = "cuffdim-ledger.jsonl"
 # named in every delta ledger key, so values from another solver are misses
@@ -242,7 +242,7 @@ def _cmd_locus(args) -> tuple[dict, dict, int]:
     depths = parse_depths(args.depths)
     if args.symmetric:
         a = solve_locus_symmetric(args.target, tol=args.tol, depths=depths)
-        delta = _delta_at((a, a, a), depths, tol=1e-5)
+        delta = _delta_at((a, a, a), depths, tol=LOCUS_DELTA_TOL).delta
         return (
             {"a": a, "delta": delta, "target": args.target},
             {"delta_error": abs(delta - args.target)},
@@ -251,7 +251,7 @@ def _cmd_locus(args) -> tuple[dict, dict, int]:
     if args.a is None or args.b is None:
         raise GeometryError("locus wants --symmetric or both --a and --b")
     c = solve_locus(args.a, args.b, args.target, tol=args.tol, depths=depths)
-    delta = _delta_at((args.a, args.b, c), depths, tol=1e-5)
+    delta = _delta_at((args.a, args.b, c), depths, tol=LOCUS_DELTA_TOL).delta
     return (
         {"c": c, "delta": delta, "target": args.target},
         {"delta_error": abs(delta - args.target)},

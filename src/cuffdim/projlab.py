@@ -309,18 +309,6 @@ class TransversalFamilySpec:
         if not (self.n_range <= self.n_params and self.n_range < self.n_space):
             raise GeometryError("transversal family needs m <= l and m < n")
 
-    def T(self, lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(x - y, axis=-1)
-        return (self.P(lam, x) - self.P(lam, y)) / d[:, None]
-
-    def DT(self, lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(x - y, axis=-1)
-        return (self.DP(lam, x) - self.DP(lam, y)) / d[:, None, None]
-
-    def D2T(self, lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(x - y, axis=-1)
-        return (self.D2P(lam, x) - self.D2P(lam, y)) / d[:, None, None, None]
-
     def evaluator_consistency(self, points: np.ndarray, n_lambda: int = 5, h: float = 1e-6) -> float:
         """Max deviation of finite-difference DP from the analytic DP."""
         worst = 0.0
@@ -474,7 +462,7 @@ def transversality_certify(
         sep = diam * 2.0**-10
     keep = d >= sep
     excluded = int(np.sum(~keep))
-    ii, jj = ii[keep], jj[keep]
+    ii, jj, dist = ii[keep], jj[keep], d[keep]
 
     lams = _lambda_probe(fam, lam_grid)
     c1 = c2 = c_l = 0.0
@@ -487,7 +475,6 @@ def transversality_certify(
         d2pv = fam.D2P(lam, points)
         c1 = max(c1, float(np.max(np.linalg.norm(dpv, axis=(1, 2)))))
         c2 = max(c2, float(np.max(np.linalg.norm(d2pv.reshape(n_pts, -1), axis=1))))
-        dist = np.linalg.norm(points[ii] - points[jj], axis=-1)
         tval = (pv[ii] - pv[jj]) / dist[:, None]
         dtv = (dpv[ii] - dpv[jj]) / dist[:, None, None]
         d2tv = (d2pv[ii] - d2pv[jj]) / dist[:, None, None, None]

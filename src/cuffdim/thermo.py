@@ -20,7 +20,9 @@ cover-scaling estimate and the ladder cross-check: the transition
 w -> w' (drop the first symbol, append one) on depth-n reduced words
 carries the contracting inverse-branch derivative of w's first symbol,
 evaluated at the midpoint of the target cylinder arc and raised to the
-power s, and ``pressure`` is the log of its Perron eigenvalue.
+power s, and ``pressure`` is the log of its Perron eigenvalue.  Every
+word has exactly three successors and three predecessors, so M x and
+x M are three-term numpy gathers; no sparse matrix is built.
 
 All derivative bookkeeping is done on log scale: cuff lengths up to 20
 produce branch derivatives spanning hundreds of orders of magnitude.
@@ -31,16 +33,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hyperbolic import GeometryError, _brentq
 from .pants import PantsGeometry, build_pants
 from .symbolic import CylinderCover, cylinder_cover
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 LOG3 = math.log(3.0)
 POWER_RTOL = 1e-12  # power iteration stops at l1 residual <= POWER_RTOL * lambda
@@ -57,6 +55,9 @@ class TransitionSkeleton:
     cover: CylinderCover
     cols: np.ndarray  # (N, 3) successor indices in lex order
     log_deriv: np.ndarray  # (N, 3) log of the inverse-branch derivative
+    # flat indices into cols.ravel() of the three entries in each column,
+    # in ascending row order: the predecessors of word j are pred[j] // 3
+    pred: np.ndarray  # (N, 3)
 
 
 def transition_skeleton(p: PantsGeometry, n: int) -> TransitionSkeleton:
@@ -82,51 +83,77 @@ def transition_skeleton(p: PantsGeometry, n: int) -> TransitionSkeleton:
     u = np.asarray([g.u for g in p.gens])[w[:, 0]][:, None]
     v = np.asarray([g.v for g in p.gens])[w[:, 0]][:, None]
     log_deriv = -2.0 * np.log(np.abs(u - np.conj(v) * mids[cols]))
+    pred = np.argsort(cols.ravel(), kind="stable").reshape(nwords, 3)
 
-    skel = TransitionSkeleton(depth=n, cover=cover, cols=cols, log_deriv=log_deriv)
+    skel = TransitionSkeleton(depth=n, cover=cover, cols=cols, log_deriv=log_deriv, pred=pred)
     p._cache[("skeleton", n)] = skel
     return skel
 
 
+def _gather(idx: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k w[k] * x[idx[k]] over the three rows of (3, N) tables, in order."""
+    terms = x[idx]
+    terms *= w
+    y = terms[0]
+    y += terms[1]
+    y += terms[2]
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
+    """Depth-n transfer matrix M at exponent s, stored by its three terms.
+
+    Row i holds ``weights[i, k]`` in column ``skeleton.cols[i, k]``.  The
+    products sum their terms in ascending column (M x) or row (x M) order,
+    the order a CSR product of the same matrix uses, so they agree with it
+    bit for bit.
+    """
+
     depth: int
     s: float
-    matrix: sp.csr_matrix
+    weights: np.ndarray  # (N, 3) exp(s * log_deriv)
     skeleton: TransitionSkeleton
+
+    # The gathers read contiguous (3, N) index and weight tables: strided
+    # columns of the (N, 3) arrays make each product markedly slower.
+    @functools.cached_property
+    def _succ_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.ascontiguousarray(self.skeleton.cols.T), np.ascontiguousarray(self.weights.T)
+
+    @functools.cached_property
+    def _pred_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        pred = self.skeleton.pred.T
+        return pred // 3, self.weights.ravel()[pred]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x."""
+        return _gather(*self._succ_terms, x)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """x M, the product with the transpose."""
+        return _gather(*self._pred_terms, x)
 
 
 def transfer_matrix(p: PantsGeometry, s: float, n: int) -> TransferMatrix:
-    """Weighted depth-n transition matrix at exponent s.
-
-    The only place a sparse matrix is built, so ``scipy.sparse`` is
-    imported here: callers that need no transfer matrix never load it.
-    """
-    import scipy.sparse as sp
-
+    """Weighted depth-n transition matrix at exponent s."""
     if not 0.0 <= s <= 1.5:
         raise GeometryError(f"exponent s={s} outside [0, 1.5]")
     skel = transition_skeleton(p, n)
-    nwords = skel.cols.shape[0]
-    data = np.exp(s * skel.log_deriv).ravel()
-    indptr = np.arange(0, 3 * nwords + 1, 3)
-    mat = sp.csr_matrix(
-        (data, skel.cols.ravel(), indptr), shape=(nwords, nwords)
-    )
-    return TransferMatrix(depth=n, s=s, matrix=mat, skeleton=skel)
+    return TransferMatrix(depth=n, s=s, weights=np.exp(s * skel.log_deriv), skeleton=skel)
 
 
 # ---------------------------------------------------------------------------
 # Perron data and pressure
 
 
-def _perron(mat: sp.csr_matrix) -> tuple[float, np.ndarray]:
-    """Perron eigenvalue and positive right eigenvector by power iteration."""
-    n = mat.shape[0]
+def _perron(apply, n: int) -> tuple[float, np.ndarray]:
+    """Perron eigenvalue and positive eigenvector of a nonnegative n x n
+    operator, given as its product ``apply(x)``, by power iteration."""
     x = np.full(n, 1.0 / n)
     lam = 1.0
     for _ in range(POWER_MAXITER):
-        y = mat @ x
+        y = apply(x)
         lam = y.sum()
         res = np.abs(y - lam * x).sum()
         x = y / lam
@@ -139,7 +166,8 @@ def _perron(mat: sp.csr_matrix) -> tuple[float, np.ndarray]:
 
 def pressure(p: PantsGeometry, s: float, n: int) -> float:
     """Depth-n pressure of -s log|phi'|: log of the Perron eigenvalue."""
-    lam, _ = _perron(transfer_matrix(p, s, n).matrix)
+    tm = transfer_matrix(p, s, n)
+    lam, _ = _perron(tm.matvec, len(tm.weights))
     return math.log(lam)
 
 
@@ -447,11 +475,10 @@ class GibbsChain:
 
 def gibbs_chain(p: PantsGeometry, s: float, n: int) -> GibbsChain:
     tm = transfer_matrix(p, s, n)
-    lam, right = _perron(tm.matrix)
-    _, left = _perron(tm.matrix.T.tocsr())
+    lam, right = _perron(tm.matvec, len(tm.weights))
+    _, left = _perron(tm.rmatvec, len(tm.weights))
     skel = tm.skeleton
-    weights = np.exp(s * skel.log_deriv)  # (N, 3) branch weights
-    probs = weights * right[skel.cols] / (lam * right[:, None])
+    probs = tm.weights * right[skel.cols] / (lam * right[:, None])
     probs = probs / probs.sum(axis=1, keepdims=True)  # exact row normalization
     pi = left * right
     pi = pi / pi.sum()
@@ -497,44 +524,60 @@ def entropy_identity_check(p: PantsGeometry, delta: float, n: int) -> float:
 # The dimension locus
 
 
+LOCUS_DELTA_TOL = 1e-5  # ladder tolerance of every delta solve on the locus
+
+
 @functools.lru_cache(maxsize=64)
-def _delta_at(cuffs, depths, tol) -> float:
+def _delta_at(cuffs, depths, tol) -> DeltaResult:
     """delta at a locus point; cached so a caller can read back the root's."""
-    return hausdorff_delta(build_pants(cuffs), tol=tol, depths=depths).delta
+    return hausdorff_delta(build_pants(cuffs), tol=tol, depths=depths)
 
 
-def _bracketed_solve(g, xs, target: float, tol: float, what: str) -> float:
-    """Coarse scan for a sign change of g, then hybrid root refinement.
+def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str) -> float:
+    """Coarse scan for a sign change of delta(cuffs_at(x)) - target, then
+    hybrid root refinement.
 
     Scan points where the dimension itself is not computable (degenerate
     geometry, eigen-solver failure) are skipped but reported when no
-    bracket exists.  g is evaluated at most once per point, so the recheck
-    of the root reuses the value Brent's method computed there.
+    bracket exists.  delta is solved at most once per point, so the
+    rechecks at the root reuse the solve Brent's method made there.  The
+    bracket may rest on unconverged scan values, but delta at the returned
+    root must be converged.
     """
     seen = {}
 
-    def g_once(x: float) -> float:
+    def g(x: float) -> float:
         if x not in seen:
-            seen[x] = g(x)
-        return seen[x]
+            seen[x] = _delta_at(cuffs_at(x), depths, tol=LOCUS_DELTA_TOL)
+        return seen[x].delta - target
+
+    def accept(x: float) -> float:
+        res = seen[x]
+        if not res.converged:
+            cuffs = tuple(float(c) for c in cuffs_at(x))
+            raise GeometryError(
+                f"{what}: delta at cuffs {cuffs} is unconverged over depths "
+                f"{depths}: gap {res.last_gap:.2e} >= {LOCUS_DELTA_TOL}"
+            )
+        return float(x)
 
     vals = []
     for x in xs:
         try:
-            vals.append(g_once(x))
+            vals.append(g(x))
         except GeometryError:
             vals.append(None)
     for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
         if v0 is None or v1 is None:
             continue
         if v0 == 0.0:
-            return float(x0)
+            return accept(x0)
         if v0 * v1 < 0:
-            root = _brentq(g_once, x0, x1, xtol=1e-10, rtol=8.9e-16, fa=v0, fb=v1)
-            err = abs(g_once(root))
+            root = _brentq(g, x0, x1, xtol=1e-10, rtol=8.9e-16, fa=v0, fb=v1)
+            err = abs(g(root))
             if err > tol:
                 raise GeometryError(f"{what} converged but |delta-target|={err:.2e} > {tol}")
-            return float(root)
+            return accept(root)
     scanned = ", ".join(
         f"{x:.3f}: " + ("failed" if v is None else f"delta={v + target:.4f}")
         for x, v in zip(xs, vals)
@@ -555,15 +598,14 @@ def solve_locus(
 
     Monotonicity of delta in c is not assumed: a coarse geometric scan
     brackets a sign change first, then hybrid root-finding refines it.
+    Raises ``GeometryError`` when delta at the root is unconverged.
     """
     if not 0.05 < target < 0.95:
         raise GeometryError(f"target {target} outside (0.05, 0.95)")
-
-    def g(c: float) -> float:
-        return _delta_at((a, b, c), depths, tol=1e-5) - target
-
     cs = np.geomspace(c_range[0], c_range[1], scan_points)
-    return _bracketed_solve(g, cs, target, tol, f"locus in c over {c_range}")
+    return _bracketed_solve(
+        lambda c: (a, b, c), cs, target, tol, depths, f"locus in c over {c_range}"
+    )
 
 
 def solve_locus_symmetric(
@@ -576,9 +618,7 @@ def solve_locus_symmetric(
     """Cuff length a with delta(a, a, a) = target (one-parameter locus slice)."""
     if not 0.05 < target < 0.95:
         raise GeometryError(f"target {target} outside (0.05, 0.95)")
-
-    def g(av: float) -> float:
-        return _delta_at((av, av, av), depths, tol=1e-5) - target
-
     xs = np.geomspace(a_range[0], a_range[1], scan_points)
-    return _bracketed_solve(g, xs, target, tol, f"symmetric locus over {a_range}")
+    return _bracketed_solve(
+        lambda a: (a, a, a), xs, target, tol, depths, f"symmetric locus over {a_range}"
+    )

@@ -108,6 +108,8 @@ project_cover_length(product_cover(p, 6), 0.3)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 hausdorff_delta(p, depths=(4, 6))
 print("scipy.sparse" in sys.modules, "scipy.optimize" in sys.modules)
+cuffdim.gibbs_measure(p, 0.57, 6)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 xi = (0, 2, 1, 3) * 12
 pair = GeodesicPair(Ray(xi), Ray((2,) + xi[1:]))
 assert cutting_sequence_trace(p, pair, 30, prec=80) == xi[:30]
@@ -123,12 +125,61 @@ def test_import_path_loads_no_scipy():
         [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
-    before, after, mp_modules = res.stdout.strip().splitlines()
+    before, after, after_chain, mp_modules = res.stdout.strip().splitlines()
     assert before == "[]"
     # a delta solve is dense collocation: no sparse matrix, no scipy root finder
     assert after == "False False"
+    # the depth-n transfer matrix of a Gibbs chain is a numpy gather
+    assert after_chain == "[]"
     # a deep trace runs in doubles, whatever precision it is asked for
     assert mp_modules == "[]"
+
+
+NO_SCIPY_PROBE = """
+import runpy
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from cuffdim import build_pants, gibbs_measure, sample_complete_geodesic_points
+from cuffdim.thermo import cover_scaling_delta, pressure_root
+
+p = build_pants((2.0, 2.0, 2.0))
+root = pressure_root(p, 6)
+assert abs(root - 0.5699656) < 1e-3, root
+sample = sample_complete_geodesic_points(p, gibbs_measure(p, root, 6), 2000, seed=3)
+assert sample.points.shape == (2000,)
+slope, _ = cover_scaling_delta(p, max_leaves=20_000)
+assert abs(slope - root) < 0.1, slope
+sys.argv = ["cuffdim", "sample-cs", "--cuffs", "2,2,2", "--count", "20000", "--seed", "1",
+            "--out", "cloud.bin"]
+try:
+    runpy.run_module("cuffdim", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    assert exit_.code == 0, exit_.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_needs_no_scipy(workdir):
+    # every scipy import fails; the depth-n operator paths and sample-cs still run
+    src = os.path.dirname(os.path.dirname(cuffdim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    res = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "[]"
+    assert len(read_point_cloud(str(workdir / "cloud.bin"))) == 20000
 
 
 def test_ledger_ignores_depth_ladder_entries(workdir, capsys):

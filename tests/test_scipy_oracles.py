@@ -1,8 +1,8 @@
 """In-house ports checked bit for bit against scipy, used here as an oracle.
 
-The package itself imports no scipy module outside the sparse transfer
-matrix; these tests hold the root finder and the KS statistic to the
-scipy results they replace.
+The package itself imports no scipy module; these tests hold the root
+finder, the KS statistic and the depth-n transfer products to the scipy
+results they replace.
 """
 
 import math
@@ -10,13 +10,14 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.sparse import csr_matrix
 from scipy.stats import kstest
 
 from cuffdim import pants, thermo
 from cuffdim.hyperbolic import GeometryError, _brentq
 from cuffdim.pants import build_pants
 from cuffdim.projlab import ks_uniform_statistic
-from cuffdim.thermo import pressure
+from cuffdim.thermo import pressure, transfer_matrix
 
 
 def assert_same_root(f, lo, hi, fa=None, fb=None, **kw):
@@ -151,3 +152,21 @@ def test_brentq_raises_on_a_nan_end_value():
 )
 def test_ks_statistic_matches_scipy(values):
     assert ks_uniform_statistic(values) == float(kstest(values, "uniform").statistic)
+
+
+@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0)])
+def test_transfer_products_match_csr(cuffs):
+    """M x and x M equal scipy's CSR products of the same matrix, bit for bit."""
+    p = build_pants(cuffs)
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for s in (0.0, 0.001, 0.57, 0.999):
+            tm = transfer_matrix(p, s, n)
+            nwords = len(tm.weights)
+            csr = csr_matrix(
+                (tm.weights.ravel(), tm.skeleton.cols.ravel(), np.arange(0, 3 * nwords + 1, 3)),
+                shape=(nwords, nwords),
+            )
+            x = rng.uniform(0.1, 1.0, nwords)
+            assert np.array_equal(tm.matvec(x), csr @ x)
+            assert np.array_equal(tm.rmatvec(x), csr.T.tocsr() @ x)

@@ -28,19 +28,29 @@ from conftest import A_HALF
 
 def test_transfer_matrix_structure(pants222):
     tm = transfer_matrix(pants222, 0.0, 3)
-    m = tm.matrix
-    assert m.shape == (36, 36)
-    # exactly three unit entries per row at s = 0
-    assert np.all(np.diff(m.indptr) == 3)
-    assert np.allclose(m.data, 1.0)
-    row_sums = np.asarray(m.sum(axis=1)).ravel()
+    cols = tm.skeleton.cols
+    assert tm.weights.shape == cols.shape == (36, 3)
+    # exactly three unit entries per row at s = 0, in distinct columns
+    assert np.all(np.diff(np.sort(cols, axis=1), axis=1) > 0)
+    assert np.allclose(tm.weights, 1.0)
+    row_sums = tm.matvec(np.ones(36))
     assert np.allclose(row_sums, 3.0)
+    # and exactly three per column, at every depth
+    for n in (1, 2, 3, 4):
+        skel = transfer_matrix(pants222, 0.0, n).skeleton
+        nwords = len(skel.cols)
+        assert np.all(np.bincount(skel.cols.ravel(), minlength=nwords) == 3)
+        # the predecessor table lists each column's entries in ascending row order
+        column = np.repeat(np.arange(nwords), 3).reshape(-1, 3)
+        assert np.array_equal(skel.cols.ravel()[skel.pred], column)
+        assert np.all(np.diff(skel.pred // 3, axis=1) > 0)
+    assert np.allclose(tm.rmatvec(np.ones(36)), 3.0)
 
 
 def test_transfer_entries_decrease_in_s(pants222):
-    d2 = transfer_matrix(pants222, 0.2, 4).matrix.data
-    d4 = transfer_matrix(pants222, 0.4, 4).matrix.data
-    d6 = transfer_matrix(pants222, 0.6, 4).matrix.data
+    d2 = transfer_matrix(pants222, 0.2, 4).weights
+    d4 = transfer_matrix(pants222, 0.4, 4).weights
+    d6 = transfer_matrix(pants222, 0.6, 4).weights
     assert np.all(d2 > d4) and np.all(d4 > d6)
 
 
@@ -209,6 +219,20 @@ def test_locus_solves_each_point_once(monkeypatch):
     a = solve_locus_symmetric(0.5, depths=(4, 6))
     assert (a, a, a) in calls
     assert len(calls) == len(set(calls)) == 14
+
+
+def test_locus_root_needs_a_converged_delta():
+    # the scan brackets against the unconverged a = 0.359, but delta at the root converges
+    a = solve_locus_symmetric(0.88, depths=(4, 6, 8))
+    assert abs(a - 0.5851534820) < 1e-9
+    a_scan = np.geomspace(0.2, 12.0, 8)[1]
+    assert not thermo._delta_at((a_scan,) * 3, (4, 6, 8), tol=1e-5).converged
+    # delta at this root has ladder gap 7.9e-5 >= 1e-5 over (4, 6, 8)
+    with pytest.raises(GeometryError, match=r"cuffs \(0\.4991\d*, .*gap 7\.\d+e-05"):
+        solve_locus_symmetric(0.9, depths=(4, 6, 8))
+    # a deeper ladder converges there
+    a = solve_locus_symmetric(0.9, depths=(6, 8, 10), a_range=(0.4, 12.0))
+    assert abs(a - 0.4991165413) < 1e-9
 
 
 def test_solve_locus_round_trip():
