@@ -115,19 +115,17 @@ def ledger_append(path: str, key: str, depth: int, value: dict) -> None:
         fh.write(line + "\n")
 
 
-def ledger_lookup_or_compute(command: str, params: dict, depth: int, compute, satisfied=None):
+def ledger_lookup_or_compute(command: str, params: dict, depth: int, compute):
     """Cached value for the canonical key, computing and appending on miss.
 
-    ``satisfied`` decides whether the best stored entry serves the request;
-    by default an entry serves any request at its depth or below.
+    The best stored entry serves the request when its value converged or
+    it was computed at ``depth`` or deeper.
     """
     path = ledger_path()
     key = _canonical_key(command, params)
     hit = ledger_lookup(path, key)
-    if hit is not None:
-        ok = satisfied(hit) if satisfied is not None else hit.get("depth", 0) >= depth
-        if ok:
-            return hit["value"], True
+    if hit is not None and (hit["value"].get("converged", False) or hit.get("depth", 0) >= depth):
+        return hit["value"], True
     value = compute()
     ledger_append(path, key, depth, value)
     return value, False
@@ -138,30 +136,45 @@ def ledger_lookup_or_compute(command: str, params: dict, depth: int, compute, sa
 
 
 def parse_cuffs(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
         raise GeometryError(f"--cuffs wants three comma-separated lengths, got {text!r}")
     return tuple(parts)
 
 
 def parse_depths(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise GeometryError(f"--depths wants comma-separated integers, got {text!r}") from None
 
 
 def parse_range(text: str) -> np.ndarray:
     """lo:hi:count range specification."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise GeometryError(f"range spec {text!r} is not lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return np.linspace(lo, hi, count)
+    try:
+        lo, hi, count = text.split(":")
+        grid = np.linspace(float(lo), float(hi), int(count))
+    except ValueError:
+        grid = ()
+    if not len(grid):
+        raise GeometryError(f"range spec {text!r} is not lo:hi:count with count >= 1")
+    return grid
 
 
 def parse_depth_span(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return parse_depths(text)
+    if ":" not in text:
+        return parse_depths(text)
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+        span = tuple(range(lo, hi + 1))
+    except ValueError:
+        span = ()
+    if not span:
+        raise GeometryError(f"--depths span {text!r} is not lo:hi with integers lo <= hi")
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +201,7 @@ def _cmd_delta(args) -> tuple[dict, dict, int]:
 
     # the key excludes the depth ladder: entries are superseded by depth
     params = {"cuffs": list(cuffs), "tol": args.tol, "solver": DELTA_SOLVER}
-    value, cached = ledger_lookup_or_compute(
-        "delta",
-        params,
-        max(depths),
-        compute,
-        satisfied=lambda entry: entry["value"].get("converged", False)
-        or entry.get("depth", 0) >= max(depths),
-    )
+    value, cached = ledger_lookup_or_compute("delta", params, max(depths), compute)
     value = dict(value)
     value["cached"] = cached
     ok = value.get("validator_passed", True) and value.get("converged", True)
@@ -296,7 +302,7 @@ def _cmd_trace(args) -> tuple[dict, dict, int]:
         Ray.from_string(args.xi, args.xi_period or None),
         Ray.from_string(args.eta, args.eta_period or None),
     )
-    word = cutting_sequence_trace(p, pair, args.n, prec=args.prec)
+    word = cutting_sequence_trace(p, pair, args.n)
     return (
         {"word": word_to_string(word), "length": len(word)},
         {},
@@ -415,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--xi-period", default="")
     tr.add_argument("--eta-period", default="")
     tr.add_argument("-n", type=int, default=30)
-    tr.add_argument("--prec", type=int, default=None, help="no effect: traces run in doubles")
 
     fv = sub.add_parser("favard", help="projected-length profile CSV over depths")
     fv.add_argument("--cuffs", default="2,2,2")

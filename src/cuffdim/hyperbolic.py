@@ -494,11 +494,6 @@ def boundary_action(m: MoebiusTransform, t) -> tuple[BoundaryPoint, float]:
 # Vectorized kernels shared by the dynamical modules
 
 
-def apply_many(u: complex, v: complex, z: np.ndarray) -> np.ndarray:
-    """Moebius action on an array of complex points."""
-    return (u * z + v) / (np.conj(v) * z + np.conj(u))
-
-
 def lift_light(z: np.ndarray) -> np.ndarray:
     """Lightlike lifts of an array of boundary complex points, shape (N, 3)."""
     out = np.empty(z.shape + (3,))

@@ -135,10 +135,12 @@ class PantsGeometry:
         gens = (ga, ga.inverse(), gb, gb.inverse())
         object.__setattr__(self, "gens", gens)
         # inverse-branch coefficients (u, v, conj v, conj u) per symbol, as
-        # Python complex for scalar loops
+        # Python complex for scalar loops and as four contiguous arrays for
+        # the vectorised kernels
         inv = [g.inverse() for g in gens]
         branches = tuple((m.u, m.v, m.v.conjugate(), m.u.conjugate()) for m in inv)
         object.__setattr__(self, "_branches", branches)
+        object.__setattr__(self, "_branch_table", tuple(np.array(c) for c in zip(*branches)))
         object.__setattr__(self, "interior_ref", 1j * math.tanh(0.25 * self.axis_gap))
         object.__setattr__(self, "_arc_lo", np.array([a.lo for a in self.arcs]))
         object.__setattr__(self, "_arc_len", np.array([a.length for a in self.arcs]))
@@ -170,6 +172,28 @@ class PantsGeometry:
         x = _lift(complex(z))
         vals = self._normals @ (x * np.array([1.0, 1.0, -1.0]))
         return bool(np.all(vals > margin))
+
+    # -- Schottky arcs and inverse branches, vectorised over symbols ---------
+
+    def arc_point(self, sym, t):
+        """Unit complex point at Chebyshev coordinate t (-1 lo, 0 midpoint, 1 hi) on arc sym."""
+        return np.exp(1j * (self._arc_lo[sym] + 0.5 * self._arc_len[sym] * (1.0 + t)))
+
+    def arc_coordinate(self, sym, theta):
+        """Angles on arc sym as the Chebyshev coordinate in [-1, 1]."""
+        half = 0.5 * self._arc_len[sym]
+        return ((theta - self._arc_lo[sym] - half + math.pi) % TWO_PI - math.pi) / half
+
+    def inverse_branch(self, sym, z):
+        """phi_sym(z) and its denominator conj(v) z + conj(u); |phi_sym'(z)| = |den|^-2."""
+        u, v, cv, cu = (c[sym] for c in self._branch_table)
+        den = cv * z + cu
+        return (u * z + v) / den, den
+
+    def compose_branch(self, u, v, sym):
+        """Coefficients (u', v') of M o phi_sym, for M: z -> (u z + v) / (conj(v) z + conj(u))."""
+        bu, bv, bcv, bcu = (c[sym] for c in self._branch_table)
+        return u * bu + v * bcv, u * bv + v * bcu
 
 
 # ---------------------------------------------------------------------------

@@ -551,13 +551,10 @@ def _extend_words(chain: GibbsChain, idx: np.ndarray, rng, total_len: int) -> np
 
 def _realize_word_endpoints(p: PantsGeometry, words: np.ndarray) -> np.ndarray:
     """Cylinder-arc midpoints of word rows, as unit complex numbers."""
-    mids = np.exp(1j * (p._arc_lo + 0.5 * p._arc_len))
-    z = mids[words[:, -1].astype(np.int64)]
-    gu, gv = np.array([b[:2] for b in p._branches]).T
+    z = p.arc_point(np.arange(4), 0.0)[words[:, -1].astype(np.int64)]
     for k in range(words.shape[1] - 2, -1, -1):
-        s = words[:, k].astype(np.int64)
-        u, v = gu[s], gv[s]
-        z = (u * z + v) / (np.conj(v) * z + np.conj(u))
+        # intp symbols keep the coefficient gathers fast
+        z, _ = p.inverse_branch(words[:, k].astype(np.int64), z)
         z /= np.abs(z)
     return z
 
@@ -579,8 +576,8 @@ def sample_complete_geodesic_points(
     Non-crossing realizations are resampled and counted.  Deterministic
     for a fixed seed.
     """
-    if count > 10**7:
-        raise GeometryError(f"sample count {count} above 1e7")
+    if not 1 <= count <= 10**7:
+        raise GeometryError(f"sample count {count} outside [1, 1e7]")
     chain = mu.chain if isinstance(mu, CylinderMeasure) else mu
     if chain.depth < 4:
         raise GeometryError("sampling needs a chain of depth >= 4")

@@ -30,7 +30,6 @@ from .hyperbolic import (
     Geodesic,
     GeometryError,
     MoebiusTransform,
-    apply_many,
     classify_isometry,
     clip_chord,
     lift_light,
@@ -187,8 +186,8 @@ def cylinder_cover(p: PantsGeometry, n: int) -> CylinderCover:
         return cached
 
     words = np.arange(4, dtype=np.uint8).reshape(4, 1)
-    zp = np.exp(1j * p._arc_lo)
-    zq = np.exp(1j * (p._arc_lo + p._arc_len))
+    zp = p.arc_point(np.arange(4), -1.0)
+    zq = p.arc_point(np.arange(4), 1.0)
     log_chord = np.log(np.abs(zq - zp))
 
     for _ in range(n - 1):
@@ -196,13 +195,11 @@ def cylinder_cover(p: PantsGeometry, n: int) -> CylinderCover:
         first = words[:, 0]
         for tau in range(4):
             mask = first != bar(tau)
-            u, v = p._branches[tau][:2]
-            sel_p, sel_q = zp[mask], zq[mask]
-            den_p = np.abs(np.conj(v) * sel_p + np.conj(u))
-            den_q = np.abs(np.conj(v) * sel_q + np.conj(u))
-            parts_p.append(apply_many(u, v, sel_p))
-            parts_q.append(apply_many(u, v, sel_q))
-            parts_c.append(log_chord[mask] - np.log(den_p) - np.log(den_q))
+            img_p, den_p = p.inverse_branch(tau, zp[mask])
+            img_q, den_q = p.inverse_branch(tau, zq[mask])
+            parts_p.append(img_p)
+            parts_q.append(img_q)
+            parts_c.append(log_chord[mask] - np.log(np.abs(den_p)) - np.log(np.abs(den_q)))
             w_mask = words[mask]
             parts_w.append(
                 np.hstack([np.full((w_mask.shape[0], 1), tau, dtype=np.uint8), w_mask])

@@ -43,6 +43,7 @@ from .symbolic import CylinderCover, cylinder_cover
 LOG3 = math.log(3.0)
 POWER_RTOL = 1e-12  # power iteration stops at l1 residual <= POWER_RTOL * lambda
 POWER_MAXITER = 100_000
+PRESSURE_BRACKET = (0.001, 0.999)  # s range searched for the pressure root
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +80,8 @@ def transition_skeleton(p: PantsGeometry, n: int) -> TransitionSkeleton:
         base = (w[:, 1] * 3 ** (n - 1) + (rem % 3 ** (n - 2)) * 3)[:, None]
         cols = base + j[None, :]
 
-    mids = cover.midpoints
-    u = np.asarray([g.u for g in p.gens])[w[:, 0]][:, None]
-    v = np.asarray([g.v for g in p.gens])[w[:, 0]][:, None]
-    log_deriv = -2.0 * np.log(np.abs(u - np.conj(v) * mids[cols]))
+    _, den = p.inverse_branch(w[:, :1], cover.midpoints[cols])
+    log_deriv = -2.0 * np.log(np.abs(den))
     pred = np.argsort(cols.ravel(), kind="stable").reshape(nwords, 3)
 
     skel = TransitionSkeleton(depth=n, cover=cover, cols=cols, log_deriv=log_deriv, pred=pred)
@@ -197,9 +196,9 @@ class DeltaResult:
         }
 
 
-def pressure_root(p: PantsGeometry, n: int, bracket=(0.001, 0.999)) -> float:
-    """Root of the depth-n pressure in s."""
-    lo, hi = bracket
+def pressure_root(p: PantsGeometry, n: int) -> float:
+    """Root of the depth-n pressure in s on PRESSURE_BRACKET."""
+    lo, hi = PRESSURE_BRACKET
     f_lo, f_hi = pressure(p, lo, n), pressure(p, hi, n)
     if f_lo <= 0.0 or f_hi >= 0.0:
         raise GeometryError(
@@ -242,13 +241,6 @@ def barycentric_rows(t: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
-def arc_coordinate(p: PantsGeometry, tau: int, theta: np.ndarray) -> np.ndarray:
-    """Angles on arc tau as the Chebyshev coordinate in [-1, 1]."""
-    half = 0.5 * p._arc_len[tau]
-    off = (theta - p._arc_lo[tau] - half + math.pi) % (2.0 * math.pi) - math.pi
-    return off / half
-
-
 @dataclass(frozen=True, eq=False)
 class Collocation:
     """Geometry of the m-node collocation of L_s; only the weights vary with s.
@@ -284,14 +276,13 @@ def collocation(p: PantsGeometry, m: int) -> Collocation:
     interp = np.zeros((4 * m, 4 * m))
     log_weight = np.zeros((4 * m, 4))
     for j in range(4):
-        z = np.exp(1j * (p._arc_lo[j] + 0.5 * p._arc_len[j] * (1.0 + x)))
+        z = p.arc_point(j, x)
         rows = slice(j * m, (j + 1) * m)
         for tau in range(4):
             if tau == j ^ 1:
                 continue
-            u, v, cv, cu = p._branches[tau]
-            den = cv * z + cu
-            t = arc_coordinate(p, tau, np.angle((u * z + v) / den))
+            img, den = p.inverse_branch(tau, z)
+            t = p.arc_coordinate(tau, np.angle(img))
             interp[rows, tau * m : (tau + 1) * m] = barycentric_rows(t, m)
             log_weight[rows, tau] = -2.0 * np.log(np.abs(den))
     col = Collocation(m=m, interp=interp, log_weight=log_weight)
@@ -378,10 +369,9 @@ def moran_cover_counts(p: PantsGeometry, eps_ladder) -> tuple[np.ndarray, np.nda
     """
     eps = np.sort(np.asarray(eps_ladder, dtype=float))
     diff = np.zeros(len(eps) + 1, dtype=np.int64)
-    arc_p = np.exp(1j * p._arc_lo)
-    arc_q = np.exp(1j * (p._arc_lo + p._arc_len))
+    arc_p = p.arc_point(np.arange(4), -1.0)
+    arc_q = p.arc_point(np.arange(4), 1.0)
     arc_chord = np.abs(arc_q - arc_p)
-    giu, giv = np.array([b[:2] for b in p._branches]).T
 
     u = np.ones(4, complex)
     v = np.zeros(4, complex)
@@ -401,8 +391,7 @@ def moran_cover_counts(p: PantsGeometry, eps_ladder) -> tuple[np.ndarray, np.nda
         u, v, last, length = u[active], v[active], last[active], length[active]
         if not len(u):
             break
-        nu = u * giu[last] + v * np.conj(giv[last])
-        nv = u * giv[last] + v * np.conj(giu[last])
+        nu, nv = p.compose_branch(u, v, last)
         parts = []
         for tau in range(4):
             m = (last ^ 1) != tau

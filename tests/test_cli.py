@@ -227,11 +227,25 @@ def test_ledger_corrupt_line_skipped(workdir, capsys):
 
 
 def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
-    status = run(["delta", "--cuffs", "2,2"])
-    captured = capsys.readouterr()
-    assert status == 2
-    err = json.loads(captured.err.strip())
-    assert err["error"]["type"] == "GeometryError"
+    # malformed numbers, empty spans and counts name the offending value
+    cases = [
+        (["delta", "--cuffs", "2,2"], "'2,2'"),
+        (["delta", "--cuffs", "x,1,1"], "'x,1,1'"),
+        (["delta", "--cuffs", "2,2,2", "--depths", "4,x"], "'4,x'"),
+        (["delta-scan", "--symmetric", "1:2:x", "--out", "s.csv"], "'1:2:x'"),
+        (["delta-scan", "--symmetric", "1:2:0", "--out", "s.csv"], "'1:2:0'"),
+        (["favard", "--depths", "5:2", "--out", "f.csv"], "'5:2'"),
+        (["sample-cs", "--cuffs", "2,2,2", "--count", "0", "--out", "c.bin"], "1e7"),
+    ]
+    for argv, named in cases:
+        status = run(argv)
+        captured = capsys.readouterr()
+        assert status == 2, argv
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())
+        assert err["error"]["type"] == "GeometryError"
+        assert named in err["error"]["message"]
+        assert not (workdir / argv[-1]).exists()
 
 
 def test_octagon_svg_artifact(workdir, capsys):

@@ -10,7 +10,6 @@ from cuffdim import thermo
 from cuffdim.hyperbolic import GeometryError
 from cuffdim.pants import build_pants
 from cuffdim.thermo import (
-    arc_coordinate,
     barycentric_rows,
     collocation,
     collocation_nodes,
@@ -52,7 +51,7 @@ def _ratio_range(p, s, m, grid=4000):
     h = _eigenfunction(p, s, m)
 
     def h_at(tau, theta):
-        rows = barycentric_rows(arc_coordinate(p, tau, theta), m)
+        rows = barycentric_rows(p.arc_coordinate(tau, theta), m)
         return rows @ h[tau * m : (tau + 1) * m]
 
     lo, hi = math.inf, -math.inf
@@ -93,12 +92,12 @@ def test_branch_images_land_in_their_arc(pants123):
     x, _ = thermo.chebyshev_nodes(16)
     for j in range(4):
         z = np.exp(1j * (pants123._arc_lo[j] + 0.5 * pants123._arc_len[j] * (1.0 + x)))
-        assert np.all(np.abs(arc_coordinate(pants123, j, np.angle(z))) < 1.0)
+        assert np.all(np.abs(pants123.arc_coordinate(j, np.angle(z))) < 1.0)
         for tau in range(4):
             if tau == j ^ 1:
                 continue
             u, v, cv, cu = pants123._branches[tau]
-            t = arc_coordinate(pants123, tau, np.angle((u * z + v) / (cv * z + cu)))
+            t = pants123.arc_coordinate(tau, np.angle((u * z + v) / (cv * z + cu)))
             assert np.all(np.abs(t) <= 1.0)
 
 

@@ -413,8 +413,9 @@ def test_sampler_seed_stability_of_dimension(pants222):
 
 def test_sampler_count_cap(pants222):
     mu = gibbs_measure(pants222, 0.57, 5)
-    with pytest.raises(GeometryError):
-        sample_complete_geodesic_points(pants222, mu, 10**7 + 1, seed=0)
+    for count in (10**7 + 1, 0, -1):
+        with pytest.raises(GeometryError, match=r"outside \[1, 1e7\]"):
+            sample_complete_geodesic_points(pants222, mu, count, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from cuffdim import thermo
 from cuffdim.hyperbolic import GeometryError
 from cuffdim.pants import build_pants
-from cuffdim.symbolic import lex_rank
+from cuffdim.symbolic import cylinder_cover, lex_rank
 from cuffdim.thermo import (
     LOG3,
     cover_scaling_delta,
@@ -16,6 +16,7 @@ from cuffdim.thermo import (
     gibbs_chain,
     gibbs_measure,
     hausdorff_delta,
+    moran_cover_counts,
     pressure,
     pressure_root,
     solve_locus,
@@ -126,6 +127,33 @@ def test_cover_scaling_estimate_agrees(pants222):
     d = hausdorff_delta(pants222, tol=1e-5, depths=(6, 8)).delta
     assert abs(slope - d) < 0.02
     assert len(diag["counts"]) >= 6
+
+
+def _minimal_cylinder_counts(p, eps):
+    """Brute-force covering counts: cylinders shorter than eps whose parent is not.
+
+    The parent of depth-(n+1) cover row i is depth-n row i // 3; depth-1
+    cylinders have parent length 2 pi.
+    """
+    counts = np.zeros(len(eps), dtype=np.int64)
+    parent = np.full(4, 2.0 * math.pi)
+    n = 1
+    while True:
+        length = cylinder_cover(p, n).lengths
+        counts += ((length[:, None] < eps) & (parent[:, None] >= eps)).sum(axis=0)
+        if length.max() < eps.min():
+            return counts
+        parent = np.repeat(length, 3)
+        n += 1
+
+
+@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0), (5.0, 5.0, 5.0)])
+def test_moran_counts_match_brute_force(cuffs):
+    p = build_pants(cuffs)
+    eps, counts = moran_cover_counts(p, 2.0 ** -np.arange(3, 12))
+    assert np.array_equal(eps, 2.0 ** -np.arange(11, 2, -1))
+    assert np.array_equal(counts, _minimal_cylinder_counts(p, eps))
+    assert np.all(np.diff(counts) <= 0) and counts[-1] > 0
 
 
 def test_gibbs_at_zero_is_maximal_entropy(pants222):
