@@ -45,6 +45,9 @@ from .thermo import LOCUS_DELTA_TOL, _delta_at, gibbs_measure, hausdorff_delta, 
 LEDGER_FILE = "cuffdim-ledger.jsonl"
 # named in every delta ledger key, so values from another solver are misses
 DELTA_SOLVER = "chebyshev-collocation"
+# fewest points sample-cs fits a box dimension to; the fit's finest scale,
+# 2^-7, has about 11,000 occupied boxes at cuffs (2,2,2) for fewer to fill
+SAMPLE_CS_MIN_COUNT = 20_000
 
 
 def fmt17(x: float) -> str:
@@ -343,6 +346,11 @@ def _cmd_certify(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_sample_cs(args) -> tuple[dict, dict, int]:
+    if args.count < SAMPLE_CS_MIN_COUNT:
+        raise GeometryError(
+            f"sample-cs count {args.count} outside [{SAMPLE_CS_MIN_COUNT}, 1e7]: "
+            f"the box-dimension fit needs {SAMPLE_CS_MIN_COUNT} points"
+        )
     p = build_pants(parse_cuffs(args.cuffs))
     if args.s is None:
         s = hausdorff_delta(p, tol=1e-5, depths=(args.chain_depth - 2, args.chain_depth)).delta
@@ -353,7 +361,7 @@ def _cmd_sample_cs(args) -> tuple[dict, dict, int]:
         p, mu, args.count, args.seed, word_len=args.word_len
     )
     write_point_cloud(args.out, sample.points)
-    fit = box_dimension(sample.points, min_points=min(args.count, 100_000))
+    fit = box_dimension(sample.points, min_points=SAMPLE_CS_MIN_COUNT)
     results = {
         "out": args.out,
         "count": args.count,

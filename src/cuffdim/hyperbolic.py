@@ -518,29 +518,27 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
 
     Endpoint products within CLIP_EPS of zero are treated as lying on the
     bounding plane, so a geodesic running along a side counts as inside.
+    The products are laid out (k, ...), side first, so that every
+    reduction runs over whole rows.
     """
-    J = np.array([1.0, 1.0, -1.0])
-    a = (l_back * J) @ normals.T  # (..., k)
-    b = (l_fwd * J) @ normals.T
+    nJ = normals * np.array([1.0, 1.0, -1.0])
+    shape = (len(normals),) + l_back.shape[:-1]
+    a = (nJ @ l_back.reshape(-1, 3).T).reshape(shape)
+    b = (nJ @ l_fwd.reshape(-1, 3).T).reshape(shape)
+    t = np.negative(a)  # t_cross = log(-a / b) / 2, in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = -a / b
-        t_cross = 0.5 * np.log(ratio)
+        t /= b
+        np.log(t, out=t)
+    t *= 0.5
 
     apos, aneg = a > CLIP_EPS, a < -CLIP_EPS
     bpos, bneg = b > CLIP_EPS, b < -CLIP_EPS
-    azero, bzero = ~(apos | aneg), ~(bpos | bneg)
-
-    lower = np.where(aneg & bpos, t_cross, -np.inf)
-    upper = np.where(apos & bneg, t_cross, np.inf)
+    lower = np.where(aneg & bpos, t, -np.inf)
+    upper = t
+    upper[~(apos & bneg)] = np.inf
     # sides violated for every t
-    dead = (aneg & (bneg | bzero)) | (azero & bneg)
-    lower = np.where(dead, np.inf, lower)
-
-    t_in = np.max(lower, axis=-1)
-    t_out = np.min(upper, axis=-1)
-    side_in = np.argmax(lower, axis=-1)
-    side_out = np.argmin(upper, axis=-1)
-    return t_in, t_out, side_in, side_out
+    lower[(aneg & ~bpos) | (bneg & ~apos)] = np.inf
+    return lower.max(axis=0), upper.min(axis=0), lower.argmax(axis=0), upper.argmin(axis=0)
 
 
 def chord_point(l_back: np.ndarray, l_fwd: np.ndarray, t) -> np.ndarray:

@@ -529,32 +529,38 @@ class GeodesicPointSample:
     attempts: int
 
 
+def _chain_walk(chain: GibbsChain, cur: np.ndarray, rng, steps: int):
+    """Symbols appended by `steps` chain steps from states cur, one row per
+    step, and the final states.
+
+    Successor j counts the first two cumulative probabilities below the
+    draw, so the third successor takes the remainder even where a row's
+    cumulative sum rounds below 1.
+    """
+    c0, c1 = np.cumsum(chain.transition_probs, axis=1)[:, :2].T.copy()
+    succ = chain.skeleton.cols.ravel()
+    last = chain.skeleton.cover.words[:, -1].astype(np.intp)
+    syms = np.empty((steps, len(cur)), dtype=np.intp)
+    for k in range(steps):
+        r = rng.random(len(cur))
+        cur = succ[3 * cur + (r > c0[cur]) + (r > c1[cur])]
+        syms[k] = last[cur]
+    return syms, cur
+
+
 def _extend_words(chain: GibbsChain, idx: np.ndarray, rng, total_len: int) -> np.ndarray:
     """Word symbols for chain states extended to total_len by chain steps."""
-    n = chain.depth
     words = chain.skeleton.cover.words[idx].astype(np.uint8)
-    if total_len <= n:
+    if total_len <= chain.depth:
         return words[:, :total_len]
-    cur = idx.copy()
-    cols = chain.skeleton.cols
-    out = np.empty((len(idx), total_len), dtype=np.uint8)
-    out[:, :n] = words
-    cum = np.cumsum(chain.transition_probs, axis=1)
-    for k in range(n, total_len):
-        r = rng.random(len(idx))
-        j = (r[:, None] > cum[cur]).sum(axis=1)
-        last = out[:, k - 1].astype(np.int64)
-        out[:, k] = j + (j >= (last ^ 1))
-        cur = cols[cur, j]
-    return out
+    syms, _ = _chain_walk(chain, idx, rng, total_len - chain.depth)
+    return np.concatenate([words, syms.T.astype(np.uint8)], axis=1)
 
 
-def _realize_word_endpoints(p: PantsGeometry, words: np.ndarray) -> np.ndarray:
-    """Cylinder-arc midpoints of word rows, as unit complex numbers."""
-    z = p.arc_point(np.arange(4), 0.0)[words[:, -1].astype(np.int64)]
-    for k in range(words.shape[1] - 2, -1, -1):
-        # intp symbols keep the coefficient gathers fast
-        z, _ = p.inverse_branch(words[:, k].astype(np.int64), z)
+def _prepend_symbols(p: PantsGeometry, z: np.ndarray, cols) -> np.ndarray:
+    """Unit points z pulled back through the symbol rows cols, last row first."""
+    for sym in cols[::-1]:
+        z, _ = p.inverse_branch(sym, z)
         z /= np.abs(z)
     return z
 
@@ -581,11 +587,23 @@ def sample_complete_geodesic_points(
     chain = mu.chain if isinstance(mu, CylinderMeasure) else mu
     if chain.depth < 4:
         raise GeometryError("sampling needs a chain of depth >= 4")
-    word_len = max(word_len, chain.depth)
+    steps = max(word_len, chain.depth) - chain.depth
     rng = np.random.Generator(np.random.Philox(key=seed))
     pi_cum = np.cumsum(chain.stationary)
     pi_cum[-1] = 1.0
     normals = p.interior_normals
+    words = chain.skeleton.cover.words
+    # intp symbols keep the coefficient gathers fast
+    heads = words.T.astype(np.intp)
+    # a word's last n symbols are its final chain state, so the steps that
+    # read only them run once per state, from the arc midpoint of its last
+    # symbol; the steps before them run per word, in the same order
+    z_state = _prepend_symbols(p, p.arc_point(np.arange(4), 0.0)[heads[-1]], heads[:-1])
+
+    def realize(idx):
+        syms, final = _chain_walk(chain, idx, rng, steps)
+        cols = list(heads[:, idx]) + list(syms)
+        return _prepend_symbols(p, z_state[final], cols[:steps])
 
     pts = np.empty(count, dtype=complex)
     lens = np.empty(count)
@@ -602,15 +620,13 @@ def sample_complete_geodesic_points(
             )
         xi_idx = np.searchsorted(pi_cum, rng.random(m))
         eta_idx = np.searchsorted(pi_cum, rng.random(m))
-        first = chain.skeleton.cover.words[:, 0]
+        first = words[:, 0]
         clash = first[xi_idx] == first[eta_idx]
         while np.any(clash):
             eta_idx[clash] = np.searchsorted(pi_cum, rng.random(int(clash.sum())))
             clash = first[xi_idx] == first[eta_idx]
-        xi_words = _extend_words(chain, xi_idx, rng, word_len)
-        eta_words = _extend_words(chain, eta_idx, rng, word_len)
-        z_fwd = _realize_word_endpoints(p, xi_words)
-        z_back = _realize_word_endpoints(p, eta_words)
+        z_fwd = realize(xi_idx)
+        z_back = realize(eta_idx)
         l_fwd = lift_light(z_fwd)
         l_back = lift_light(z_back)
         t_in, t_out, _, _ = clip_chord(l_back, l_fwd, normals)

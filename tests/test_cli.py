@@ -236,6 +236,9 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         (["delta-scan", "--symmetric", "1:2:0", "--out", "s.csv"], "'1:2:0'"),
         (["favard", "--depths", "5:2", "--out", "f.csv"], "'5:2'"),
         (["sample-cs", "--cuffs", "2,2,2", "--count", "0", "--out", "c.bin"], "1e7"),
+        # below the box-dimension fit's floor; test_sample_cs_command runs 20000
+        (["sample-cs", "--cuffs", "2,2,2", "--count", "5", "--out", "c.bin"], "20000"),
+        (["sample-cs", "--cuffs", "2,2,2", "--count", "19999", "--out", "c.bin"], "20000"),
     ]
     for argv, named in cases:
         status = run(argv)

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from cuffdim import build_pants
 from cuffdim.hyperbolic import (
+    CLIP_EPS,
     BoundaryPoint,
     DiskPoint,
     Geodesic,
@@ -14,14 +16,16 @@ from cuffdim.hyperbolic import (
     _lift,
     _light,
     _mink,
+    clip_chord,
     common_perpendicular,
     geodesic_from_endpoints,
     hyp_distance,
+    lift_light,
     ray_crossing,
     signed_side,
 )
 
-from conftest import random_disk_point, random_mobius
+from conftest import A_HALF, random_disk_point, random_mobius
 
 
 def test_diameters_from_antipodal_endpoints():
@@ -272,3 +276,63 @@ def test_ray_crossing_bisection_oracle():
                 lo = mid
         assert abs(0.5 * (lo + hi) - t) < 1e-9
     assert hits >= 5
+
+
+def _clip_chord_oracle(l_back, l_fwd, normals):
+    """clip_chord as first written: sides last, every mask built by np.where."""
+    J = np.array([1.0, 1.0, -1.0])
+    a = (l_back * J) @ normals.T
+    b = (l_fwd * J) @ normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_cross = 0.5 * np.log(-a / b)
+    apos, aneg = a > CLIP_EPS, a < -CLIP_EPS
+    bpos, bneg = b > CLIP_EPS, b < -CLIP_EPS
+    azero, bzero = ~(apos | aneg), ~(bpos | bneg)
+    lower = np.where(aneg & bpos, t_cross, -np.inf)
+    upper = np.where(apos & bneg, t_cross, np.inf)
+    dead = (aneg & (bneg | bzero)) | (azero & bneg)
+    lower = np.where(dead, np.inf, lower)
+    return (
+        np.max(lower, axis=-1),
+        np.min(upper, axis=-1),
+        np.argmax(lower, axis=-1),
+        np.argmin(upper, axis=-1),
+    )
+
+
+def _assert_clip_matches_oracle(l_back, l_fwd, normals):
+    got = clip_chord(l_back, l_fwd, normals)
+    want = _clip_chord_oracle(l_back, l_fwd, normals)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (A_HALF,) * 3, (0.2, 1.0, 12.0)])
+def test_clip_chord_matches_oracle_on_random_chords(cuffs):
+    normals = build_pants(cuffs).interior_normals
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.0, 2.0 * math.pi, (2, 100_000))
+    l_back, l_fwd = lift_light(np.exp(1j * theta[0])), lift_light(np.exp(1j * theta[1]))
+    _assert_clip_matches_oracle(l_back, l_fwd, normals)
+    # the single (3,) chord and a (..., 3) batch keep their shapes
+    for k in range(20):
+        _assert_clip_matches_oracle(l_back[k], l_fwd[k], normals)
+    _assert_clip_matches_oracle(l_back[:60].reshape(4, 15, 3), l_fwd[:60].reshape(4, 15, 3), normals)
+
+
+def test_clip_chord_matches_oracle_at_the_eps_boundary():
+    # with axis normals +-e_i every endpoint product is a lift coordinate
+    # (the third one sign-flipped), so products land exactly on 0 and
+    # +-CLIP_EPS as well as just inside and outside them
+    normals = np.vstack([np.eye(3), -np.eye(3)])
+    up, down = np.nextafter(CLIP_EPS, 1.0), np.nextafter(CLIP_EPS, 0.0)
+    values = np.array([-1.0, -up, -CLIP_EPS, -down, 0.0, down, CLIP_EPS, up, 1.0, 0.5])
+    rng = np.random.default_rng(4)
+    l_back = rng.choice(values, (20_000, 3))
+    l_fwd = rng.choice(values, (20_000, 3))
+    _assert_clip_matches_oracle(l_back, l_fwd, normals)
+    for k in range(20):
+        _assert_clip_matches_oracle(l_back[k], l_fwd[k], normals)
+    t_in, t_out, _, _ = clip_chord(l_back, l_fwd, normals)
+    assert np.any(t_in < t_out) and np.any(t_in > t_out)

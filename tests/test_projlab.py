@@ -1,6 +1,7 @@
 """Box covers, projections, Favard averages, certification, sampling."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -28,8 +29,10 @@ from cuffdim.projlab import (
     BoxCover,
     ks_uniform_statistic,
 )
-from cuffdim import projlab, thermo
+from cuffdim import build_pants, projlab, thermo
 from cuffdim.thermo import gibbs_measure
+
+from conftest import A_HALF
 
 LAM_HALF = math.atan(0.5)
 
@@ -416,6 +419,82 @@ def test_sampler_count_cap(pants222):
     for count in (10**7 + 1, 0, -1):
         with pytest.raises(GeometryError, match=r"outside \[1, 1e7\]"):
             sample_complete_geodesic_points(pants222, mu, count, seed=0)
+
+
+# SHA-256 of float32-rounded (points.real, points.imag, lengths,
+# time_fractions) of 20,000 points at seed 7 from a Gibbs chain at s = 0.5,
+# frozen while every word was still realised step by step.  The float32
+# rounding keeps the digests independent of numpy's SIMD log and exp
+# kernels, whose last bits differ between its AVX2 and AVX-512 builds.
+SAMPLER_DIGESTS = {
+    ((A_HALF,) * 3, 6, 14): "4622225479dff89281402565aa16d8a1d5c5437d77c0964003a73434ca0f7c13",
+    # word_len below the chain depth
+    ((2.0, 2.0, 2.0), 6, 4): "37e64abf592fc46b58f768c9ee7d720e596426ecee949a0913ff79af9175480d",
+    # word_len beyond twice the depth
+    ((0.5, 1.0, 6.0), 6, 20): "bd8ccdb1a467002b9b58a6f8f39c5279ccf8318ca399be35dfd19a9b93bee9cc",
+    ((0.2, 1.0, 12.0), 8, 9): "fcc663178717fb369a588fa99da926fbf7ab2e5a7990704c3f2b41692ea521de",
+    ((8.0, 8.0, 8.0), 4, 9): "853d51e04ddb1a32e73e930f57a7bfb8270da117adccc843f2d1f5655676355f",
+}
+
+
+@pytest.mark.parametrize("cuffs, depth, word_len", list(SAMPLER_DIGESTS))
+def test_sampler_output_matches_frozen_digest(cuffs, depth, word_len):
+    p = build_pants(cuffs)
+    s = sample_complete_geodesic_points(
+        p, thermo.gibbs_chain(p, 0.5, depth), 20_000, seed=7, word_len=word_len
+    )
+    h = hashlib.sha256()
+    for a in (s.points.real, s.points.imag, s.lengths, s.time_fractions):
+        h.update(a.astype(np.float32).tobytes())
+    assert h.hexdigest() == SAMPLER_DIGESTS[(cuffs, depth, word_len)]
+
+
+def _extend_words_oracle(chain, idx, rng, total_len):
+    """_extend_words as first written: each step compares the draw with all
+    three cumulative probabilities and derives the symbol from the last one."""
+    n = chain.depth
+    words = chain.skeleton.cover.words[idx].astype(np.uint8)
+    if total_len <= n:
+        return words[:, :total_len]
+    cur = idx.copy()
+    out = np.empty((len(idx), total_len), dtype=np.uint8)
+    out[:, :n] = words
+    cum = np.cumsum(chain.transition_probs, axis=1)
+    for k in range(n, total_len):
+        r = rng.random(len(idx))
+        j = (r[:, None] > cum[cur]).sum(axis=1)
+        out[:, k] = j + (j >= (out[:, k - 1].astype(np.int64) ^ 1))
+        cur = chain.skeleton.cols[cur, j]
+    return out
+
+
+@pytest.mark.parametrize("total_len", [4, 6, 7, 20])
+def test_extend_words_matches_oracle(pants_half, total_len):
+    chain = thermo.gibbs_chain(pants_half, 0.5, 6)
+    idx = np.random.default_rng(2).integers(0, len(chain.stationary), 5_000)
+    got = projlab._extend_words(chain, idx, np.random.Generator(np.random.Philox(key=5)), total_len)
+    want = _extend_words_oracle(chain, idx, np.random.Generator(np.random.Philox(key=5)), total_len)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class _TopDraw:
+    """Generator stub whose every draw is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_chain_step_top_draw_takes_the_third_successor(pants_half):
+    chain = thermo.gibbs_chain(pants_half, 0.5, 6)
+    # rows whose cumulative transition probabilities end below the draw
+    rows = np.flatnonzero(np.cumsum(chain.transition_probs, axis=1)[:, 2] < 1.0 - 2.0**-53)
+    assert len(rows) > 0
+    words = projlab._extend_words(chain, rows, _TopDraw(), 7)
+    skel = chain.skeleton
+    assert words.dtype == np.uint8
+    assert np.array_equal(words[:, :6], skel.cover.words[rows])
+    assert np.array_equal(words[:, 6], skel.cover.words[skel.cols[rows, 2], -1])
 
 
 # ---------------------------------------------------------------------------
