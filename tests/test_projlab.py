@@ -425,7 +425,7 @@ def test_sampler_count_cap(pants222):
 # time_fractions) of 20,000 points at seed 7 from a Gibbs chain at s = 0.5,
 # frozen while every word was still realised step by step.  The float32
 # rounding keeps the digests independent of numpy's SIMD log and exp
-# kernels, whose last bits differ between its AVX2 and AVX-512 builds.
+# kernels, whose last bits differ between its AVX2 and AVX-512 code paths.
 SAMPLER_DIGESTS = {
     ((A_HALF,) * 3, 6, 14): "4622225479dff89281402565aa16d8a1d5c5437d77c0964003a73434ca0f7c13",
     # word_len below the chain depth
