@@ -26,6 +26,10 @@ from .thermo import CylinderMeasure, GibbsChain
 
 POINT_CLOUD_MAGIC = b"CSPTS001"
 
+# admits every restricted depth-8 product cover (57.4M boxes at most);
+# a box costs about 76 bytes across the cover's arrays
+PRODUCT_COVER_MAX_BOXES = 60_000_000
+
 
 # ---------------------------------------------------------------------------
 # Box covers
@@ -33,7 +37,15 @@ POINT_CLOUD_MAGIC = b"CSPTS001"
 
 @dataclass(frozen=True, eq=False)
 class BoxCover:
-    """Non-overlapping axis-aligned boxes in the unit square."""
+    """Non-overlapping axis-aligned boxes in the unit square.
+
+    ``blocks``, when set, is a tuple of ``(x_lo, x_hi, y_lo, y_hi)`` piece
+    arrays: the boxes of one block are the Cartesian product of its x
+    pieces ``[x_lo, x_hi]`` and its y pieces ``[y_lo, y_hi]``, and the
+    union of the blocks' products is exactly the multiset of boxes in
+    ``x0 .. y1`` (in block-major order rather than the box order).  Product
+    covers carry it so that a projection can work on the pieces.
+    """
 
     label: str
     depth: int
@@ -44,6 +56,15 @@ class BoxCover:
     masses: np.ndarray | None = None
     tags: tuple[np.ndarray, np.ndarray] | None = None  # (xi index, eta index)
     n_pairs: int | None = None  # word pairs behind the boxes, when applicable
+    blocks: tuple | None = None
+
+    def __post_init__(self):
+        if self.blocks is not None:
+            count = sum(len(xl) * len(yl) for xl, _, yl, _ in self.blocks)
+            if count != self.n_boxes:
+                raise GeometryError(
+                    f"cover blocks hold {count} boxes, the cover {self.n_boxes}"
+                )
 
     @property
     def n_boxes(self) -> int:
@@ -89,24 +110,49 @@ def product_cover(
     symbols are kept (the domain of the geodesic correspondence).  An
     optional cylinder measure attaches product masses, apportioned over
     split pieces by length fraction.
+
+    The cover's ``blocks`` are the products P_s x P_t over first symbols
+    s != t, where P_s holds the pieces whose word starts with s (a piece
+    split at angle zero keeps its parent's symbol); unrestricted, one block
+    pairs all pieces with all pieces.  The box count is taken from these
+    group sizes before any box array is built, and a cover of more than
+    ``PRODUCT_COVER_MAX_BOXES`` boxes is refused.
     """
     if not 1 <= n <= 9:
         raise GeometryError(f"product cover depth {n} outside [1, 9]")
     cov = cylinder_cover(p, n)
     parent, p_lo, p_hi = _unit_pieces(cov)
+    first = cov.words[parent, 0]
 
     m = len(parent)
+    if restrict:
+        groups = [np.flatnonzero(first == s) for s in range(4)]
+        n_boxes = m * m - sum(len(g) ** 2 for g in groups)
+        blocks = tuple(
+            (p_lo[gs], p_hi[gs], p_lo[gt], p_hi[gt])
+            for s, gs in enumerate(groups)
+            for t, gt in enumerate(groups)
+            if s != t
+        )
+    else:
+        n_boxes = m * m
+        blocks = ((p_lo, p_hi, p_lo, p_hi),)
+    if n_boxes > PRODUCT_COVER_MAX_BOXES:
+        raise GeometryError(
+            f"product cover depth {n} needs {n_boxes} boxes, above "
+            f"PRODUCT_COVER_MAX_BOXES = {PRODUCT_COVER_MAX_BOXES}"
+        )
     i = np.repeat(np.arange(m), m)
     j = np.tile(np.arange(m), m)
-    wi, wj = parent[i], parent[j]
     if restrict:
-        keep = cov.words[wi, 0] != cov.words[wj, 0]
-        i, j, wi, wj = i[keep], j[keep], wi[keep], wj[keep]
+        keep = first[i] != first[j]
+        i, j = i[keep], j[keep]
         n_pairs = int(cov.n_words**2 - sum(
             int(np.sum(cov.words[:, 0] == s)) ** 2 for s in range(4)
         ))
     else:
         n_pairs = int(cov.n_words**2)
+    wi, wj = parent[i], parent[j]
     masses = None
     if measure is not None:
         if measure.depth != n:
@@ -124,6 +170,7 @@ def product_cover(
         masses=masses,
         tags=(wi, wj),
         n_pairs=n_pairs,
+        blocks=blocks,
     )
 
 
@@ -151,6 +198,7 @@ def four_corner_cover(n: int) -> BoxCover:
         x1=x + side,
         y0=y,
         y1=y + side,
+        blocks=((vals, vals + side, vals, vals + side),),
     )
 
 
@@ -173,12 +221,27 @@ def unit_square_cover() -> BoxCover:
 # Projections and Favard averages
 
 
+def _axis_terms(a0: np.ndarray, a1: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Projected centres and half-widths of the pieces [a0, a1] of one axis
+    whose direction component is c."""
+    return 0.5 * (a0 + a1) * c, 0.5 * (a1 - a0) * abs(c)
+
+
 def project_cover_length(cover: BoxCover, lam: float) -> float:
     """Length of the projection of the box union onto the direction ``lam``.
 
     Boxes project to intervals ``mid -/+ hw`` from their centres and
     half-widths; intervals are merged exactly (gap tolerance zero) and the
     total length of the union is returned.
+
+    A box's ``mid`` is the sum of its x and y pieces' projected centres,
+    and ``hw`` the sum of their projected half-widths.  When the cover has
+    ``blocks``, those per-axis terms are computed once per piece and each
+    block's intervals are filled from their outer sums, instead of from
+    the four box arrays.  Every interval is made by the same operations
+    in the same order as from the box arrays, and a block-major order only
+    permutes the multiset of intervals, so the sorted starts and ends, and
+    with them the result, are bit-identical.
 
     The union depends only on the multiset of starts and the multiset of
     ends: a point x is covered iff more starts lie at or below x than
@@ -195,10 +258,22 @@ def project_cover_length(cover: BoxCover, lam: float) -> float:
     if cover.n_boxes == 0:
         return 0.0
     c, s = math.cos(lam), math.sin(lam)
-    cx, cy = cover.centers
-    mid = cx * c + cy * s
-    hw = 0.5 * (cover.x1 - cover.x0) * abs(c) + 0.5 * (cover.y1 - cover.y0) * abs(s)
-    lo, hi = mid - hw, mid + hw
+    if cover.blocks is None:
+        blocks, pair = ((cover.x0, cover.x1, cover.y0, cover.y1),), np.add
+    else:
+        blocks, pair = cover.blocks, np.add.outer
+    lo = np.empty(cover.n_boxes)
+    hi = np.empty(cover.n_boxes)
+    k = 0
+    for x0, x1, y0, y1 in blocks:
+        xm, xh = _axis_terms(x0, x1, c)
+        ym, yh = _axis_terms(y0, y1, s)
+        mid = pair(xm, ym).ravel()
+        hw = pair(xh, yh).ravel()
+        n = mid.size
+        np.subtract(mid, hw, out=lo[k:k + n])
+        np.add(mid, hw, out=hi[k:k + n])
+        k += n
     lo.sort()
     hi.sort()
     # lo[k] <- max(lo[k], hi[k-1]) for k >= 1; each piece is then hi - lo

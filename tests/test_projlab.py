@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -212,13 +213,70 @@ def test_projection_matches_plain_sweep_on_product_cover(pants222):
         assert abs(project_cover_length(cover, lam) - _union_length_sweep(cover, lam)) <= 1e-12
 
 
-def test_projection_leaves_cover_unchanged():
-    cover = _quantised_boxes(5, 300)
-    before = [a.copy() for a in (cover.x0, cover.x1, cover.y0, cover.y1)]
-    for lam in KERNEL_LAMS:
-        project_cover_length(cover, lam)
-    for a, b in zip(before, (cover.x0, cover.x1, cover.y0, cover.y1)):
-        assert np.array_equal(a, b)
+def _cover_arrays(cover):
+    arrays = [cover.x0, cover.x1, cover.y0, cover.y1]
+    for block in cover.blocks or ():
+        arrays += block
+    return arrays
+
+
+def test_projection_leaves_cover_unchanged(pants222):
+    for cover in (_quantised_boxes(5, 300), product_cover(pants222, 3)):
+        before = [a.copy() for a in _cover_arrays(cover)]
+        for lam in KERNEL_LAMS:
+            project_cover_length(cover, lam)
+        for a, b in zip(before, _cover_arrays(cover)):
+            assert np.array_equal(a, b)
+
+
+def _blocked_covers():
+    for cuffs in ((2.0, 2.0, 2.0), (0.2, 1.0, 12.0), (A_HALF, A_HALF, A_HALF)):
+        p = build_pants(cuffs)
+        for n in range(1, 6):
+            for restrict in (True, False):
+                yield product_cover(p, n, restrict=restrict)
+    for n in range(1, 7):
+        yield four_corner_cover(n)
+
+
+def test_blocked_projection_is_bit_identical_to_the_box_arrays():
+    lams = list(KERNEL_LAMS) + lambda_grid(64).tolist()
+    for cover in _blocked_covers():
+        assert cover.blocks is not None
+        if cover.label.startswith("omega"):
+            # one arc through angle zero is split, so some pairs make two boxes
+            assert cover.n_boxes > cover.n_pairs
+        plain = dataclasses.replace(cover, blocks=None)
+        for lam in lams:
+            assert project_cover_length(cover, lam) == project_cover_length(plain, lam)
+
+
+def test_blocks_expand_to_the_box_multiset():
+    for cover in _blocked_covers():
+        assert sum(len(xl) * len(yl) for xl, _, yl, _ in cover.blocks) == cover.n_boxes
+        rows = []
+        for xl, xh, yl, yh in cover.blocks:
+            i, j = np.divmod(np.arange(len(xl) * len(yl)), len(yl))
+            rows.append(np.stack([xl[i], xh[i], yl[j], yh[j]], axis=1))
+        got = np.concatenate(rows)
+        want = np.stack([cover.x0, cover.x1, cover.y0, cover.y1], axis=1)
+        got = got[np.lexsort(got.T[::-1])]
+        want = want[np.lexsort(want.T[::-1])]
+        assert np.array_equal(got, want)
+
+
+def test_blocks_must_hold_the_cover_box_count():
+    cover = four_corner_cover(2)
+    with pytest.raises(GeometryError, match="blocks hold 16 boxes"):
+        dataclasses.replace(cover, x0=cover.x0[:4], x1=cover.x1[:4],
+                            y0=cover.y0[:4], y1=cover.y1[:4])
+
+
+def test_product_cover_refuses_depth_9_before_building_boxes(pants222):
+    start = time.perf_counter()
+    with pytest.raises(GeometryError, match="516600018 boxes.*PRODUCT_COVER_MAX_BOXES"):
+        product_cover(pants222, 9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_projection_of_empty_cover_is_zero():
