@@ -26,8 +26,8 @@ from .thermo import CylinderMeasure, GibbsChain
 
 POINT_CLOUD_MAGIC = b"CSPTS001"
 
-# admits every restricted depth-8 product cover (57.4M boxes at most);
-# a box costs about 76 bytes across the cover's arrays
+# admits every restricted depth-8 product cover (57.4M boxes at most); a
+# box holds 48 bytes in the cover's six box arrays, more while they are built
 PRODUCT_COVER_MAX_BOXES = 60_000_000
 
 
@@ -60,7 +60,7 @@ class BoxCover:
 
     def __post_init__(self):
         if self.blocks is not None:
-            count = sum(len(xl) * len(yl) for xl, _, yl, _ in self.blocks)
+            count = _block_boxes(self.blocks)
             if count != self.n_boxes:
                 raise GeometryError(
                     f"cover blocks hold {count} boxes, the cover {self.n_boxes}"
@@ -77,6 +77,10 @@ class BoxCover:
     @property
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
+
+
+def _block_boxes(blocks) -> int:
+    return sum(len(xl) * len(yl) for xl, _, yl, _ in blocks)
 
 
 def _unit_pieces(cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,7 +131,6 @@ def product_cover(
     m = len(parent)
     if restrict:
         groups = [np.flatnonzero(first == s) for s in range(4)]
-        n_boxes = m * m - sum(len(g) ** 2 for g in groups)
         blocks = tuple(
             (p_lo[gs], p_hi[gs], p_lo[gt], p_hi[gt])
             for s, gs in enumerate(groups)
@@ -135,8 +138,8 @@ def product_cover(
             if s != t
         )
     else:
-        n_boxes = m * m
         blocks = ((p_lo, p_hi, p_lo, p_hi),)
+    n_boxes = _block_boxes(blocks)
     if n_boxes > PRODUCT_COVER_MAX_BOXES:
         raise GeometryError(
             f"product cover depth {n} needs {n_boxes} boxes, above "
