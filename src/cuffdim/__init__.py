@@ -17,14 +17,10 @@ from .hyperbolic import (
     GeometryError,
     IsometryInfo,
     MoebiusTransform,
-    boundary_action,
     classify_isometry,
     common_perpendicular,
     geodesic_from_endpoints,
     hyp_distance,
-    mobius_compose,
-    mobius_inverse,
-    ray_crossing,
     signed_side,
 )
 from .pants import (
@@ -40,7 +36,6 @@ from .pants import (
     bar,
     build_pants,
     expansion_map_step,
-    octagon_of,
     octagon_svg,
     schottky_arcs,
     validate_pants,
@@ -80,7 +75,6 @@ from .projlab import (
     TransversalFamilySpec,
     TransversalityReport,
     box_dimension,
-    cone_density,
     constant_family,
     direction_family,
     favard_estimate,
@@ -92,6 +86,5 @@ from .projlab import (
     sample_complete_geodesic_points,
     segment_cover,
     transversality_certify,
-    unit_square_cover,
     write_point_cloud,
 )

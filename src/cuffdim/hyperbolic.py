@@ -204,14 +204,6 @@ class MoebiusTransform:
         return same or flip
 
 
-def mobius_compose(m: MoebiusTransform, n: MoebiusTransform) -> MoebiusTransform:
-    return m.compose(n)
-
-
-def mobius_inverse(m: MoebiusTransform) -> MoebiusTransform:
-    return m.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Points
 
@@ -426,29 +418,6 @@ def common_perpendicular(g1: Geodesic, g2: Geodesic) -> CommonPerpendicular:
     )
 
 
-def ray_crossing(start, target, g: Geodesic):
-    """First crossing of the ray from ``start`` toward ``target`` with ``g``.
-
-    Returns (arclength, DiskPoint) or None.  A start point on ``g`` gives
-    arclength 0.
-    """
-    w = _lift(_zval(start))
-    ell = _light(_angle(target))
-    c = -1.0 / _mink(ell, w)
-    u = c * ell - w
-    a = _mink(w, g.normal)
-    b = _mink(u, g.normal)
-    if abs(a) <= ON_GEODESIC_TOL:
-        return 0.0, DiskPoint(_drop(w))
-    if abs(b) <= abs(a):
-        return None
-    t = math.atanh(-a / b)
-    if t < 0.0:
-        return None
-    pt = w * math.cosh(t) + u * math.sinh(t)
-    return t, DiskPoint(_drop(pt))
-
-
 # ---------------------------------------------------------------------------
 # Isometry classification
 
@@ -482,12 +451,6 @@ def classify_isometry(m: MoebiusTransform) -> IsometryInfo:
     rep = (1j * m.u.imag - s) / m.v.conjugate()
     axis = Geodesic(BoundaryPoint.from_complex(att), BoundaryPoint.from_complex(rep))
     return IsometryInfo("hyperbolic", 2.0 * math.acosh(0.5 * tr), axis, (att, rep))
-
-
-def boundary_action(m: MoebiusTransform, t) -> tuple[BoundaryPoint, float]:
-    """Image of a boundary point and the angular derivative there."""
-    theta, deriv = m.apply_angle(_angle(t))
-    return BoundaryPoint(theta), deriv
 
 
 # ---------------------------------------------------------------------------

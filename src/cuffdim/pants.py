@@ -347,11 +347,6 @@ def build_pants(cuffs) -> PantsGeometry:
 # Accessors
 
 
-def octagon_of(p: PantsGeometry) -> tuple[OctagonSide, ...]:
-    """The eight labeled sides in cyclic order."""
-    return p.sides
-
-
 def schottky_arcs(p: PantsGeometry) -> dict[str, Arc]:
     """The four boundary arcs keyed by their symbol name."""
     return {SYMBOL_NAMES[s]: p.arcs[s] for s in range(4)}

@@ -27,7 +27,8 @@ from .thermo import CylinderMeasure, GibbsChain
 POINT_CLOUD_MAGIC = b"CSPTS001"
 
 # admits every restricted depth-8 product cover (57.4M boxes at most); a
-# box holds 48 bytes in the cover's six box arrays, more while they are built
+# projection holds 16 bytes per box in its start and end buffer, plus one
+# block's temporaries
 PRODUCT_COVER_MAX_BOXES = 60_000_000
 
 
@@ -37,50 +38,45 @@ PRODUCT_COVER_MAX_BOXES = 60_000_000
 
 @dataclass(frozen=True, eq=False)
 class BoxCover:
-    """Non-overlapping axis-aligned boxes in the unit square.
+    """Non-overlapping axis-aligned boxes in the unit square, as blocks.
 
-    ``blocks``, when set, is a tuple of ``(x_lo, x_hi, y_lo, y_hi)`` piece
-    arrays: the boxes of one block are the Cartesian product of its x
-    pieces ``[x_lo, x_hi]`` and its y pieces ``[y_lo, y_hi]``, and the
-    union of the blocks' products is exactly the multiset of boxes in
-    ``x0 .. y1`` (in block-major order rather than the box order).  Product
-    covers carry it so that a projection can work on the pieces.
+    A block is ``(x_lo, x_hi, y_lo, y_hi)``; its x arrays and its y arrays
+    broadcast together, and its boxes ``[x_lo, x_hi] x [y_lo, y_hi]`` are
+    the broadcast elements.  Product covers store x pieces as a column and
+    y pieces as a row, so each block is a Cartesian product of pieces;
+    other covers store one block of four equal-length 1-D arrays.  The
+    per-box arrays ``x0 .. y1`` are derived from the blocks on each read,
+    in block-major order.
     """
 
     label: str
     depth: int
-    x0: np.ndarray
-    x1: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
-    masses: np.ndarray | None = None
-    tags: tuple[np.ndarray, np.ndarray] | None = None  # (xi index, eta index)
+    blocks: tuple
     n_pairs: int | None = None  # word pairs behind the boxes, when applicable
-    blocks: tuple | None = None
-
-    def __post_init__(self):
-        if self.blocks is not None:
-            count = _block_boxes(self.blocks)
-            if count != self.n_boxes:
-                raise GeometryError(
-                    f"cover blocks hold {count} boxes, the cover {self.n_boxes}"
-                )
+    # no per-box masses or word tags are kept; bench/spans.py::_product_attrs
+    # still reads both names
+    masses = None
+    tags = None
 
     @property
     def n_boxes(self) -> int:
-        return self.x0.shape[0]
+        return sum(np.broadcast(xl, yl).size for xl, _, yl, _ in self.blocks)
+
+    def _boxes(self, k: int) -> np.ndarray:
+        return np.concatenate([np.broadcast_arrays(*b)[k].ravel() for b in self.blocks])
+
+    x0 = property(lambda self: self._boxes(0))
+    x1 = property(lambda self: self._boxes(1))
+    y0 = property(lambda self: self._boxes(2))
+    y1 = property(lambda self: self._boxes(3))
 
     @property
     def total_area(self) -> float:
-        return float(np.sum((self.x1 - self.x0) * (self.y1 - self.y0)))
+        return float(sum(np.sum((x1 - x0) * (y1 - y0)) for x0, x1, y0, y1 in self.blocks))
 
     @property
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
-
-
-def _block_boxes(blocks) -> int:
-    return sum(len(xl) * len(yl) for xl, _, yl, _ in blocks)
 
 
 def _unit_pieces(cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,25 +97,17 @@ def _unit_pieces(cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return parent, p_lo, p_hi
 
 
-def product_cover(
-    p: PantsGeometry,
-    n: int,
-    restrict: bool = True,
-    measure: CylinderMeasure | None = None,
-) -> BoxCover:
+def product_cover(p: PantsGeometry, n: int, restrict: bool = True) -> BoxCover:
     """Product of two depth-n cylinder covers as boxes in the unit square.
 
     Each word pair contributes the product of its unit-interval pieces;
     with ``restrict`` set, only pairs whose words start with different
-    symbols are kept (the domain of the geodesic correspondence).  An
-    optional cylinder measure attaches product masses, apportioned over
-    split pieces by length fraction.
+    symbols are kept (the domain of the geodesic correspondence).
 
-    The cover's ``blocks`` are the products P_s x P_t over first symbols
+    The cover's blocks are the products P_s x P_t over first symbols
     s != t, where P_s holds the pieces whose word starts with s (a piece
     split at angle zero keeps its parent's symbol); unrestricted, one block
-    pairs all pieces with all pieces.  The box count is taken from these
-    group sizes before any box array is built, and a cover of more than
+    pairs all pieces with all pieces.  A cover of more than
     ``PRODUCT_COVER_MAX_BOXES`` boxes is refused.
     """
     if not 1 <= n <= 9:
@@ -127,54 +115,29 @@ def product_cover(
     cov = cylinder_cover(p, n)
     parent, p_lo, p_hi = _unit_pieces(cov)
     first = cov.words[parent, 0]
-
-    m = len(parent)
     if restrict:
         groups = [np.flatnonzero(first == s) for s in range(4)]
-        blocks = tuple(
-            (p_lo[gs], p_hi[gs], p_lo[gt], p_hi[gt])
-            for s, gs in enumerate(groups)
-            for t, gt in enumerate(groups)
-            if s != t
-        )
+        pairs = [(gs, gt) for s, gs in enumerate(groups) for t, gt in enumerate(groups) if s != t]
+        sizes = np.bincount(cov.words[:, 0], minlength=4)
+        n_pairs = int(cov.n_words**2 - np.sum(sizes**2))
     else:
-        blocks = ((p_lo, p_hi, p_lo, p_hi),)
-    n_boxes = _block_boxes(blocks)
-    if n_boxes > PRODUCT_COVER_MAX_BOXES:
-        raise GeometryError(
-            f"product cover depth {n} needs {n_boxes} boxes, above "
-            f"PRODUCT_COVER_MAX_BOXES = {PRODUCT_COVER_MAX_BOXES}"
-        )
-    i = np.repeat(np.arange(m), m)
-    j = np.tile(np.arange(m), m)
-    if restrict:
-        keep = first[i] != first[j]
-        i, j = i[keep], j[keep]
-        n_pairs = int(cov.n_words**2 - sum(
-            int(np.sum(cov.words[:, 0] == s)) ** 2 for s in range(4)
-        ))
-    else:
-        n_pairs = int(cov.n_words**2)
-    wi, wj = parent[i], parent[j]
-    masses = None
-    if measure is not None:
-        if measure.depth != n:
-            raise GeometryError("measure depth does not match cover depth")
-        frac = (p_hi - p_lo) / (cov.lengths[parent] / (2.0 * math.pi))
-        masses = (measure.weights[wi] * frac[i]) * (measure.weights[wj] * frac[j])
-        masses = masses / masses.sum()
-    return BoxCover(
+        pairs = [(slice(None), slice(None))]
+        n_pairs = cov.n_words**2
+    cover = BoxCover(
         label=f"omega-product-{n}",
         depth=n,
-        x0=p_lo[i],
-        x1=p_hi[i],
-        y0=p_lo[j],
-        y1=p_hi[j],
-        masses=masses,
-        tags=(wi, wj),
+        blocks=tuple(
+            (p_lo[gs, None], p_hi[gs, None], p_lo[None, gt], p_hi[None, gt])
+            for gs, gt in pairs
+        ),
         n_pairs=n_pairs,
-        blocks=blocks,
     )
+    if cover.n_boxes > PRODUCT_COVER_MAX_BOXES:
+        raise GeometryError(
+            f"product cover depth {n} needs {cover.n_boxes} boxes, above "
+            f"PRODUCT_COVER_MAX_BOXES = {PRODUCT_COVER_MAX_BOXES}"
+        )
+    return cover
 
 
 def four_corner_cover(n: int) -> BoxCover:
@@ -192,16 +155,9 @@ def four_corner_cover(n: int) -> BoxCover:
     for k in range(n):
         vals = (vals[:, None] + digits[None, :] * 4.0 ** -k).ravel()
     side = 4.0 ** -n
-    x = np.repeat(vals, len(vals))
-    y = np.tile(vals, len(vals))
+    col, row = vals[:, None], vals[None, :]
     return BoxCover(
-        label=f"four-corner-{n}",
-        depth=n,
-        x0=x,
-        x1=x + side,
-        y0=y,
-        y1=y + side,
-        blocks=((vals, vals + side, vals, vals + side),),
+        label=f"four-corner-{n}", depth=n, blocks=((col, col + side, row, row + side),)
     )
 
 
@@ -209,15 +165,7 @@ def segment_cover(n: int) -> BoxCover:
     """Rectifiable control: 2^n boxes of side 2^-n along the main diagonal."""
     k = np.arange(2**n) / 2.0**n
     side = 2.0 ** -n
-    return BoxCover(
-        label=f"segment-{n}", depth=n, x0=k, x1=k + side, y0=k, y1=k + side
-    )
-
-
-def unit_square_cover() -> BoxCover:
-    one = np.array([1.0])
-    zero = np.array([0.0])
-    return BoxCover(label="unit-square", depth=0, x0=zero, x1=one, y0=zero, y1=one)
+    return BoxCover(label=f"segment-{n}", depth=n, blocks=((k, k + side, k, k + side),))
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +186,10 @@ def project_cover_length(cover: BoxCover, lam: float) -> float:
     total length of the union is returned.
 
     A box's ``mid`` is the sum of its x and y pieces' projected centres,
-    and ``hw`` the sum of their projected half-widths.  When the cover has
-    ``blocks``, those per-axis terms are computed once per piece and each
-    block's intervals are filled from their outer sums, instead of from
-    the four box arrays.  Every interval is made by the same operations
-    in the same order as from the box arrays, and a block-major order only
-    permutes the multiset of intervals, so the sorted starts and ends, and
-    with them the result, are bit-identical.
+    and ``hw`` the sum of their projected half-widths.  Those per-axis
+    terms are computed once per block array, and each block's intervals
+    are filled from their broadcast sums: a product block's x column and
+    y row make every box's interval from its two pieces.
 
     The union depends only on the multiset of starts and the multiset of
     ends: a point x is covered iff more starts lie at or below x than
@@ -256,23 +201,23 @@ def project_cover_length(cover: BoxCover, lam: float) -> float:
     maximum of the ends is the ends themselves.  The union length is
     then exactly ``sum(hi[k] - max(lo[k], hi[k-1]))``, every term being
     non-negative; only the rounding of the summed pieces differs from a
-    sweep over the boxes.
+    sweep over the boxes.  The block order only permutes the intervals,
+    so it does not change the result.
     """
-    if cover.n_boxes == 0:
+    n_boxes = cover.n_boxes
+    if n_boxes == 0:
         return 0.0
     c, s = math.cos(lam), math.sin(lam)
-    if cover.blocks is None:
-        blocks, pair = ((cover.x0, cover.x1, cover.y0, cover.y1),), np.add
-    else:
-        blocks, pair = cover.blocks, np.add.outer
-    lo = np.empty(cover.n_boxes)
-    hi = np.empty(cover.n_boxes)
+    # one buffer for starts and ends: as two separate arrays each was mapped
+    # and faulted in afresh on every direction (about 1,500 minor faults at
+    # depth 6, 27% slower)
+    lo, hi = np.empty((2, n_boxes))
     k = 0
-    for x0, x1, y0, y1 in blocks:
+    for x0, x1, y0, y1 in cover.blocks:
         xm, xh = _axis_terms(x0, x1, c)
         ym, yh = _axis_terms(y0, y1, s)
-        mid = pair(xm, ym).ravel()
-        hw = pair(xh, yh).ravel()
+        mid = (xm + ym).ravel()
+        hw = (xh + yh).ravel()
         n = mid.size
         np.subtract(mid, hw, out=lo[k:k + n])
         np.add(mid, hw, out=hi[k:k + n])
@@ -331,33 +276,6 @@ def projection_profile(covers: dict[int, BoxCover], grid: int = 256, label: str 
     if not label and depths:
         label = covers[depths[0]].label
     return ProjectionProfile(label=label, lambdas=lams, depths=depths, lengths=lengths)
-
-
-# ---------------------------------------------------------------------------
-# Cone densities
-
-
-def cone_density(cover: BoxCover, a, lam: float, s: float, r: float) -> float:
-    """Normalized mass of cover boxes inside the cone X(a, r, lam, s).
-
-    The cone collects points x with |proj_lam(x - a)| < s |x - a| within
-    the ball of radius r; box membership is decided at centers, box mass
-    defaults to the x-side length (a length-scale proxy for 1-dimensional
-    mass), and the result is scaled by 1/(r s).
-    """
-    if not (0.0 < s < 1.0) or r <= 0.0:
-        raise GeometryError("cone parameters need 0 < s < 1 and r > 0")
-    ax, ay = (a.real, a.imag) if isinstance(a, complex) else (float(a[0]), float(a[1]))
-    inside = (cover.x0 <= ax) & (ax <= cover.x1) & (cover.y0 <= ay) & (ay <= cover.y1)
-    if not bool(np.any(inside)):
-        raise GeometryError("cone apex is not inside any cover box")
-    cx, cy = cover.centers
-    dx, dy = cx - ax, cy - ay
-    dist = np.hypot(dx, dy)
-    proj = dx * math.cos(lam) + dy * math.sin(lam)
-    mask = (np.abs(proj) < s * dist) & (dist <= r) & (dist > 0.0)
-    mass = cover.masses if cover.masses is not None else (cover.x1 - cover.x0)
-    return float(np.sum(mass[mask])) / (r * s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Geodesics, sides, perpendiculars, distances and ray crossings."""
+"""Geodesics, sides, perpendiculars, distances and chord clipping."""
 
 import cmath
 import math
@@ -13,15 +13,12 @@ from cuffdim.hyperbolic import (
     DiskPoint,
     Geodesic,
     GeometryError,
-    _lift,
-    _light,
     _mink,
     clip_chord,
     common_perpendicular,
     geodesic_from_endpoints,
     hyp_distance,
     lift_light,
-    ray_crossing,
     signed_side,
 )
 
@@ -216,66 +213,6 @@ def test_common_perpendicular_meets_both_orthogonally():
     assert abs(_mink(n, g1.normal)) < 1e-9
     assert abs(_mink(n, g2.normal)) < 1e-9
 
-
-def test_ray_crossing_start_on_geodesic():
-    g = geodesic_from_endpoints(math.pi / 2, 3 * math.pi / 2)
-    hit = ray_crossing(0.0j, 0.0, g)
-    assert hit is not None
-    t, pt = hit
-    assert t == 0.0
-    assert abs(pt.z) < 1e-12
-
-
-def test_ray_crossing_consistent_with_signed_side():
-    # geodesic with both endpoints in the upper semicircle, ray along the
-    # horizontal diameter toward angle 0
-    g = geodesic_from_endpoints(0.6, 2.2)
-    hit = ray_crossing(-0.5 + 0.0j, 0.0, g)
-    s_start = signed_side(g, -0.5 + 0.0j)
-    s_end = signed_side(g, 0.97 * cmath.exp(0.0j) * 0.999)
-    if hit is None:
-        assert s_start == signed_side(g, 0.95 + 0.0j)
-    else:
-        t, pt = hit
-        assert signed_side(g, pt) == 0
-        assert abs(hyp_distance(-0.5 + 0.0j, pt) - t) < 1e-9
-
-
-def test_ray_crossing_bisection_oracle():
-    rng = np.random.default_rng(24)
-    hits = 0
-    for _ in range(40):
-        start = random_disk_point(rng, rmax=0.6)
-        target = rng.uniform(0.0, 2.0 * math.pi)
-        a = rng.uniform(0.0, 2.0 * math.pi)
-        g = geodesic_from_endpoints(a, a + rng.uniform(0.3, 2.0))
-        hit = ray_crossing(start, target, g)
-        if hit is None:
-            continue
-        hits += 1
-        t, pt = hit
-        # bisection on the side function along the ray
-        w = _lift(start)
-        ell = _light(target)
-        u = -ell / _mink(ell, w) - w
-
-        def side_val(tt):
-            x = w * math.cosh(tt) + u * math.sinh(tt)
-            return _mink(x, g.normal)
-
-        if t == 0.0:
-            assert abs(side_val(0.0)) < 1e-12
-            continue
-        lo, hi = 0.0, t + 1.0
-        assert side_val(lo) * side_val(hi) < 0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if side_val(lo) * side_val(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        assert abs(0.5 * (lo + hi) - t) < 1e-9
-    assert hits >= 5
 
 
 def _clip_chord_oracle(l_back, l_fwd, normals):

@@ -20,7 +20,6 @@ from cuffdim.pants import (
     bar,
     build_pants,
     expansion_map_step,
-    octagon_of,
     octagon_svg,
     schottky_arcs,
     validate_pants,
@@ -111,7 +110,7 @@ def test_validate_many_random_triples():
 
 
 def test_octagon_labels_and_vertex_sharing(pants123):
-    sides = octagon_of(pants123)
+    sides = pants123.sides
     assert tuple(s.label for s in sides) == SIDE_ORDER
     for i in range(8):
         gap = abs(sides[i].end.z - sides[(i + 1) % 8].start.z)

@@ -1,6 +1,7 @@
 """Box covers, projections, Favard averages, certification, sampling."""
 
 import dataclasses
+import itertools
 import hashlib
 import math
 import time
@@ -11,7 +12,6 @@ import pytest
 from cuffdim.hyperbolic import GeometryError
 from cuffdim.projlab import (
     box_dimension,
-    cone_density,
     constant_family,
     direction_family,
     favard_estimate,
@@ -25,17 +25,27 @@ from cuffdim.projlab import (
     sample_complete_geodesic_points,
     segment_cover,
     transversality_certify,
-    unit_square_cover,
     write_point_cloud,
     BoxCover,
     ks_uniform_statistic,
 )
 from cuffdim import build_pants, projlab, thermo
+from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import gibbs_measure
 
 from conftest import A_HALF
 
 LAM_HALF = math.atan(0.5)
+
+
+def _flat_cover(label, x0, x1, y0, y1):
+    """A cover of one block of four equal-length box arrays."""
+    return BoxCover(label=label, depth=0, blocks=((x0, x1, y0, y1),))
+
+
+def unit_square_cover():
+    one, zero = np.array([1.0]), np.array([0.0])
+    return _flat_cover("unit-square", zero, one, zero, one)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +77,6 @@ def test_product_cover_area_decreases(pants222):
     areas = []
     for n in (1, 2, 3, 4):
         cov = product_cover(pants222, n, restrict=False)
-        from cuffdim.symbolic import cylinder_cover
-
         total = cylinder_cover(pants222, n).lengths.sum() / (2.0 * math.pi)
         assert abs(cov.total_area - total**2) < 1e-12
         areas.append(cov.total_area)
@@ -77,21 +85,13 @@ def test_product_cover_area_decreases(pants222):
 
 def test_product_cover_boxes_do_not_overlap(pants222):
     cov = product_cover(pants222, 1, restrict=True)
+    x0, x1, y0, y1 = cov.x0, cov.x1, cov.y0, cov.y1
     n = cov.n_boxes
     for i in range(n):
         for j in range(i + 1, n):
-            x_apart = cov.x1[i] <= cov.x0[j] or cov.x1[j] <= cov.x0[i]
-            y_apart = cov.y1[i] <= cov.y0[j] or cov.y1[j] <= cov.y0[i]
+            x_apart = x1[i] <= x0[j] or x1[j] <= x0[i]
+            y_apart = y1[i] <= y0[j] or y1[j] <= y0[i]
             assert x_apart or y_apart
-
-
-def test_product_cover_masses(pants222):
-    mu = gibbs_measure(pants222, 0.57, 3)
-    cov = product_cover(pants222, 3, measure=mu)
-    assert cov.masses is not None
-    assert abs(cov.masses.sum() - 1.0) < 1e-12
-    with pytest.raises(GeometryError):
-        product_cover(pants222, 4, measure=mu)
 
 
 def test_four_corner_exact_projection_facts():
@@ -170,15 +170,13 @@ def _quantised_boxes(seed, n, q=16):
     y0 = rng.integers(0, q, n) / q
     x1 = x0 + rng.integers(0, 4, n) / q
     y1 = y0 + rng.integers(0, 4, n) / q
-    return BoxCover(label=f"quantised-{seed}", depth=0, x0=x0, x1=x1, y0=y0, y1=y1)
+    return _flat_cover(f"quantised-{seed}", x0, x1, y0, y1)
 
 
 def _nested_boxes():
     # concentric squares plus an exact duplicate and a degenerate point box
     r = np.array([0.5, 0.4, 0.25, 0.1, 0.1, 0.0])
-    return BoxCover(
-        label="nested", depth=0, x0=0.5 - r, x1=0.5 + r, y0=0.5 - r, y1=0.5 + r
-    )
+    return _flat_cover("nested", 0.5 - r, 0.5 + r, 0.5 - r, 0.5 + r)
 
 
 # directions on both sides of pi/2, where cos changes sign
@@ -214,10 +212,7 @@ def test_projection_matches_plain_sweep_on_product_cover(pants222):
 
 
 def _cover_arrays(cover):
-    arrays = [cover.x0, cover.x1, cover.y0, cover.y1]
-    for block in cover.blocks or ():
-        arrays += block
-    return arrays
+    return [a for block in cover.blocks for a in block]
 
 
 def test_projection_leaves_cover_unchanged(pants222):
@@ -229,12 +224,17 @@ def test_projection_leaves_cover_unchanged(pants222):
             assert np.array_equal(a, b)
 
 
-def _blocked_covers():
+def _product_covers():
     for cuffs in ((2.0, 2.0, 2.0), (0.2, 1.0, 12.0), (A_HALF, A_HALF, A_HALF)):
         p = build_pants(cuffs)
         for n in range(1, 6):
             for restrict in (True, False):
-                yield product_cover(p, n, restrict=restrict)
+                yield p, n, restrict, product_cover(p, n, restrict=restrict)
+
+
+def _blocked_covers():
+    for *_, cover in _product_covers():
+        yield cover
     for n in range(1, 7):
         yield four_corner_cover(n)
 
@@ -242,34 +242,54 @@ def _blocked_covers():
 def test_blocked_projection_is_bit_identical_to_the_box_arrays():
     lams = list(KERNEL_LAMS) + lambda_grid(64).tolist()
     for cover in _blocked_covers():
-        assert cover.blocks is not None
+        # x pieces as a column, y pieces as a row: intervals from outer sums
+        assert all(xl.shape[1] == 1 and yl.shape[0] == 1 for xl, _, yl, _ in cover.blocks)
         if cover.label.startswith("omega"):
             # one arc through angle zero is split, so some pairs make two boxes
             assert cover.n_boxes > cover.n_pairs
-        plain = dataclasses.replace(cover, blocks=None)
+        flat = _flat_cover(cover.label, cover.x0, cover.x1, cover.y0, cover.y1)
         for lam in lams:
-            assert project_cover_length(cover, lam) == project_cover_length(plain, lam)
+            assert project_cover_length(cover, lam) == project_cover_length(flat, lam)
+
+
+def _block_rows(cover):
+    rows = [np.stack([a.ravel() for a in np.broadcast_arrays(*b)], axis=1) for b in cover.blocks]
+    return np.concatenate(rows)
+
+
+def _lexsorted(rows):
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def test_blocks_expand_to_the_box_multiset():
-    for cover in _blocked_covers():
-        assert sum(len(xl) * len(yl) for xl, _, yl, _ in cover.blocks) == cover.n_boxes
-        rows = []
-        for xl, xh, yl, yh in cover.blocks:
-            i, j = np.divmod(np.arange(len(xl) * len(yl)), len(yl))
-            rows.append(np.stack([xl[i], xh[i], yl[j], yh[j]], axis=1))
-        got = np.concatenate(rows)
-        want = np.stack([cover.x0, cover.x1, cover.y0, cover.y1], axis=1)
-        got = got[np.lexsort(got.T[::-1])]
-        want = want[np.lexsort(want.T[::-1])]
-        assert np.array_equal(got, want)
-
-
-def test_blocks_must_hold_the_cover_box_count():
-    cover = four_corner_cover(2)
-    with pytest.raises(GeometryError, match="blocks hold 16 boxes"):
-        dataclasses.replace(cover, x0=cover.x0[:4], x1=cover.x1[:4],
-                            y0=cover.y0[:4], y1=cover.y1[:4])
+    # every pair of unit-interval pieces whose words start apart (all pairs
+    # unrestricted) is one box
+    for p, n, restrict, cover in _product_covers():
+        cov = cylinder_cover(p, n)
+        parent, lo, hi = projlab._unit_pieces(cov)
+        first = cov.words[parent, 0]
+        i, j = np.divmod(np.arange(len(lo) ** 2), len(lo))
+        if restrict:
+            keep = first[i] != first[j]
+            i, j = i[keep], j[keep]
+        want = np.stack([lo[i], hi[i], lo[j], hi[j]], axis=1)
+        got = _block_rows(cover)
+        assert cover.n_boxes == len(got) == len(want)
+        assert np.array_equal(_lexsorted(got), _lexsorted(want))
+    # the four-corner boxes are all pairs of depth-n digit sums
+    for n in range(1, 7):
+        cover = four_corner_cover(n)
+        vals = []
+        for digits in itertools.product((0.0, 0.75), repeat=n):
+            v = 0.0
+            for k, d in enumerate(digits):
+                v = v + d * 4.0 ** -k
+            vals.append(v)
+        side = 4.0 ** -n
+        want = np.array([(x, x + side, y, y + side) for x in vals for y in vals])
+        got = _block_rows(cover)
+        assert cover.n_boxes == len(got) == 4**n
+        assert np.array_equal(_lexsorted(got), _lexsorted(want))
 
 
 def test_product_cover_refuses_depth_9_before_building_boxes(pants222):
@@ -279,9 +299,17 @@ def test_product_cover_refuses_depth_9_before_building_boxes(pants222):
     assert time.perf_counter() - start < 1.0
 
 
+def test_depth_7_product_cover_holds_no_per_box_array(pants_half):
+    cover = product_cover(pants_half, 7)
+    assert cover.n_boxes == 6_381_666
+    held = [a for block in cover.blocks for a in block]
+    held += [v for v in vars(cover).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in held) < 1_000_000
+
+
 def test_projection_of_empty_cover_is_zero():
     e = np.zeros(0)
-    empty = BoxCover(label="empty", depth=0, x0=e, x1=e, y0=e, y1=e)
+    empty = _flat_cover("empty", e, e, e, e)
     assert project_cover_length(empty, 0.7) == 0.0
 
 
@@ -305,62 +333,6 @@ def test_projection_profile_csv(pants222):
     assert len(lines) == 1 + 2 * 32
     d, lam, ln = lines[1].split(",")
     assert float(ln) == prof.lengths[1][0]
-
-
-# ---------------------------------------------------------------------------
-# Cone densities
-
-
-def test_cone_density_geometry():
-    # boxes stacked along the y-axis, apex at the origin box: for the
-    # x-direction the offsets are orthogonal to the projection, so every
-    # center is inside the cone
-    ys = np.arange(5) * 0.2
-    stack = BoxCover(
-        label="stack",
-        depth=0,
-        x0=np.full(5, 0.0),
-        x1=np.full(5, 0.1),
-        y0=ys,
-        y1=ys + 0.1,
-    )
-    high = cone_density(stack, complex(0.05, 0.05), 0.0, s=0.5, r=1.5)
-    assert high > 0.5
-    # the same boxes laid along the x-axis are excluded for small s
-    row = BoxCover(
-        label="row",
-        depth=0,
-        x0=ys,
-        x1=ys + 0.1,
-        y0=np.full(5, 0.0),
-        y1=np.full(5, 0.1),
-    )
-    low = cone_density(row, complex(0.05, 0.05), 0.0, s=0.1, r=1.5)
-    assert low == 0.0
-
-
-def test_cone_density_requires_apex_in_cover():
-    cov = four_corner_cover(2)
-    with pytest.raises(GeometryError):
-        cone_density(cov, complex(0.5, 0.5), 0.0, s=0.3, r=0.5)
-    with pytest.raises(GeometryError):
-        cone_density(cov, complex(0.01, 0.01), 0.0, s=1.5, r=0.5)
-
-
-def test_cone_density_shrinks_with_aperture():
-    cov = four_corner_cover(6)
-    rng = np.random.default_rng(50)
-    centers_x = 0.5 * (cov.x0 + cov.x1)
-    centers_y = 0.5 * (cov.y0 + cov.y1)
-    idx = rng.choice(cov.n_boxes, size=100, replace=False)
-    meds = []
-    for s in (0.4, 0.2, 0.1):
-        vals = [
-            cone_density(cov, complex(centers_x[i], centers_y[i]), LAM_HALF, s, 0.5)
-            for i in idx
-        ]
-        meds.append(np.median(vals))
-    assert meds[2] < meds[0]
 
 
 # ---------------------------------------------------------------------------
