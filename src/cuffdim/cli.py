@@ -18,6 +18,7 @@ comes from the CUFFDIM_LEDGER environment variable, defaulting to
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -44,7 +45,7 @@ from .thermo import LOCUS_DELTA_TOL, _delta_at, gibbs_measure, hausdorff_delta, 
 
 LEDGER_FILE = "cuffdim-ledger.jsonl"
 # named in every delta ledger key, so values from another solver are misses
-DELTA_SOLVER = "chebyshev-collocation"
+DELTA_SOLVER = "chebyshev-collocation-newton"
 # fewest points sample-cs fits a box dimension to; the fit's finest scale,
 # 2^-7, has about 11,000 occupied boxes at cuffs (2,2,2) for fewer to fill
 SAMPLE_CS_MIN_COUNT = 20_000
@@ -155,11 +156,11 @@ def parse_depths(text: str) -> tuple[int, ...]:
         raise GeometryError(f"--depths wants comma-separated integers, got {text!r}") from None
 
 
-def parse_range(text: str) -> np.ndarray:
+def parse_range(text: str) -> list[float]:
     """lo:hi:count range specification."""
     try:
         lo, hi, count = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count))
+        grid = np.linspace(float(lo), float(hi), int(count)).tolist()
     except ValueError:
         grid = ()
     if not len(grid):
@@ -191,16 +192,9 @@ def _cmd_delta(args) -> tuple[dict, dict, int]:
     def compute():
         p = build_pants(cuffs)
         report = validate_pants(p)
-        res = hausdorff_delta(p, tol=args.tol, depths=depths)
-        return {
-            "delta": res.delta,
-            "depth_used": res.depth_used,
-            "pressure_residual": res.pressure_residual,
-            "roots": {str(d): r for d, r in res.roots},
-            "converged": res.converged,
-            "nodes": res.nodes,
-            "validator_passed": report.passed,
-        }
+        value = hausdorff_delta(p, tol=args.tol, depths=depths).as_dict()
+        del value["last_gap"]  # infinite after a single level, and not JSON
+        return {**value, "validator_passed": report.passed}
 
     # the key excludes the depth ladder: entries are superseded by depth
     params = {"cuffs": list(cuffs), "tol": args.tol, "solver": DELTA_SOLVER}
@@ -225,25 +219,28 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
             for c in parse_range(args.c)
         ]
     depth = args.depth
-    rows = ["a,b,c,depth,delta,pressure_residual,wall_ms"]
-    worst = 0.0
+    rows = [["a", "b", "c", "depth", "delta", "pressure_residual", "converged", "error", "wall_ms"]]
+    worst, failed = 0.0, 0
     for a, b, c in grid:
         t0 = time.perf_counter()
-        p = build_pants((a, b, c))
-        res = hausdorff_delta(p, tol=args.tol, depths=(max(4, depth - 2), depth))
+        try:
+            p = build_pants((a, b, c))
+            res = hausdorff_delta(p, tol=args.tol, depths=(max(4, depth - 2), depth))
+        except GeometryError as exc:
+            fields, converged, error = ["", ""], False, str(exc)
+        else:
+            worst = max(worst, res.pressure_residual)
+            fields = [fmt17(res.delta), fmt17(res.pressure_residual)]
+            converged, error = res.converged, ""
         ms = 1000.0 * (time.perf_counter() - t0)
-        worst = max(worst, res.pressure_residual)
+        failed += not converged
         rows.append(
-            f"{fmt17(a)},{fmt17(b)},{fmt17(c)},{depth},"
-            f"{fmt17(res.delta)},{fmt17(res.pressure_residual)},{fmt17(ms)}"
+            [fmt17(a), fmt17(b), fmt17(c), depth, *fields, str(converged).lower(), error, fmt17(ms)]
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return (
-        {"rows": len(grid), "out": args.out},
-        {"max_pressure_residual": worst},
-        0,
-    )
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    results = {"rows": len(grid), "out": args.out, "failed_rows": failed}
+    return results, {"max_pressure_residual": worst}, 1 if failed else 0
 
 
 def _cmd_locus(args) -> tuple[dict, dict, int]:
@@ -251,18 +248,15 @@ def _cmd_locus(args) -> tuple[dict, dict, int]:
     depths = parse_depths(args.depths)
     if args.symmetric:
         a = solve_locus_symmetric(args.target, tol=args.tol, depths=depths)
-        delta = _delta_at((a, a, a), depths, tol=LOCUS_DELTA_TOL).delta
-        return (
-            {"a": a, "delta": delta, "target": args.target},
-            {"delta_error": abs(delta - args.target)},
-            0,
-        )
-    if args.a is None or args.b is None:
+        solved, cuffs = {"a": a}, (a, a, a)
+    elif args.a is None or args.b is None:
         raise GeometryError("locus wants --symmetric or both --a and --b")
-    c = solve_locus(args.a, args.b, args.target, tol=args.tol, depths=depths)
-    delta = _delta_at((args.a, args.b, c), depths, tol=LOCUS_DELTA_TOL).delta
+    else:
+        c = solve_locus(args.a, args.b, args.target, tol=args.tol, depths=depths)
+        solved, cuffs = {"c": c}, (args.a, args.b, c)
+    delta = _delta_at(cuffs, depths, tol=LOCUS_DELTA_TOL).delta
     return (
-        {"c": c, "delta": delta, "target": args.target},
+        {**solved, "delta": delta, "target": args.target},
         {"delta_error": abs(delta - args.target)},
         0,
     )
@@ -478,17 +472,9 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         results, residuals, status = HANDLERS[args.command](args)
-    except GeometryError as exc:
-        print(
-            json.dumps({"error": {"type": "GeometryError", "message": str(exc)}}),
-            file=sys.stderr,
-        )
-        return 2
-    except OSError as exc:
-        print(
-            json.dumps({"error": {"type": "OSError", "message": str(exc)}}),
-            file=sys.stderr,
-        )
+    except (GeometryError, OSError) as exc:
+        kind = "GeometryError" if isinstance(exc, GeometryError) else "OSError"
+        print(json.dumps({"error": {"type": kind, "message": str(exc)}}), file=sys.stderr)
         return 2
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     params = {

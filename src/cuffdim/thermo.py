@@ -10,10 +10,13 @@ The inverse branches phi_tau are Moebius maps, analytic on a neighbourhood
 of the arcs, so ``hausdorff_delta`` collocates L_s: m first-kind
 Chebyshev nodes in angle on each arc, each node mapped through every
 admissible branch and read back by barycentric interpolation on the
-image arc.  The leading eigenvalue of the dense 4m x 4m matrix converges
-spectrally in m.  Collocation level n uses m = round(4 * 2^(n/2)) nodes
-(16, 32, 64, 128 at n = 4, 6, 8, 10), and the root is tracked across
-levels until it stabilizes.
+image arc.  The leading eigenvalue lambda_m of the dense 4m x 4m matrix
+converges spectrally in m.  Level n uses m = round(4 * 2^(n/2)) nodes
+(16, 32, 64, 128 at n = 4, 6, 8, 10) and solves log lambda_m(s) = 0 by
+Newton's method from the left, where lambda_m dominates, with lambda_m
+and its left and right vectors from warm-started power iteration; the
+root is tracked across levels until it stabilizes.  No LAPACK
+eigensolver runs: the tests keep one, with Brent's method, as oracle.
 
 The depth-n Markov discretization stays for the Gibbs chain, the
 cover-scaling estimate and the ladder cross-check: the transition
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +46,10 @@ from .symbolic import CylinderCover, cylinder_cover
 LOG3 = math.log(3.0)
 POWER_RTOL = 1e-12  # power iteration stops at l1 residual <= POWER_RTOL * lambda
 POWER_MAXITER = 100_000
+COLLOCATION_MAXITER = 20_000  # power steps per collocation solve; the most seen was 2,697
 PRESSURE_BRACKET = (0.001, 0.999)  # s range searched for the pressure root
+NEWTON_XTOL = 1e-14  # Newton stops once its step is this small, at full power accuracy
+NEWTON_MAXITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +152,21 @@ def transfer_matrix(p: PantsGeometry, s: float, n: int) -> TransferMatrix:
 # Perron data and pressure
 
 
-def _perron(apply, n: int) -> tuple[float, np.ndarray]:
-    """Perron eigenvalue and positive eigenvector of a nonnegative n x n
-    operator, given as its product ``apply(x)``, by power iteration."""
-    x = np.full(n, 1.0 / n)
+def _perron(apply, n: int, x0=None, rtol=POWER_RTOL, maxiter=POWER_MAXITER):
+    """Perron eigenvalue and eigenvector of an n x n operator, given as its
+    product ``apply(x)``, by power iteration from x0 (uniform by default)
+    until the l1 residual is at most rtol * lambda."""
+    x = np.full(n, 1.0 / n) if x0 is None else x0 / x0.sum()
     lam = 1.0
-    for _ in range(POWER_MAXITER):
+    for _ in range(maxiter):
         y = apply(x)
         lam = y.sum()
         res = np.abs(y - lam * x).sum()
         x = y / lam
-        if res <= POWER_RTOL * lam:
+        if res <= rtol * lam:
             return lam, x
     raise GeometryError(
-        f"power iteration did not reach residual {POWER_RTOL} in {POWER_MAXITER} steps"
+        f"power iteration did not reach residual {rtol} in {maxiter} steps"
     )
 
 
@@ -185,15 +192,7 @@ class DeltaResult:
     nodes: int  # Chebyshev nodes per arc at depth_used
 
     def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "depth_used": self.depth_used,
-            "roots": {str(d): r for d, r in self.roots},
-            "converged": self.converged,
-            "last_gap": self.last_gap,
-            "pressure_residual": self.pressure_residual,
-            "nodes": self.nodes,
-        }
+        return {**asdict(self), "roots": {str(d): r for d, r in self.roots}}
 
 
 def pressure_root(p: PantsGeometry, n: int) -> float:
@@ -259,13 +258,6 @@ class Collocation:
     def matrix(self, s: float) -> np.ndarray:
         return self.interp * np.repeat(np.exp(s * self.log_weight), self.m, axis=1)
 
-    def eigenvalue(self, s: float) -> float:
-        """Largest real eigenvalue of the collocation matrix at s."""
-        lam = float(np.linalg.eigvals(self.matrix(s)).real.max())
-        if not lam > 0.0:
-            raise GeometryError(f"collocation eigenvalue {lam} at s={s} is not positive")
-        return lam
-
 
 def collocation(p: PantsGeometry, m: int) -> Collocation:
     """The m-node collocation of p's transfer operator, cached on p."""
@@ -290,33 +282,47 @@ def collocation(p: PantsGeometry, m: int) -> Collocation:
     return col
 
 
-def _collocation_root(p: PantsGeometry, m: int, guess: float | None) -> tuple[float, float]:
-    """Root of log lambda_m(s) and |log lambda_m| there.
+class _NoBracket(GeometryError):
+    """log lambda_m(s) has no root on PRESSURE_BRACKET that Newton can reach."""
 
-    With a guess, Brent's method starts on guess +- 0.01 and widens to
-    [0.001, 0.999] when that bracket has no sign change.
-    """
-    col = collocation(p, m)
-    seen: dict[float, float] = {}
 
-    def f(s: float) -> float:
-        if s not in seen:
-            seen[s] = math.log(col.eigenvalue(s))
-        return seen[s]
-
-    lo, hi = 0.001, 0.999
-    if guess is not None:
-        near = max(lo, guess - 0.01), min(hi, guess + 0.01)
-        if f(near[0]) > 0.0 > f(near[1]):
-            lo, hi = near
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise GeometryError(
-            f"log eigenvalue has no sign change on [{lo}, {hi}] at {m} nodes: "
-            f"{f_lo:.4f}, {f_hi:.4f}"
-        )
-    root = _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16, fa=f_lo, fb=f_hi)
-    return root, abs(f(root))
+def _newton_root(col: Collocation, s: float, r, l, where: str):
+    """Root of log lambda_m, |log lambda_m| there, and the Perron vectors,
+    by Newton's method from s (or 0.001 if log lambda_m(s) <= 0).  The
+    function is convex and decreasing, so the steps climb to the root and
+    never evaluate right of it, where a second eigenvalue may come close."""
+    m, n = col.m, 4 * col.m
+    lo, hi = PRESSURE_BRACKET
+    f_prev = None
+    for _ in range(NEWTON_MAXITER):
+        rtol = 1e-6 if f_prev is None else max(1e-13, min(1e-6, 1e-4 * abs(f_prev)))
+        a = col.matrix(s)
+        try:
+            _, r = _perron(a.dot, n, r, rtol, COLLOCATION_MAXITER)
+            _, l = _perron(lambda x: x @ a, n, l, min(1e-3, math.sqrt(rtol)), COLLOCATION_MAXITER)
+        except GeometryError as exc:
+            raise GeometryError(f"{where} at {m} nodes, s={s!r}: {exc}") from exc
+        # the two-sided quotient is accurate to the product of the vectors' errors, so
+        # l, which the slope d log lambda / ds = <l, (A o LW) r> / (lambda <l, r>) also
+        # uses, needs only the square root of r's tolerance; LW are the log weights
+        lr = float(l @ r)
+        lam = float(l @ a.dot(r)) / lr
+        da_r = np.einsum("it,itk,tk->i", col.log_weight, a.reshape(n, 4, m), r.reshape(4, m))
+        slope = float(l @ da_r) / (lam * lr)
+        f = math.log(lam)
+        if f_prev is None and f <= 0.0 and s > lo:
+            s = lo
+            continue
+        step = -f / slope
+        if rtol <= POWER_RTOL and abs(step) <= NEWTON_XTOL:
+            return s, abs(f), r, l
+        if (f_prev is None and f <= 0.0) or s + step >= hi:
+            raise _NoBracket(
+                f"log eigenvalue has no sign change on [{lo}, {hi}] at {m} nodes for "
+                f"{where}: {f:.4g} at s={s!r}, Newton step {step:.4g}"
+            )
+        s, f_prev = s + step, f
+    raise GeometryError(f"{where} at {m} nodes: Newton took {NEWTON_MAXITER} steps")
 
 
 def hausdorff_delta(
@@ -326,20 +332,36 @@ def hausdorff_delta(
 
     Each level n in ``depths`` collocates with m = round(4 * 2^(n/2))
     first-kind Chebyshev nodes per arc (16, 23, 32, 45, 64, 91, 128 at
-    n = 4..10) and solves log lambda_m(s) = 0, starting from the previous
-    level's root.  Stops as soon as successive roots differ by less than
-    ``tol``; the result carries the per-level roots so the refinement tail
-    is visible, and ``pressure_residual`` is |log lambda_m(delta)| at the
-    last level.
+    n = 4..10) and solves log lambda_m(s) = 0 by Newton's method from the
+    left: from s = 0.001 at the first level, and from 0.01 below the
+    previous root after it, with the Perron vectors carried to the new
+    nodes.  A level with no sign change on PRESSURE_BRACKET is skipped;
+    only the last one raises.  Stops as soon as successive roots differ by
+    less than ``tol``; the result carries the roots of the solved levels
+    so the refinement tail is visible, and ``pressure_residual`` is
+    |log lambda_m(delta)| at the last one.
     """
     if tol < 1e-6:
         raise GeometryError(f"tolerance {tol} below the supported 1e-6")
+    lo = PRESSURE_BRACKET[0]
     roots: list[tuple[int, float]] = []
     gap = math.inf
-    root = None
-    for n in depths:
+    r = l = None
+    for k, n in enumerate(depths):
         m = collocation_nodes(n)
-        root, residual = _collocation_root(p, m, root)
+        if r is not None:  # interpolate per arc; normalization stands in for l's m_old/m
+            rows = barycentric_rows(chebyshev_nodes(m)[0], len(r) // 4).T
+            r, l = (r.reshape(4, -1) @ rows).ravel(), (l.reshape(4, -1) @ rows).ravel()
+        s = max(lo, roots[-1][1] - 0.01) if roots else lo
+        try:
+            root, residual, r, l = _newton_root(
+                collocation(p, m), s, r, l, f"cuffs {p.cuffs.as_tuple()}"
+            )
+        except _NoBracket:
+            if k == len(depths) - 1:
+                raise
+            r = l = None
+            continue
         roots.append((n, root))
         if len(roots) >= 2:
             gap = abs(roots[-1][1] - roots[-2][1])
@@ -347,13 +369,7 @@ def hausdorff_delta(
                 break
     n_used, delta = roots[-1]
     return DeltaResult(
-        delta=delta,
-        depth_used=n_used,
-        roots=tuple(roots),
-        converged=gap < tol,
-        last_gap=gap,
-        pressure_residual=residual,
-        nodes=m,
+        delta, n_used, tuple(roots), gap < tol, gap, residual, collocation_nodes(n_used)
     )
 
 
@@ -527,12 +543,14 @@ def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str)
     hybrid root refinement.
 
     Scan points where the dimension itself is not computable (degenerate
-    geometry, eigen-solver failure) are skipped but reported when no
+    geometry, power-iteration failure) are skipped but reported when no
     bracket exists.  delta is solved at most once per point, so the
     rechecks at the root reuse the solve Brent's method made there.  The
     bracket may rest on unconverged scan values, but delta at the returned
     root must be converged.
     """
+    if not 0.05 < target < 0.95:
+        raise GeometryError(f"target {target} outside (0.05, 0.95)")
     seen = {}
 
     def g(x: float) -> float:
@@ -589,8 +607,6 @@ def solve_locus(
     brackets a sign change first, then hybrid root-finding refines it.
     Raises ``GeometryError`` when delta at the root is unconverged.
     """
-    if not 0.05 < target < 0.95:
-        raise GeometryError(f"target {target} outside (0.05, 0.95)")
     cs = np.geomspace(c_range[0], c_range[1], scan_points)
     return _bracketed_solve(
         lambda c: (a, b, c), cs, target, tol, depths, f"locus in c over {c_range}"
@@ -605,8 +621,6 @@ def solve_locus_symmetric(
     scan_points: int = 8,
 ) -> float:
     """Cuff length a with delta(a, a, a) = target (one-parameter locus slice)."""
-    if not 0.05 < target < 0.95:
-        raise GeometryError(f"target {target} outside (0.05, 0.95)")
     xs = np.geomspace(a_range[0], a_range[1], scan_points)
     return _bracketed_solve(
         lambda a: (a, a, a), xs, target, tol, depths, f"symmetric locus over {a_range}"

@@ -1,5 +1,6 @@
 """Command-line interface: JSON summaries, artifacts, ledger semantics."""
 
+import csv
 import json
 import os
 import subprocess
@@ -96,6 +97,27 @@ def test_unconverged_delta_exits_one_but_reports_and_records(workdir, capsys):
     assert status == 1
     assert again["results"]["cached"] is True
     assert again["results"]["delta"] == summary["results"]["delta"]
+
+
+def test_delta_scan_reports_each_row_and_goes_on(workdir, capsys):
+    # (0.01, 0.01, 12) cannot be built; (2, 0.01, 12) is unconverged over (4, 6)
+    argv = ["delta-scan", "--a", "0.01:2:2", "--b", "0.01:0.01:1", "--c", "12:12:1",
+            "--depth", "6", "--out", "scan.csv"]
+    status, summary = run_json(capsys, argv)
+    assert status == 1
+    assert summary["results"]["failed_rows"] == 2
+    with open("scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["a", "b", "c", "depth", "delta", "pressure_residual",
+                             "converged", "error", "wall_ms"]
+    assert rows[0]["delta"] == "" and rows[0]["converged"] == "false"
+    assert rows[0]["error"].startswith("pants construction failed for cuffs (0.01, 0.01, 12.0)")
+    assert 0.0 < float(rows[1]["delta"]) < 1.0
+    assert rows[1]["converged"] == "false" and rows[1]["error"] == ""
+    status, summary = run_json(
+        capsys, ["delta-scan", "--symmetric", "1:3:3", "--depth", "6", "--out", "ok.csv"]
+    )
+    assert status == 0 and summary["results"]["failed_rows"] == 0
 
 
 IMPORT_PROBE = """

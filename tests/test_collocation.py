@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cuffdim import thermo
-from cuffdim.hyperbolic import GeometryError
+from cuffdim.hyperbolic import GeometryError, _brentq
 from cuffdim.pants import build_pants
 from cuffdim.thermo import (
     barycentric_rows,
@@ -30,6 +30,37 @@ LADDER_FAILURES = [
     (0.67, 1.83, 6.47),
     (0.4, 8.0, 8.0),
 ]
+
+
+# the 84 sorted triples of {0.01, 0.05, 0.2, 1, 5, 12, 20}^3; 5 of them cannot be built
+GRID_VALUES = (0.01, 0.05, 0.2, 1.0, 5.0, 12.0, 20.0)
+GRID = [
+    (a, b, c)
+    for i, a in enumerate(GRID_VALUES)
+    for j, b in enumerate(GRID_VALUES[i:], i)
+    for c in GRID_VALUES[j:]
+]
+
+
+def _eigvals_lambda(p, s, m):
+    """Largest real eigenvalue of the m-node collocation matrix at s, by LAPACK."""
+    return float(np.linalg.eigvals(collocation(p, m).matrix(s)).real.max())
+
+
+def _eigvals_root(p, m, guess):
+    """Root of log lambda_m by Brent's method on LAPACK eigenvalues.
+
+    The bracket is guess +- 0.01, widened to [0.001, 0.999] when that has
+    no sign change.
+    """
+
+    def f(s):
+        return math.log(_eigvals_lambda(p, s, m))
+
+    lo, hi = max(0.001, guess - 0.01), min(0.999, guess + 0.01)
+    if not f(lo) > 0.0 > f(hi):
+        lo, hi = 0.001, 0.999
+    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def _eigenfunction(p, s, m):
@@ -106,8 +137,11 @@ def test_delta_result_reports_nodes_and_residual(pants222):
     assert res.converged and res.depth_used == 6 and res.nodes == 32
     assert res.as_dict()["nodes"] == 32
     assert res.pressure_residual < 1e-12
-    col = collocation(pants222, 32)
-    assert abs(math.log(col.eigenvalue(res.delta))) == res.pressure_residual
+    # power iteration and LAPACK differ by 2.4e-15 here
+    lapack = abs(math.log(_eigvals_lambda(pants222, res.delta, 32)))
+    assert abs(lapack - res.pressure_residual) <= 1e-13
+    assert all(type(v) is float for v in (res.delta, res.last_gap, res.pressure_residual))
+    assert type(res.converged) is bool
 
 
 @pytest.mark.parametrize(
@@ -139,5 +173,59 @@ def test_ladder_failures_converge_fast(cuffs):
     elapsed = time.perf_counter() - t0
     assert res.converged
     assert elapsed < 0.5
-    ref, _ = thermo._collocation_root(p, collocation_nodes(10), res.delta)
+    ref = _eigvals_root(p, collocation_nodes(10), res.delta)
     assert abs(res.delta - ref) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "cuffs",
+    [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0), (0.5,) * 3, (5.0,) * 3, (A_HALF,) * 3, (0.2, 1.0, 12.0)]
+    + LADDER_FAILURES,
+)
+def test_delta_matches_the_eigvals_root(cuffs):
+    p = build_pants(cuffs)
+    res = hausdorff_delta(p)
+    assert abs(res.delta - _eigvals_root(p, res.nodes, res.delta)) <= 1e-12
+
+
+def test_levels_that_cannot_bracket_are_skipped():
+    # log lambda_m(0.999) > 0 at m = 16 and 32: the root is under-resolved there
+    for cuffs in [(0.05, 0.05, 0.05), (0.05, 0.05, 0.2)]:
+        res = hausdorff_delta(build_pants(cuffs))
+        assert [n for n, _ in res.roots] == [8, 10]
+        assert res.last_gap == abs(res.roots[1][1] - res.roots[0][1])
+        assert 0.001 + 1e-9 < res.delta < 0.999 - 1e-9
+    with pytest.raises(GeometryError, match=r"no sign change .* at 128 nodes for cuffs \(0\.01"):
+        hausdorff_delta(build_pants((0.01, 0.01, 0.01)))
+
+
+def test_delta_runs_no_lapack_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver ran")
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert hausdorff_delta(build_pants((1.0, 2.0, 3.0))).converged
+
+
+def test_tolerance_below_supported_raises(pants222):
+    with pytest.raises(GeometryError, match="below the supported 1e-6"):
+        hausdorff_delta(pants222, tol=5e-7)
+
+
+@pytest.mark.parametrize("cuffs", GRID, ids=lambda t: ",".join(f"{x:g}" for x in t))
+def test_grid_triple_returns_or_fails_fast_with_a_name(cuffs):
+    try:
+        p = build_pants(cuffs)
+    except GeometryError as exc:
+        assert f"cuffs {cuffs}" in str(exc)
+        return
+    t0 = time.perf_counter()
+    try:
+        res = hausdorff_delta(p, tol=1e-6)
+    except GeometryError as exc:
+        assert f"cuffs {cuffs}" in str(exc) and "nodes" in str(exc)
+    else:
+        assert 0.001 + 1e-9 < res.delta < 0.999 - 1e-9
+        assert res.pressure_residual < 1e-12
+    assert time.perf_counter() - t0 < 2.0
