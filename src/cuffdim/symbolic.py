@@ -12,8 +12,9 @@ endpoint difference would lose all precision.
 Geodesics are realized from symbolic endpoint data and traced through the
 octagon by repeated clipping: after each crossing the geodesic is pulled
 back into the fundamental octagon.  A symbolic pair is pulled back on its
-endpoint words and realized afresh each time, so no precision is lost
-however long the traced word is.
+endpoint words: each endpoint keeps the stack of partial images of its
+word, and a crossing pops or pushes one contracting branch, so no
+precision is lost however long the traced word is.
 """
 
 from __future__ import annotations
@@ -307,25 +308,45 @@ def realize_ray(p: PantsGeometry, ray: Ray, depth: int = 12) -> BoundaryPoint:
 
 
 def _realize(p: PantsGeometry, prefix: Word, period: Word | None, depth: int) -> complex:
-    """Unit complex point of the word prefix + period^inf (see realize_ray).
+    """Unit complex point of the word prefix + period^inf (see realize_ray)."""
+    return _point(_images(p, prefix if period is not None else prefix[: max(1, depth)], period)[-1])
 
-    Only contracting inverse branches are applied, so the point carries
-    full double precision however long the word is.
+
+def _images(p: PantsGeometry, prefix: Word, period: Word | None) -> list:
+    """Partial images of the word prefix + period^inf, as a stack.
+
+    Entry 0 is the base: the repelling fixed point of the period's return
+    map, or the arc ends of the last prefix symbol.  Each entry above it
+    applies the contracting branch of one more prefix symbol, from the end
+    inwards, so the top entry realizes the whole word.  An entry is
+    (zp, zq, s), s the leading symbol of the word it realizes, so the stack
+    also holds the prefix.  Only
+    contracting branches are applied, so every entry carries full double
+    precision however long the word is.
     """
     if period is not None:
         info = classify_isometry(word_to_element(p, tuple(reversed(period))))
         if info.kind != "hyperbolic":
             raise GeometryError(f"period {period} gives a non-hyperbolic element")
-        zp = zq = info.fixed_points[1]  # repelling: the expanding branch fixes it
-        tail = prefix
+        z = info.fixed_points[1]  # repelling: the expanding branch fixes it
+        stack, tail = [(z, z, period[0])], prefix
     else:
-        word = prefix[: max(1, depth)]
-        zp, zq = p._arc_ends[word[-1]]
-        tail = word[:-1]
+        stack, tail = [(*p._arc_ends[prefix[-1]], prefix[-1])], prefix[:-1]
     for s in reversed(tail):
-        u, v, cv, cu = p._branches[s]
-        zp = (u * zp + v) / (cv * zp + cu)
-        zq = (u * zq + v) / (cv * zq + cu)
+        stack.append(_branch(p, s, stack[-1]))
+    return stack
+
+
+def _branch(p: PantsGeometry, s: int, entry):
+    """The stack entry one contracting branch phi_s further out."""
+    u, v, cv, cu = p._branches[s]
+    zp, zq, _ = entry
+    return (u * zp + v) / (cv * zp + cu), (u * zq + v) / (cv * zq + cu), s
+
+
+def _point(entry) -> complex:
+    """Unit complex midpoint of a stack entry's arc ends."""
+    zp, zq, _ = entry
     m = zp / abs(zp) + zq / abs(zq)
     return m / abs(m)
 
@@ -391,7 +412,6 @@ def cutting_sequence_trace(
     g: Geodesic | GeodesicPair,
     n: int,
     prec: int | None = None,
-    depth: int | None = None,
 ) -> Word:
     """Forward crossing itinerary of a geodesic through the octagon tiling.
 
@@ -403,28 +423,29 @@ def cutting_sequence_trace(
     A realized Geodesic is traced by pushing its endpoints forward, which
     loses about one digit per crossing (reliable to roughly 15 symbols).
     A GeodesicPair is traced to any length by shift renormalization: the
-    state is the two endpoint words, not the two points.  Before every
-    crossing both endpoints are realized afresh from their words, which
-    applies contracting inverse branches only, so no digit is lost however
-    many crossings are traced; prefix-only words are realized to ``depth``
-    symbols, by default n plus a safety margin.  After a crossing through
+    state is the two endpoint words, not the two points.  Each endpoint is
+    realized once, in full, as a stack of partial images of its word (see
+    _images), at a cost of O(len xi + len eta).  After a crossing through
     the side of sym, both words are updated for z -> g_sym(z) symbolically
-    and exactly.  A geometrically wrong crossing still shows as a wrong
-    symbol or an escape.  A prefix-only ray carries no symbols past its
-    prefix, so the trace stops when the forward word runs out.  ``prec``
-    no longer changes the result: every trace runs in double precision.
+    and exactly, and each stack follows in O(1): a dropped leading symbol
+    pops the top entry, a pushed bar(sym) applies one contracting branch
+    to it, and a rotated bare period rebuilds the base from the period.
+    So no digit is lost however many crossings are traced.  A geometrically
+    wrong crossing still shows as a wrong symbol or an escape.  A
+    prefix-only ray carries no symbols past its prefix, so the trace stops
+    when the forward word runs out.  ``prec`` no longer changes the result:
+    every trace runs in double precision.
     """
     if n > MAX_TRACE_LEN:
         raise GeometryError(f"trace length {n} exceeds {MAX_TRACE_LEN}")
     if isinstance(g, GeodesicPair):
-        depth = n + 18 if depth is None else depth
-        ends = ((g.xi.prefix, g.xi.period), (g.eta.prefix, g.eta.period))
+        ends = tuple((r.period, _images(p, r.prefix, r.period)) for r in (g.xi, g.eta))
 
-        def point(word):
-            return _realize(p, *word, depth) if word[0] or word[1] else None
+        def point(end):
+            return _point(end[1][-1]) if end[1] else None
 
-        def push(word, sym):
-            return _shift(*word, sym)
+        def push(end, sym):
+            return _shift(p, *end, sym)
 
     else:
         ends = (g.p.point, g.q.point)
@@ -455,19 +476,21 @@ def cutting_sequence_trace(
     return tuple(out)
 
 
-def _shift(prefix: Word, period: Word | None, sym: int):
-    """Word of g_sym(z) from the word of z.
+def _shift(p: PantsGeometry, period: Word | None, stack: list, sym: int):
+    """Period and image stack of g_sym(z) from those of z.
 
-    g_sym undoes a leading sym, and maps every other point into the arc of
-    bar(sym); a bare period rotates instead.
+    g_sym undoes a leading sym, which pops the top entry, and maps every
+    other point into the arc of bar(sym), which pushes its branch; a bare
+    period rotates instead, which rebuilds the base.
     """
-    if prefix:
-        if prefix[0] == sym:
-            return prefix[1:], period
-        return (bar(sym),) + prefix, period
-    if period[0] == sym:
-        return (), period[1:] + period[:1]
-    return (bar(sym),), period
+    if stack[-1][2] != sym:
+        stack.append(_branch(p, bar(sym), stack[-1]))
+    elif len(stack) > 1 or period is None:
+        stack.pop()
+    else:
+        period = period[1:] + period[:1]
+        stack = _images(p, (), period)
+    return period, stack
 
 
 def suspension_time(p: PantsGeometry, pair: GeodesicPair, depth: int = 12) -> float:

@@ -173,7 +173,10 @@ def _perron(apply, n: int, x0=None, rtol=POWER_RTOL, maxiter=POWER_MAXITER):
 def pressure(p: PantsGeometry, s: float, n: int) -> float:
     """Depth-n pressure of -s log|phi'|: log of the Perron eigenvalue."""
     tm = transfer_matrix(p, s, n)
-    lam, _ = _perron(tm.matvec, len(tm.weights))
+    try:
+        lam, _ = _perron(tm.matvec, len(tm.weights))
+    except GeometryError as exc:
+        raise GeometryError(f"cuffs {p.cuffs.as_tuple()} at depth {n}, s={s!r}: {exc}") from exc
     return math.log(lam)
 
 

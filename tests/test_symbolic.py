@@ -174,9 +174,10 @@ def test_trace_of_generator_axis_is_constant_word(pants222):
     assert word in {(ALPHA,) * 10, (ABAR,) * 10}
 
 
-def test_geodesic_trace_clips_each_crossing_once(pants222, monkeypatch):
-    calls = {"_exit_side": 0, "_clip_once": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names):
+    """Call counts of the named symbolic functions, kept up to date."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         orig = getattr(symbolic, name)
 
         def spy(*args, _orig=orig, _name=name):
@@ -184,9 +185,23 @@ def test_geodesic_trace_clips_each_crossing_once(pants222, monkeypatch):
             return _orig(*args)
 
         monkeypatch.setattr(symbolic, name, spy)
+    return calls
+
+
+def test_geodesic_trace_clips_each_crossing_once(pants222, monkeypatch):
+    calls = count_calls(monkeypatch, "_exit_side", "_clip_once")
     axis = classify_isometry(pants222.g_alpha).axis
     assert len(cutting_sequence_trace(pants222, axis, 10)) == 10
     assert calls == {"_exit_side": 10, "_clip_once": 0}
+
+
+def test_pair_trace_realizes_each_endpoint_once(pants222, monkeypatch):
+    calls = count_calls(monkeypatch, "_exit_side", "_images", "_realize")
+    rng = np.random.default_rng(47)
+    xi = random_reduced_word(rng, 48)
+    eta = random_reduced_word(rng, 48, first_not=xi[0])
+    assert cutting_sequence_trace(pants222, GeodesicPair(Ray(xi), Ray(eta)), 30) == xi[:30]
+    assert calls == {"_exit_side": 30, "_images": 2, "_realize": 0}
 
 
 def test_trace_reproduces_forward_prefix_double_precision(pants222):

@@ -91,6 +91,14 @@ def test_pressure_root_unique_sign_change(pants222):
     assert changes == 1
 
 
+def test_pressure_failure_names_cuffs_depth_and_s():
+    # the depth-5 power iteration at (0.2, 1, 12) stalls near s = 1
+    p = build_pants((0.2, 1.0, 12.0))
+    named = r"cuffs \(0\.2, 1\.0, 12\.0\) at depth 5, s=0\.999: power iteration"
+    with pytest.raises(GeometryError, match=named):
+        pressure(p, 0.999, 5)
+
+
 def test_root_refinement_gaps_shrink(pants222):
     roots = {n: pressure_root(pants222, n) for n in (4, 6, 8, 10)}
     g46 = abs(roots[4] - roots[6])

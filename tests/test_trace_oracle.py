@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from cuffdim import build_pants, hausdorff_delta
-from cuffdim.hyperbolic import clip_chord, lift_light
-from cuffdim.pants import CUFF_SIDE_INDICES, SEAM_SIDE_SYMBOL
+from cuffdim.hyperbolic import GeometryError, clip_chord, lift_light
+from cuffdim.pants import CUFF_SIDE_INDICES, SEAM_SIDE_SYMBOL, bar
 from cuffdim.projlab import _extend_words
-from cuffdim.symbolic import GeodesicPair, Ray, _exit_side, cutting_sequence_trace
+from cuffdim.symbolic import GeodesicPair, Ray, _exit_side, _realize, cutting_sequence_trace
 from cuffdim.thermo import gibbs_chain
 
 from conftest import A_HALF
@@ -82,6 +82,33 @@ def mp_trace(p, pair, n, depth, dps=80):
     return tuple(out)
 
 
+def rerealizing_trace(p, pair, n):
+    """The pair tracer without image stacks: both endpoint words are realized
+    afresh, to n + 18 symbols, before every crossing, and updated as tuples."""
+
+    def shift(prefix, period, sym):
+        if prefix:
+            return (prefix[1:] if prefix[0] == sym else (bar(sym),) + prefix), period
+        if period[0] == sym:
+            return (), period[1:] + period[:1]
+        return (bar(sym),), period
+
+    ends = [(pair.xi.prefix, pair.xi.period), (pair.eta.prefix, pair.eta.period)]
+    out = []
+    for step in range(n):
+        if not all(prefix or period for prefix, period in ends):
+            break
+        z_fwd, z_back = (_realize(p, prefix, period, n + 18) for prefix, period in ends)
+        side = _exit_side(p._normal_rows, z_fwd, z_back)
+        if side is None and step == 0:
+            raise GeometryError("geodesic misses the octagon")
+        if side is None or side in CUFF_SIDE_INDICES:
+            break
+        out.append(SEAM_SIDE_SYMBOL[side])
+        ends = [shift(prefix, period, out[-1]) for prefix, period in ends]
+    return tuple(out)
+
+
 def gibbs_pairs(p, count, key, word_len=48):
     """Criterion 03's recipe: stationary Gibbs draws with distinct first
     symbols, extended by chain steps to ``word_len``-symbol words."""
@@ -113,6 +140,28 @@ def test_pair_trace_matches_mp_oracle(cuffs):
         traced = cutting_sequence_trace(p, pair, 30)
         assert traced == pair.xi.prefix[:30]
         assert traced == mp_trace(p, pair, 30, depth=48)
+
+
+def trace_outcome(tracer, p, pair, n):
+    try:
+        return tracer(p, pair, n)
+    except GeometryError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "cuffs",
+    [(2.0, 2.0, 2.0), (A_HALF,) * 3, (5.0,) * 3, (20.0,) * 3, (0.2, 1.0, 12.0), (A_03,) * 3],
+    ids=["2-2-2", "half", "5-5-5", "20-20-20", "0.2-1-12", "a03"],
+)
+def test_pair_trace_matches_the_rerealizing_trace(cuffs):
+    p = build_pants(cuffs)
+    pairs = gibbs_pairs(p, 100, key=13)
+    pairs += [GeodesicPair.periodic((s,)) for s in range(4)]
+    pairs.append(GeodesicPair(Ray.from_string("", "ab"), Ray.from_string("", "BA")))
+    for pair in pairs:
+        want = trace_outcome(rerealizing_trace, p, pair, 30)
+        assert trace_outcome(cutting_sequence_trace, p, pair, 30) == want
 
 
 def test_mp_oracle_traces_periodic_pairs(pants222):
