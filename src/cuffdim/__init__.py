@@ -18,7 +18,6 @@ from .hyperbolic import (
     IsometryInfo,
     MoebiusTransform,
     classify_isometry,
-    common_perpendicular,
     geodesic_from_endpoints,
     hyp_distance,
     signed_side,

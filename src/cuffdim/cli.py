@@ -219,12 +219,15 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
             for c in parse_range(args.c)
         ]
     depth = args.depth
-    rows = [["a", "b", "c", "depth", "delta", "pressure_residual", "converged", "error", "wall_ms"]]
+    rows = [["a", "b", "c", "depth", "delta", "pressure_residual", "converged",
+             "validator_passed", "error", "wall_ms"]]
     worst, failed = 0.0, 0
     for a, b, c in grid:
         t0 = time.perf_counter()
+        valid = False
         try:
             p = build_pants((a, b, c))
+            valid = validate_pants(p).passed
             res = hausdorff_delta(p, tol=args.tol, depths=(max(4, depth - 2), depth))
         except GeometryError as exc:
             fields, converged, error = ["", ""], False, str(exc)
@@ -233,10 +236,9 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
             fields = [fmt17(res.delta), fmt17(res.pressure_residual)]
             converged, error = res.converged, ""
         ms = 1000.0 * (time.perf_counter() - t0)
-        failed += not converged
-        rows.append(
-            [fmt17(a), fmt17(b), fmt17(c), depth, *fields, str(converged).lower(), error, fmt17(ms)]
-        )
+        failed += not (converged and valid)
+        rows.append([fmt17(a), fmt17(b), fmt17(c), depth, *fields, str(converged).lower(),
+                     str(valid).lower(), error, fmt17(ms)])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     results = {"rows": len(grid), "out": args.out, "failed_rows": failed}

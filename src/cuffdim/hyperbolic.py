@@ -12,7 +12,7 @@ compare equal.
 Incidence computations run in the hyperboloid model of the hyperbolic
 plane: a geodesic is the trace of a plane through the origin of R^{2,1}
 with unit spacelike normal, points lift to unit timelike vectors, and all
-predicates (sides, crossings, perpendiculars, feet) become Minkowski inner
+predicates (sides, crossings, clipping) become Minkowski inner
 products.  The disk model is kept for storage and for the boundary circle,
 where arcs are finite angular intervals.
 """
@@ -265,12 +265,6 @@ def _mink(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[0] + a[1] * b[1] - a[2] * b[2])
 
 
-def _mcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c = np.cross(a, b)
-    c[2] = -c[2]
-    return c
-
-
 def _lift(z: complex) -> np.ndarray:
     s = 1.0 - abs(z) ** 2
     return np.array([2.0 * z.real / s, 2.0 * z.imag / s, (1.0 + abs(z) ** 2) / s])
@@ -278,10 +272,6 @@ def _lift(z: complex) -> np.ndarray:
 
 def _light(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta), 1.0])
-
-
-def _drop(w: np.ndarray) -> complex:
-    return complex(w[0], w[1]) / (1.0 + w[2])
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +298,13 @@ class Geodesic:
     def __post_init__(self):
         tp, tq = self.p.theta, self.q.theta
         gap = min((tp - tq) % TWO_PI, (tq - tp) % TWO_PI)
-        n = _mcross(_light(tp), _light(tq))
-        nn = _mink(n, n)  # loses all digits, or its sign, for near-equal endpoints
-        if gap <= ENDPOINT_GAP or not nn > 0.0:
+        if gap <= ENDPOINT_GAP:
             raise GeometryError("geodesic endpoints coincide")
-        n = n / math.sqrt(nn)
+        # phi the midpoint and h the half-length of the arc from p to q; unlike
+        # the cross product of the endpoints' light vectors, nothing cancels
+        h = 0.5 * ((tq - tp) % TWO_PI)
+        phi = tp + h
+        n = np.array([math.cos(phi), math.sin(phi), math.cos(h)]) / -math.sin(h)
         object.__setattr__(self, "normal", n)
 
         zp, zq = self.p.point, self.q.point
@@ -338,15 +330,6 @@ class Geodesic:
 
 def geodesic_from_endpoints(p, q) -> Geodesic:
     return Geodesic(BoundaryPoint(_angle(p)), BoundaryPoint(_angle(q)))
-
-
-def _geodesic_from_normal(n: np.ndarray) -> Geodesic:
-    r = math.hypot(float(n[0]), float(n[1]))
-    if r <= abs(float(n[2])):
-        raise GeometryError("normal vector is not spacelike enough for a geodesic")
-    phi = math.atan2(float(n[1]), float(n[0]))
-    half = math.acos(float(n[2]) / r)
-    return Geodesic(BoundaryPoint(phi - half), BoundaryPoint(phi + half))
 
 
 def signed_side(g: Geodesic, z) -> int:
@@ -378,44 +361,6 @@ def hyp_distance(z1, z2) -> float:
     num = abs(a - b)
     den = math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2))
     return 2.0 * math.asinh(num / den)
-
-
-@dataclass(frozen=True)
-class CommonPerpendicular:
-    geodesic: Geodesic
-    foot1: DiskPoint
-    foot2: DiskPoint
-    distance: float
-
-
-def _foot(n_perp: np.ndarray, n_line: np.ndarray) -> DiskPoint:
-    t = _mcross(n_perp, n_line)
-    tt = _mink(t, t)
-    if not tt < 0.0:
-        raise GeometryError("common perpendicular meets a geodesic outside the disk")
-    w = t / math.sqrt(-tt)
-    if w[2] < 0:
-        w = -w
-    return DiskPoint(_drop(w))
-
-
-def common_perpendicular(g1: Geodesic, g2: Geodesic) -> CommonPerpendicular:
-    """Unique geodesic orthogonal to two disjoint geodesics.
-
-    Raises GeometryError when the inputs cross or are asymptotic.
-    """
-    kappa = _mink(g1.normal, g2.normal)
-    if abs(kappa) <= 1.0 + 1e-12:
-        raise GeometryError("geodesics intersect or are asymptotic: no common perpendicular")
-    n = _mcross(g1.normal, g2.normal)
-    n = n / math.sqrt(kappa * kappa - 1.0)
-    perp = _geodesic_from_normal(n)
-    return CommonPerpendicular(
-        geodesic=perp,
-        foot1=_foot(n, g1.normal),
-        foot2=_foot(n, g2.normal),
-        distance=math.acosh(abs(kappa)),
-    )
 
 
 # ---------------------------------------------------------------------------

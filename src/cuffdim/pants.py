@@ -13,6 +13,13 @@ vertical diameter, crossing at the origin.  The whole figure is then
 symmetric under reflection across the vertical diameter, so the origin
 is the midpoint of the octagon side lying on the horizontal axis.
 
+Everything is in closed form.  The vertical diameter cuts the octagon
+into two right-angled hexagons with alternate sides a/2, b/2, c/2, so the
+hexagon law gives the three seams.  Translations along the two diameters,
+composed into one frame per vertex, carry the origin to the vertex and
+the diameters to the two sides that meet there; the left half uses the
+mirror frames, with a and b negated.
+
 Symbols are the integers ALPHA=0, ABAR=1, BETA=2, BBAR=3 with the bar
 involution s -> s ^ 1.  The boundary map on the arc of symbol s applies
 ``gens[s]``, i.e. g_alpha on arc A, its inverse on arc Abar, and so on.
@@ -33,12 +40,10 @@ from .hyperbolic import (
     Geodesic,
     GeometryError,
     MoebiusTransform,
-    _brentq,
     _lift,
     _light,
     _mink,
     classify_isometry,
-    common_perpendicular,
     hyp_distance,
 )
 
@@ -205,40 +210,21 @@ def _vertical_translation(dist: float) -> MoebiusTransform:
     return MoebiusTransform(math.cosh(0.5 * dist), 1j * math.sinh(0.5 * dist))
 
 
-def _g_beta_at(a: float, d: float) -> MoebiusTransform:
-    v = _vertical_translation(d)
-    return v @ MoebiusTransform.real_translation(a) @ v.inverse()
+def _hexagon_side(x: float, y: float, z: float) -> float:
+    """Side of a right-angled hexagon joining the alternate sides y and z.
 
-
-def _raw_trace(m: MoebiusTransform, n: MoebiusTransform) -> float:
-    # trace of the matrix product before sign canonicalization
-    return 2.0 * (m.u * n.u + m.v * n.v.conjugate()).real
-
-
-def _solve_axis_gap(a: float, b: float, c: float) -> float:
-    """Separation d of the two axes with tr(g_alpha g_beta^-1) = -2cosh(c/2).
-
-    The signed trace of the product is monotone in d, and this branch is
-    the one that yields the gluing cuff.
+    x is the third alternate side, the one opposite.  The law
+    cosh s = (cosh x + cosh y cosh z) / (sinh y sinh z), with cosh s - 1
+    written free of cancellation.
     """
-    ga = MoebiusTransform.real_translation(b)
-    target = 2.0 * math.cosh(0.5 * c)
+    return 2.0 * math.asinh(
+        math.sqrt((math.cosh(x) + math.cosh(y - z)) / (2.0 * math.sinh(y) * math.sinh(z)))
+    )
 
-    def f(d: float) -> float:
-        return _raw_trace(ga, _g_beta_at(a, d).inverse()) + target
 
-    lo, hi = 1e-9, 1.0
-    flo, fhi = f(lo), f(hi)
-    for _ in range(64):
-        if flo * fhi < 0:
-            break
-        hi *= 2.0
-        if hi > 1e6:
-            raise GeometryError(
-                "trace solve failed to bracket tr(g_alpha g_beta^-1) = -2cosh(c/2)"
-            )
-        fhi = f(hi)
-    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, fa=flo, fb=fhi)
+def _side(frame: MoebiusTransform, ends: tuple[complex, complex]) -> Geodesic:
+    """Image under ``frame`` of the diameter with the given ends."""
+    return Geodesic(*(BoundaryPoint.from_complex(frame(w)) for w in ends))
 
 
 def _far_arc(g: Geodesic, interior_ref: complex) -> Arc:
@@ -267,66 +253,50 @@ def _arcs_disjoint(arcs) -> tuple[bool, float]:
 def build_pants(cuffs) -> PantsGeometry:
     """Construct the canonical octagon for cuff lengths (a, b, c).
 
-    g_beta enters the gluing inverted: the two cuff-c lifts are the axes of
-    g_alpha g_beta^-1 and g_beta^-1 g_alpha.  Any failure raises one
-    GeometryError naming the cuffs.
+    The vertical diameter cuts the octagon into two mirror-image
+    right-angled hexagons with alternate sides a/2, b/2, c/2.  The hexagon
+    law gives the seams, and four frames per half (translations along the
+    axes and seams) carry the origin to the vertices and the diameters to
+    the sides.  g_beta enters the gluing inverted: the two cuff-c lifts are
+    the axes of g_alpha g_beta^-1 and g_beta^-1 g_alpha.  Any failure
+    raises one GeometryError naming the cuffs.
     """
     cuffs = CuffLengths.coerce(cuffs)
     a, b, c = cuffs.as_tuple()
     try:
-        d = _solve_axis_gap(a, b, c)
+        d = _hexagon_side(0.5 * c, 0.5 * a, 0.5 * b)  # the a-b seam, on the vertical diameter
+        e_bc = _hexagon_side(0.5 * a, 0.5 * b, 0.5 * c)
+        e_ac = _hexagon_side(0.5 * b, 0.5 * a, 0.5 * c)
+        v_d = _vertical_translation(d)
         g_alpha = MoebiusTransform.real_translation(b)
-        g_beta = _g_beta_at(a, d)
-        gbi = g_beta.inverse()
+        g_beta = v_d @ MoebiusTransform.real_translation(a) @ v_d.inverse()
 
-        axis_b = Geodesic(BoundaryPoint(0.0), BoundaryPoint(math.pi))
-        info_a = classify_isometry(g_beta)
-        info_c1 = classify_isometry(g_alpha @ gbi)
-        info_c2 = classify_isometry(gbi @ g_alpha)
-        for name, info in (("g_beta", info_a), ("g_alpha*g_beta^-1", info_c1)):
-            if info.kind != "hyperbolic":
-                raise GeometryError(f"{name} is not hyperbolic (trace solve inconsistent)")
-        axis_a = info_a.axis
-        lift_c1 = info_c1.axis  # cuff-c lift on the abar side
-        lift_c2 = info_c2.axis  # cuff-c lift on the alpha side
+        def frames(sign):  # carry 0 to the feet u, w, y, x of the right (+1) or left (-1) half
+            f_u = MoebiusTransform.real_translation(0.5 * sign * b)
+            f_y = v_d @ MoebiusTransform.real_translation(0.5 * sign * a)
+            return f_u, f_u @ _vertical_translation(e_bc), f_y, f_y @ _vertical_translation(-e_ac)
 
-        seam_alpha = common_perpendicular(axis_b, lift_c2)
-        seam_bbar = common_perpendicular(axis_a, lift_c1)
-        u1, w1 = seam_alpha.foot1.z, seam_alpha.foot2.z
-        y1, x1 = seam_bbar.foot1.z, seam_bbar.foot2.z
-        u2, w2 = g_alpha(u1), g_alpha(w1)
-        y2, x2 = gbi(y1), gbi(x1)
+        right, left = frames(1.0), frames(-1.0)
+        u2, w2, y1, x1 = (DiskPoint(f(0.0)) for f in right)
+        u1, w1, y2, x2 = (DiskPoint(f(0.0)) for f in left)
+        horizontal, vertical = (1.0, -1.0), (1j, -1j)
+        s_alpha, s_abar = _side(left[0], vertical), _side(right[0], vertical)
+        s_bbar, s_beta = _side(right[2], vertical), _side(left[2], vertical)
 
-        if not (u1.real < 0.0 < u2.real):
-            raise GeometryError(
-                "octagon orientation check failed: seam feet on the g_alpha axis "
-                f"are at {u1.real:.6f}, {u2.real:.6f}"
-            )
-
-        s_alpha = seam_alpha.geodesic
-        s_abar = s_alpha.transform(g_alpha)
-        s_bbar = seam_bbar.geodesic
-        s_beta = s_bbar.transform(gbi)
-
-        verts = tuple(DiskPoint(z) for z in (w1, u1, u2, w2, x1, y1, y2, x2))
+        verts = (w1, u1, u2, w2, x1, y1, y2, x2)
         sides = (
-            OctagonSide("alpha", s_alpha, verts[0], verts[1]),
-            OctagonSide("b", axis_b, verts[1], verts[2]),
-            OctagonSide("abar", s_abar, verts[2], verts[3]),
-            OctagonSide("c1", lift_c1, verts[3], verts[4]),
-            OctagonSide("bbar", s_bbar, verts[4], verts[5]),
-            OctagonSide("a", axis_a, verts[5], verts[6]),
-            OctagonSide("beta", s_beta, verts[6], verts[7]),
-            OctagonSide("c2", lift_c2, verts[7], verts[0]),
+            OctagonSide("alpha", s_alpha, w1, u1),
+            OctagonSide("b", _side(right[0], horizontal), u1, u2),
+            OctagonSide("abar", s_abar, u2, w2),
+            OctagonSide("c1", _side(right[1], horizontal), w2, x1),
+            OctagonSide("bbar", s_bbar, x1, y1),
+            OctagonSide("a", _side(right[2], horizontal), y1, y2),
+            OctagonSide("beta", s_beta, y2, x2),
+            OctagonSide("c2", _side(left[1], horizontal), x2, w1),
         )
 
         interior_ref = 1j * math.tanh(0.25 * d)
-        arcs = (
-            _far_arc(s_alpha, interior_ref),
-            _far_arc(s_abar, interior_ref),
-            _far_arc(s_beta, interior_ref),
-            _far_arc(s_bbar, interior_ref),
-        )
+        arcs = tuple(_far_arc(s, interior_ref) for s in (s_alpha, s_abar, s_beta, s_bbar))
         if not _arcs_disjoint(arcs)[0]:
             raise GeometryError("Schottky arcs are not pairwise disjoint")
 

@@ -19,6 +19,7 @@ precision is lost however long the traced word is.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .hyperbolic import (
     Geodesic,
     GeometryError,
     MoebiusTransform,
-    classify_isometry,
     clip_chord,
     lift_light,
 )
@@ -325,16 +325,34 @@ def _images(p: PantsGeometry, prefix: Word, period: Word | None) -> list:
     precision however long the word is.
     """
     if period is not None:
-        info = classify_isometry(word_to_element(p, tuple(reversed(period))))
-        if info.kind != "hyperbolic":
-            raise GeometryError(f"period {period} gives a non-hyperbolic element")
-        z = info.fixed_points[1]  # repelling: the expanding branch fixes it
+        z = _attracting_fixed_point(p, period)
         stack, tail = [(z, z, period[0])], prefix
     else:
         stack, tail = [(*p._arc_ends[prefix[-1]], prefix[-1])], prefix[:-1]
     for s in reversed(tail):
         stack.append(_branch(p, s, stack[-1]))
     return stack
+
+
+def _attracting_fixed_point(p: PantsGeometry, period: Word) -> complex:
+    """Attracting fixed point of the contracting composition phi_period.
+
+    The coefficients (u, v) are composed raw and never renormalized, so no
+    |u|^2 - |v|^2 is formed (at long cuffs it cancels to nothing).  The
+    root of conj(v) z^2 - 2i Im(u) z - v = 0 does not depend on their scale.
+    """
+    u, v = 1.0 + 0.0j, 0.0j
+    for s in period:
+        u, v = p.compose_branch(u, v, s)
+    u, v = complex(u), complex(v)
+    try:
+        root = math.copysign(math.sqrt(abs(v) ** 2 - u.imag ** 2), u.real)
+        z = (1j * u.imag + root) / v.conjugate()
+    except (ValueError, ZeroDivisionError, OverflowError):
+        z = complex(math.nan)
+    if not cmath.isfinite(z):
+        raise GeometryError(f"period {word_to_string(period)} has no finite attracting fixed point")
+    return z
 
 
 def _branch(p: PantsGeometry, s: int, entry):

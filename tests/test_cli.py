@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,9 +100,9 @@ def test_unconverged_delta_exits_one_but_reports_and_records(workdir, capsys):
     assert again["results"]["delta"] == summary["results"]["delta"]
 
 
-def test_delta_scan_reports_each_row_and_goes_on(workdir, capsys):
-    # (0.01, 0.01, 12) cannot be built; (2, 0.01, 12) is unconverged over (4, 6)
-    argv = ["delta-scan", "--a", "0.01:2:2", "--b", "0.01:0.01:1", "--c", "12:12:1",
+def test_delta_scan_reports_each_row_and_goes_on(workdir, capsys, monkeypatch):
+    # (20, 0.0001, 0.01) cannot be built; (20, 0.01, 0.01) is unconverged over (4, 6)
+    argv = ["delta-scan", "--a", "20:20:1", "--b", "0.0001:0.01:2", "--c", "0.01:0.01:1",
             "--depth", "6", "--out", "scan.csv"]
     status, summary = run_json(capsys, argv)
     assert status == 1
@@ -109,15 +110,28 @@ def test_delta_scan_reports_each_row_and_goes_on(workdir, capsys):
     with open("scan.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["a", "b", "c", "depth", "delta", "pressure_residual",
-                             "converged", "error", "wall_ms"]
+                             "converged", "validator_passed", "error", "wall_ms"]
     assert rows[0]["delta"] == "" and rows[0]["converged"] == "false"
-    assert rows[0]["error"].startswith("pants construction failed for cuffs (0.01, 0.01, 12.0)")
+    assert rows[0]["validator_passed"] == "false"
+    assert rows[0]["error"].startswith("pants construction failed for cuffs (20.0, 0.0001, 0.01)")
     assert 0.0 < float(rows[1]["delta"]) < 1.0
     assert rows[1]["converged"] == "false" and rows[1]["error"] == ""
     status, summary = run_json(
         capsys, ["delta-scan", "--symmetric", "1:3:3", "--depth", "6", "--out", "ok.csv"]
     )
     assert status == 0 and summary["results"]["failed_rows"] == 0
+    with open("ok.csv", newline="") as fh:
+        assert {row["validator_passed"] for row in csv.DictReader(fh)} == {"true"}
+    # a converged row whose octagon fails validation fails the scan, as in delta
+    monkeypatch.setattr(cli, "validate_pants", lambda p: SimpleNamespace(passed=False))
+    status, summary = run_json(
+        capsys, ["delta-scan", "--symmetric", "2:2:1", "--depth", "6", "--out", "bad.csv"]
+    )
+    assert status == 1 and summary["results"]["failed_rows"] == 1
+    with open("bad.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["converged"] == "true" and row["validator_passed"] == "false"
+    assert row["error"] == ""
 
 
 IMPORT_PROBE = """

@@ -1,8 +1,9 @@
-"""Geodesics, sides, perpendiculars, distances and chord clipping."""
+"""Geodesics, normals, sides, distances and chord clipping."""
 
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,9 +14,7 @@ from cuffdim.hyperbolic import (
     DiskPoint,
     Geodesic,
     GeometryError,
-    _mink,
     clip_chord,
-    common_perpendicular,
     geodesic_from_endpoints,
     hyp_distance,
     lift_light,
@@ -128,91 +127,18 @@ def test_hyp_distance_mobius_invariant():
         assert abs(hyp_distance(m(z1), m(z2)) - hyp_distance(z1, z2)) < 1e-10
 
 
-def test_common_perpendicular_of_crossing_geodesics_rejected():
-    g1 = geodesic_from_endpoints(0.0, math.pi)
-    g2 = geodesic_from_endpoints(math.pi / 2, 3 * math.pi / 2)
-    with pytest.raises(GeometryError):
-        common_perpendicular(g1, g2)
-
-
-def test_common_perpendicular_symmetric_pair_lies_on_axis():
-    # each geodesic is itself symmetric about the vertical diameter, one
-    # straddling the top of the circle and one the bottom: the common
-    # perpendicular is forced onto the vertical diameter
-    g1 = geodesic_from_endpoints(math.pi / 2 - 0.5, math.pi / 2 + 0.5)
-    g2 = geodesic_from_endpoints(3 * math.pi / 2 - 0.8, 3 * math.pi / 2 + 0.8)
-    res = common_perpendicular(g1, g2)
-    p, q = res.geodesic.p.theta, res.geodesic.q.theta
-    assert {round(p, 9), round(q, 9)} == {
-        round(math.pi / 2, 9),
-        round(3 * math.pi / 2, 9),
-    }
-    # and both feet sit on the imaginary axis
-    assert abs(res.foot1.z.real) < 1e-12
-    assert abs(res.foot2.z.real) < 1e-12
-
-
-def test_common_perpendicular_mirror_pair_is_mirror_invariant():
-    # a geodesic and its mirror image across the vertical diameter: the
-    # perpendicular is mirror-invariant (endpoint set {t, pi - t}) and the
-    # feet are mirror images of each other
-    g1 = geodesic_from_endpoints(0.2, 1.0)
-    g2 = geodesic_from_endpoints(math.pi - 1.0, math.pi - 0.2)
-    res = common_perpendicular(g1, g2)
-    p, q = res.geodesic.p.theta, res.geodesic.q.theta
-    assert abs(((p + q) % (2.0 * math.pi)) - math.pi) < 1e-9
-    assert abs(res.foot1.z + res.foot2.z.conjugate()) < 1e-9
-
-
-def _points_on(g: Geodesic, count: int) -> np.ndarray:
-    # sample the realized circular arc inside the disk
-    phi_p = cmath.phase(g.p.point - g.center)
-    phi_q = cmath.phase(g.q.point - g.center)
-    dphi = (phi_q - phi_p) % (2.0 * math.pi)
-    if dphi > math.pi:
-        phi_p, dphi = phi_q, 2.0 * math.pi - dphi
-    ts = np.linspace(1e-4, dphi - 1e-4, count)
-    return g.center + g.radius * np.exp(1j * (phi_p + ts))
-
-
-def test_common_perpendicular_distance_brute_force():
-    g1 = geodesic_from_endpoints(0.1, 0.9)
-    g2 = geodesic_from_endpoints(2.0, 3.4)
-    res = common_perpendicular(g1, g2)
-    pts1, pts2 = _points_on(g1, 120), _points_on(g2, 120)
-    d = np.empty((len(pts1), len(pts2)))
-    for i, z1 in enumerate(pts1):
-        num = np.abs(z1 - pts2)
-        den = np.sqrt((1 - abs(z1) ** 2) * (1 - np.abs(pts2) ** 2))
-        d[i] = 2.0 * np.arcsinh(num / den)
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    # refine around the coarse minimizer
-    phi1 = np.linspace(-1, 1, 201) * 2e-2
-    best = d[i, j]
-    z1s = pts1[i] + 0  # anchor; refine by local grids on both arcs
-    loc1 = _points_on(g1, 4000)
-    loc2 = _points_on(g2, 4000)
-    m = np.full(len(loc1), np.inf)
-    for k, z1 in enumerate(loc1):
-        num = np.abs(z1 - loc2)
-        den = np.sqrt((1 - abs(z1) ** 2) * (1 - np.abs(loc2) ** 2))
-        m[k] = (2.0 * np.arcsinh(num / den)).min()
-    brute = m.min()
-    assert abs(brute - res.distance) < 1e-4
-    # feet realize the distance and lie on the geodesics
-    assert abs(hyp_distance(res.foot1, res.foot2) - res.distance) < 1e-10
-    assert signed_side(g1, res.foot1) == 0
-    assert signed_side(g2, res.foot2) == 0
-
-
-def test_common_perpendicular_meets_both_orthogonally():
-    g1 = geodesic_from_endpoints(0.1, 0.9)
-    g2 = geodesic_from_endpoints(2.0, 3.4)
-    res = common_perpendicular(g1, g2)
-    n = res.geodesic.normal
-    assert abs(_mink(n, g1.normal)) < 1e-9
-    assert abs(_mink(n, g2.normal)) < 1e-9
-
+@pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3, 1.0, math.pi, 6.0])
+def test_normal_matches_extended_precision(gap):
+    # the cross product of the endpoints' light vectors can lose the sign of
+    # <n, n> at gaps near 1e-6; the arc's midpoint and half-length lose nothing
+    for t in np.random.default_rng(21).uniform(0.0, 2.0 * math.pi, 20):
+        g = geodesic_from_endpoints(t, t + gap)
+        with mp.workdps(50):
+            tp, tq = mp.mpf(g.p.theta), mp.mpf(g.q.theta)
+            n = [mp.sin(tp) - mp.sin(tq), mp.cos(tq) - mp.cos(tp), -mp.sin(tq - tp)]
+            scale = mp.sqrt(n[0] ** 2 + n[1] ** 2 - n[2] ** 2)
+            want = np.array([float(x / scale) for x in n])
+        assert np.max(np.abs(g.normal - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _clip_chord_oracle(l_back, l_fwd, normals):

@@ -3,8 +3,8 @@
 import dataclasses
 import itertools
 import math
-import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -38,8 +38,9 @@ def test_cuff_range_enforced():
 
 
 def test_construction_failure_names_the_cuffs():
-    with pytest.raises(GeometryError, match=r"cuffs \(0\.01, 0\.01, 20\)"):
-        build_pants((0.01, 0.01, 20))
+    build_pants((0.01, 0.01, 20))  # failed before the closed-form construction
+    with pytest.raises(GeometryError, match=r"cuffs \(20, 0\.0001, 0\.0001\)"):
+        build_pants((20, 0.0001, 0.0001))
 
 
 @pytest.mark.parametrize(
@@ -47,9 +48,9 @@ def test_construction_failure_names_the_cuffs():
 )
 def test_construction_failure_is_a_geometry_error(cuffs):
     # these once escaped as a bare ValueError from a square root of a
-    # negative Minkowski norm
-    with pytest.raises(GeometryError, match=re.escape(f"cuffs {cuffs}")):
-        build_pants(cuffs)
+    # negative Minkowski norm, then failed with a named GeometryError; the
+    # closed-form construction builds them
+    assert build_pants(cuffs).cuffs.as_tuple() == cuffs
 
 
 def test_every_grid_triple_builds_or_names_itself():
@@ -61,7 +62,7 @@ def test_every_grid_triple_builds_or_names_itself():
             built += 1
         except GeometryError as exc:
             assert f"cuffs {cuffs}" in str(exc)
-    assert built >= 314  # the count on this grid when the sweep was added
+    assert built >= 343  # every triple, since the closed-form construction
 
 
 def test_build_symmetric_pants_validates(pants222):
@@ -73,18 +74,52 @@ def test_build_symmetric_pants_validates(pants222):
     assert abs(arcs[BETA].length - arcs[BBAR].length) < 1e-12
 
 
-def test_axis_gap_matches_right_angled_hexagon_relation():
-    # independent closed form: cosh d = (cosh(c/2) + cosh(a/2)cosh(b/2))
-    #                                   / (sinh(a/2)sinh(b/2))
+def mp_hexagon_vertices(a, b, c):
+    """Axis gap and octagon vertices from the hexagon law in 50-digit mpmath.
+
+    The seams use the plain law cosh s = (cosh x + cosh y cosh z) /
+    (sinh y sinh z), and the vertices compose the translations as maps
+    rather than as coefficient pairs.
+    """
+    with mp.workdps(50):
+        a, b, c = (mp.mpf(x) / 2 for x in (a, b, c))
+
+        def seam(x, y, z):
+            return mp.acosh((mp.cosh(x) + mp.cosh(y) * mp.cosh(z)) / (mp.sinh(y) * mp.sinh(z)))
+
+        def T(t, z):  # translation by t along the horizontal diameter
+            return (z + mp.tanh(t / 2)) / (1 + mp.tanh(t / 2) * z)
+
+        def V(t, z):  # translation by t along the vertical diameter
+            return (z + 1j * mp.tanh(t / 2)) / (1 - 1j * mp.tanh(t / 2) * z)
+
+        d, e_bc, e_ac = seam(c, a, b), seam(a, b, c), seam(b, a, c)
+        zero = mp.mpc(0)
+        u2, w2 = T(b, zero), T(b, V(e_bc, zero))
+        y1, x1 = V(d, T(a, zero)), V(d, T(a, V(-e_ac, zero)))
+        left = [-mp.conj(z) for z in (w2, u2, y1, x1)]
+        return d, (left[0], left[1], u2, w2, x1, y1, left[2], left[3])
+
+
+def vertex_error(p) -> float:
+    """Largest hyperbolic distance from a vertex to its extended-precision value."""
+    d, want = mp_hexagon_vertices(*p.cuffs.as_tuple())
+    with mp.workdps(50):
+        assert abs(p.axis_gap - d) <= 1e-14 * d
+        return float(max(
+            2 * mp.asinh(abs(v.z - w) / mp.sqrt((1 - abs(mp.mpc(v.z)) ** 2) * (1 - abs(w) ** 2)))
+            for v, w in zip(p.vertices, want)
+        ))
+
+
+def test_vertices_match_the_hexagon_law_in_extended_precision():
     rng = np.random.default_rng(30)
-    for _ in range(10):
-        a, b, c = rng.uniform(0.4, 7.0, size=3)
-        p = build_pants((a, b, c))
-        d_closed = math.acosh(
-            (math.cosh(c / 2) + math.cosh(a / 2) * math.cosh(b / 2))
-            / (math.sinh(a / 2) * math.sinh(b / 2))
-        )
-        assert abs(p.axis_gap - d_closed) < 1e-10
+    for _ in range(30):
+        assert vertex_error(build_pants(tuple(rng.uniform(0.3, 8.0, size=3)))) <= 1e-12
+    # the axis-gap solve read 0.64 at (20, 0.2, 0.2) and could not build 29 of these
+    vals = (0.01, 0.05, 0.2, 1, 5, 12, 20)
+    for cuffs in itertools.product(vals, repeat=3):
+        assert vertex_error(build_pants(cuffs)) <= 1e-6, cuffs
 
 
 def test_canonical_placement(pants222):

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.stats import kstest
 
-from cuffdim import pants, thermo
+from cuffdim import thermo
 from cuffdim.hyperbolic import GeometryError, _brentq
 from cuffdim.pants import build_pants
 from cuffdim.projlab import ks_uniform_statistic
@@ -61,21 +61,6 @@ def test_brentq_bit_equal_on_pressure(cuffs, depth):
     assert_same_root(
         lambda s: pressure(p, s, depth), 0.001, 0.999, xtol=1e-12, rtol=8.9e-16
     )
-
-
-@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0), (0.5, 4.0, 7.5)])
-def test_brentq_bit_equal_on_axis_gap(cuffs, monkeypatch):
-    calls = []
-
-    def spy(f, lo, hi, **kw):
-        calls.append((f, lo, hi, kw))
-        return _brentq(f, lo, hi, **kw)
-
-    monkeypatch.setattr(pants, "_brentq", spy)
-    build_pants(cuffs)
-    assert calls
-    for f, lo, hi, kw in calls:
-        assert_same_root(f, lo, hi, **kw)
 
 
 @pytest.mark.parametrize(

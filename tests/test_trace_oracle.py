@@ -149,16 +149,28 @@ def trace_outcome(tracer, p, pair, n):
         return str(exc)
 
 
+# periodic pairs whose fixed points once came from renormalized Moebius
+# products, where |u|^2 - |v|^2 cancels to nothing at long cuffs
+LONG_CUFF_PAIRS = {(20.0,) * 3: ("ab", "BA"), (12.0,) * 3: ("abAB", "baBA")}
+
+
 @pytest.mark.parametrize(
     "cuffs",
-    [(2.0, 2.0, 2.0), (A_HALF,) * 3, (5.0,) * 3, (20.0,) * 3, (0.2, 1.0, 12.0), (A_03,) * 3],
-    ids=["2-2-2", "half", "5-5-5", "20-20-20", "0.2-1-12", "a03"],
+    [(2.0, 2.0, 2.0), (A_HALF,) * 3, (5.0,) * 3, (20.0,) * 3, (12.0,) * 3, (0.2, 1.0, 12.0),
+     (A_03,) * 3],
+    ids=["2-2-2", "half", "5-5-5", "20-20-20", "12-12-12", "0.2-1-12", "a03"],
 )
 def test_pair_trace_matches_the_rerealizing_trace(cuffs):
     p = build_pants(cuffs)
     pairs = gibbs_pairs(p, 100, key=13)
     pairs += [GeodesicPair.periodic((s,)) for s in range(4)]
     pairs.append(GeodesicPair(Ray.from_string("", "ab"), Ray.from_string("", "BA")))
+    if cuffs in LONG_CUFF_PAIRS:
+        xi, eta = LONG_CUFF_PAIRS[cuffs]
+        pair = GeodesicPair(Ray.from_string("", xi), Ray.from_string("", eta))
+        want = mp_trace(p, pair, 12, depth=48, dps=200)
+        assert len(want) == 12 and cutting_sequence_trace(p, pair, 12) == want
+        pairs.append(pair)
     for pair in pairs:
         want = trace_outcome(rerealizing_trace, p, pair, 30)
         assert trace_outcome(cutting_sequence_trace, p, pair, 30) == want
