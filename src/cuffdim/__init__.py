@@ -18,9 +18,7 @@ from .hyperbolic import (
     IsometryInfo,
     MoebiusTransform,
     classify_isometry,
-    geodesic_from_endpoints,
     hyp_distance,
-    signed_side,
 )
 from .pants import (
     ALPHA,

@@ -29,7 +29,6 @@ TWO_PI = 2.0 * math.pi
 
 IDENTITY_TOL = 1e-12  # |u - 1| and |v| below this classify as the identity
 PARABOLIC_TRACE_TOL = 1e-9  # |tr| within this of 2 classifies as parabolic
-ON_GEODESIC_TOL = 1e-12  # |sinh(signed distance)| below this lies on the geodesic
 ENDPOINT_GAP = 1e-12  # minimal angular separation of geodesic endpoints
 
 
@@ -242,12 +241,6 @@ class DiskPoint:
         object.__setattr__(self, "z", z)
 
 
-def _angle(t) -> float:
-    if isinstance(t, BoundaryPoint):
-        return t.theta
-    return float(t) % TWO_PI
-
-
 def _zval(p) -> complex:
     if isinstance(p, DiskPoint):
         return p.z
@@ -321,39 +314,6 @@ class Geodesic:
             object.__setattr__(self, "center", c)
             object.__setattr__(self, "radius", math.sqrt(max(abs(c) ** 2 - 1.0, 0.0)))
 
-    def transform(self, m: MoebiusTransform) -> "Geodesic":
-        return Geodesic(
-            BoundaryPoint.from_complex(m.apply(self.p.point)),
-            BoundaryPoint.from_complex(m.apply(self.q.point)),
-        )
-
-
-def geodesic_from_endpoints(p, q) -> Geodesic:
-    return Geodesic(BoundaryPoint(_angle(p)), BoundaryPoint(_angle(q)))
-
-
-def signed_side(g: Geodesic, z) -> int:
-    """Side of ``g`` on which the disk point ``z`` lies.
-
-    Returns +1 on the side containing the disk center; when ``g`` passes
-    through the center the +1 side is the one containing the boundary
-    point in the middle of the counterclockwise arc from the smaller
-    endpoint angle to the larger one.  Returns 0 within ``ON_GEODESIC_TOL``
-    of the geodesic (hyperbolic distance scale).
-    """
-    zz = _zval(z)
-    n = g.normal
-    if abs(n[2]) > 1e-12:
-        orient = -1.0 if n[2] > 0 else 1.0
-    else:
-        lo, hi = sorted((g.p.theta, g.q.theta))
-        ref = _mink(_light(0.5 * (lo + hi)), n)
-        orient = 1.0 if ref > 0 else -1.0
-    s = orient * _mink(_lift(zz), n)  # equals sinh(signed distance)
-    if abs(s) <= ON_GEODESIC_TOL:
-        return 0
-    return 1 if s > 0 else -1
-
 
 def hyp_distance(z1, z2) -> float:
     """Poincare distance between two disk points."""
@@ -412,6 +372,7 @@ def lift_light(z: np.ndarray) -> np.ndarray:
 
 
 CLIP_EPS = 1e-13
+CLIP_BLOCK = 4096  # chords per pass of clip_chord
 
 
 def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
@@ -427,8 +388,20 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
     Endpoint products within CLIP_EPS of zero are treated as lying on the
     bounding plane, so a geodesic running along a side counts as inside.
     The products are laid out (k, ...), side first, so that every
-    reduction runs over whole rows.
+    reduction runs over whole rows.  More chords than ``CLIP_BLOCK`` run
+    in equal blocks, so the (k, block) temporaries stay in cache; no block
+    is a single chord, whose product numpy rounds differently (gemv).
     """
+    n = math.prod(l_back.shape[:-1])
+    if n > CLIP_BLOCK:
+        back, fwd = l_back.reshape(n, 3), l_fwd.reshape(n, 3)
+        out = (np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, np.intp))
+        n_blocks = -(-n // CLIP_BLOCK)
+        for k in range(n_blocks):
+            blk = slice(k * n // n_blocks, (k + 1) * n // n_blocks)
+            for o, r in zip(out, clip_chord(back[blk], fwd[blk], normals)):
+                o[blk] = r
+        return tuple(o.reshape(l_back.shape[:-1]) for o in out)
     nJ = normals * np.array([1.0, 1.0, -1.0])
     shape = (len(normals),) + l_back.shape[:-1]
     a = (nJ @ l_back.reshape(-1, 3).T).reshape(shape)

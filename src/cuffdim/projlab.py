@@ -31,6 +31,10 @@ POINT_CLOUD_MAGIC = b"CSPTS001"
 # block's temporaries
 PRODUCT_COVER_MAX_BOXES = 60_000_000
 
+# cells of one box-counting bitmap (64 MiB of bools); the default scales
+# need at most 513^2 for a cloud in the unit disk
+BOX_COUNT_MAX_CELLS = 2**26
+
 
 # ---------------------------------------------------------------------------
 # Box covers
@@ -553,6 +557,33 @@ def _extend_words(chain: GibbsChain, idx: np.ndarray, rng, total_len: int) -> np
     return np.concatenate([words, syms.T.astype(np.uint8)], axis=1)
 
 
+def _stationary_draw(pi_cum: np.ndarray):
+    """Draw function r -> np.searchsorted(pi_cum, r), r in [0, 1), by a guide table.
+
+    The table (Chen and Asau, 1974) holds searchsorted's index at each edge
+    k / K of K = 4 * 2^ceil(log2 n) buckets; a draw r is bisected between
+    the indices at its bucket's edges, k = floor(r K) and k + 1.  K is a
+    power of two, so r K and k / K are exact and each index is searchsorted's.
+    """
+    n_buckets = 4 << (len(pi_cum) - 1).bit_length()
+    guide = np.searchsorted(pi_cum, np.arange(n_buckets + 1) / n_buckets)
+
+    def draw(r: np.ndarray) -> np.ndarray:
+        k = (r * n_buckets).astype(np.intp)
+        lo, hi = guide[k], guide[k + 1]
+        rows = np.flatnonzero(lo < hi)  # draws whose bounds still differ
+        while len(rows):
+            l, h = lo[rows], hi[rows]
+            mid = (l + h) >> 1
+            below = pi_cum[mid] < r[rows]
+            lo[rows] = l = np.where(below, mid + 1, l)
+            hi[rows] = h = np.where(below, h, mid)
+            rows = rows[l < h]
+        return lo
+
+    return draw
+
+
 def _prepend_symbols(p: PantsGeometry, z: np.ndarray, cols) -> np.ndarray:
     """Unit points z pulled back through the symbol rows cols, last row first."""
     for sym in cols[::-1]:
@@ -587,8 +618,10 @@ def sample_complete_geodesic_points(
     rng = np.random.Generator(np.random.Philox(key=seed))
     pi_cum = np.cumsum(chain.stationary)
     pi_cum[-1] = 1.0
+    draw = _stationary_draw(pi_cum)
     normals = p.interior_normals
     words = chain.skeleton.cover.words
+    first = words[:, 0].copy()
     # intp symbols keep the coefficient gathers fast
     heads = words.T.astype(np.intp)
     # a word's last n symbols are its final chain state, so the steps that
@@ -614,13 +647,12 @@ def sample_complete_geodesic_points(
             raise GeometryError(
                 f"geodesic sampler exceeded {max_attempt_factor}x attempt budget"
             )
-        xi_idx = np.searchsorted(pi_cum, rng.random(m))
-        eta_idx = np.searchsorted(pi_cum, rng.random(m))
-        first = words[:, 0]
-        clash = first[xi_idx] == first[eta_idx]
-        while np.any(clash):
-            eta_idx[clash] = np.searchsorted(pi_cum, rng.random(int(clash.sum())))
-            clash = first[xi_idx] == first[eta_idx]
+        xi_idx = draw(rng.random(m))
+        eta_idx = draw(rng.random(m))
+        clash = np.flatnonzero(first[xi_idx] == first[eta_idx])
+        while len(clash):
+            eta_idx[clash] = draw(rng.random(len(clash)))
+            clash = clash[first[xi_idx[clash]] == first[eta_idx[clash]]]
         z_fwd = realize(xi_idx)
         z_back = realize(eta_idx)
         l_fwd = lift_light(z_fwd)
@@ -673,27 +705,38 @@ class BoxDimensionFit:
 def box_dimension(points: np.ndarray, scales=None, min_points: int = 100_000) -> BoxDimensionFit:
     """Box-counting dimension of a planar point cloud.
 
-    Counts occupied boxes of each dyadic scale and fits the log-log slope,
-    dropping the coarsest and finest scale from the fit.
+    Counts occupied boxes of each scale (dyadic by default) and fits the
+    log-log slope, dropping the coarsest and finest scale from the fit.
+    ``points`` is complex or real (N, 2), all finite.  Boxes are anchored
+    at the coordinate minima, and the boxes of scale s are counted in a
+    bitmap of nx * ny cells, nx = floor(x_max / s) + 1 (likewise ny); one
+    of more than ``BOX_COUNT_MAX_CELLS`` cells is refused.
     """
     pts = np.asarray(points)
-    if np.iscomplexobj(pts):
-        xy = np.stack([pts.real, pts.imag], axis=-1)
-    else:
-        xy = pts.astype(float)
-    if xy.shape[0] < min_points:
+    x, y = (pts.real, pts.imag) if np.iscomplexobj(pts) else pts.astype(float).T
+    if x.shape[0] < min_points:
         raise GeometryError(f"box dimension needs at least {min_points} points")
+    bad = int(np.count_nonzero(~(np.isfinite(x) & np.isfinite(y))))
+    if bad:
+        raise GeometryError(f"box dimension needs finite points; {bad} are not")
     if scales is None:
         scales = 2.0 ** -np.arange(3, 9)
     scales = np.sort(np.asarray(scales, dtype=float))[::-1]
-    if len(scales) < 4:
-        raise GeometryError("box dimension needs at least 4 scales")
-    origin = xy.min(axis=0)
+    if len(scales) < 4 or not np.all(scales > 0.0):
+        raise GeometryError(f"box dimension needs at least 4 positive scales, got {scales}")
+    # contiguous columns: axis reductions over an (N, 2) array are strided
+    x, y = x - x.min(), y - y.min()
     counts = []
-    for s in scales:
-        ij = np.floor((xy - origin) / s).astype(np.int64)
-        key = ij[:, 0] * (2**31) + ij[:, 1]
-        counts.append(len(np.unique(key)))
+    for s in scales.tolist():
+        nx, ny = np.floor(x.max() / s) + 1.0, np.floor(y.max() / s) + 1.0
+        if nx * ny > BOX_COUNT_MAX_CELLS:
+            raise GeometryError(
+                f"box scale {s!r} needs a {nx:.0f} x {ny:.0f} grid, above "
+                f"BOX_COUNT_MAX_CELLS = {BOX_COUNT_MAX_CELLS}"
+            )
+        occ = np.zeros(int(nx * ny), dtype=bool)
+        occ[np.floor(x / s).astype(np.intp) * int(ny) + np.floor(y / s).astype(np.intp)] = True
+        counts.append(np.count_nonzero(occ))
     counts = np.asarray(counts)
     x = np.log(1.0 / scales)[1:-1]
     y = np.log(counts)[1:-1]

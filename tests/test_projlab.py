@@ -511,6 +511,24 @@ def test_extend_words_matches_oracle(pants_half, total_len):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "cuffs, depth", [((A_HALF,) * 3, 6), ((0.2, 1.0, 12.0), 8), ((0.01, 12.0, 12.0), 6)]
+)
+def test_stationary_draw_equals_searchsorted(cuffs, depth):
+    chain = thermo.gibbs_chain(build_pants(cuffs), 0.5, depth)
+    pi_cum = np.cumsum(chain.stationary)
+    pi_cum[-1] = 1.0
+    # every cumulative entry and its neighbours, every bucket edge up to
+    # 2^16 buckets, and both ends of [0, 1)
+    edges = np.concatenate([pi_cum, np.arange(2**16) / 2**16, [0.0, 1.0 - 2.0**-53]])
+    probes = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    probes = probes[(probes >= 0.0) & (probes < 1.0)]
+    draws = np.random.default_rng(6).random(10**6)
+    draw = projlab._stationary_draw(pi_cum)
+    for r in (probes, draws):
+        assert np.array_equal(draw(r), np.searchsorted(pi_cum, r))
+
+
 class _TopDraw:
     """Generator stub whose every draw is the largest double below 1."""
 
@@ -559,6 +577,64 @@ def test_box_dimension_preconditions():
     big = rng.random(100_000) + 1j * rng.random(100_000)
     with pytest.raises(GeometryError):
         box_dimension(big, scales=[0.5, 0.25, 0.125])
+
+
+def _box_counts_oracle(xy, scales):
+    """Box counts as first written: one np.unique over packed box keys."""
+    origin = xy.min(axis=0)
+    counts = []
+    for s in np.sort(np.asarray(scales, dtype=float))[::-1]:
+        ij = np.floor((xy - origin) / s).astype(np.int64)
+        counts.append(len(np.unique(ij[:, 0] * (2**31) + ij[:, 1])))
+    return np.array(counts)
+
+
+@pytest.mark.parametrize("seed", [55, 56])
+def test_box_counts_equal_the_unique_oracle(seed):
+    rng = np.random.default_rng(seed)
+    r = 0.95 * np.sqrt(rng.random(50_000))
+    pts = r * np.exp(2j * math.pi * rng.random(50_000))
+    xy = np.stack([pts.real, pts.imag], axis=-1)
+    clouds = [
+        pts,  # complex
+        xy,  # real (N, 2)
+        xy * 3.0 - 7.0,  # negative coordinates and a span above 1
+        pts[:5_000] ** 3,  # a skewed cloud
+    ]
+    scale_lists = [None, [0.3, 0.07, 0.011, 0.0023, 0.05, 1.7e-3], 2.0 ** -np.arange(1, 11)]
+    for cloud in clouds:
+        xy_c = np.stack([cloud.real, cloud.imag], axis=-1) if np.iscomplexobj(cloud) else cloud
+        for scales in scale_lists:
+            fit = box_dimension(cloud, scales=scales, min_points=1)
+            want = _box_counts_oracle(xy_c, fit.scales)
+            assert fit.counts.dtype == want.dtype
+            assert np.array_equal(fit.counts, want)
+
+
+def test_box_dimension_refuses_a_grid_above_the_cap():
+    pts = np.random.default_rng(57).random(1000) + 1j * np.random.default_rng(58).random(1000)
+    pts[:2] = [0.0, 1.0 + 1.0j]  # the cloud spans [0, 1]^2
+    # 2^-13 needs 8193^2 cells, just above 2^26; 2^-12 needs 4097^2
+    msg = r"scale 0\.0001220703125 needs a 8193 x 8193 grid, above BOX_COUNT_MAX_CELLS = 67108864"
+    with pytest.raises(GeometryError, match=msg):
+        box_dimension(pts, scales=2.0 ** -np.arange(1, 14), min_points=1)
+    assert box_dimension(pts, scales=2.0 ** -np.arange(1, 13), min_points=1).counts[-1] <= 1000
+    # a scale so small that the grid side overflows to infinity
+    with np.errstate(over="ignore"), pytest.raises(GeometryError, match="inf x inf grid"):
+        box_dimension(pts, scales=[0.5, 0.25, 0.125, 1e-320], min_points=1)
+
+
+def test_box_dimension_refuses_non_finite_points_and_bad_scales():
+    pts = np.random.default_rng(59).random(100_000) + 0.5j
+    pts[[3, 70, 900]] = [complex(math.nan, 0.1), complex(0.2, math.inf), complex(-math.inf, math.nan)]
+    with pytest.raises(GeometryError, match="3 are not"):
+        box_dimension(pts)
+    xy = np.stack([pts.real, pts.imag], axis=-1)
+    with pytest.raises(GeometryError, match="3 are not"):
+        box_dimension(xy)
+    for bad in ([0.5, 0.25, 0.0, 0.125], [0.5, 0.25, -0.125, 0.1], [0.5, math.nan, 0.25, 0.1]):
+        with pytest.raises(GeometryError, match="at least 4 positive scales"):
+            box_dimension(pts[1000:2000], scales=bad, min_points=1)
 
 
 # ---------------------------------------------------------------------------

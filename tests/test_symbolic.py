@@ -250,7 +250,8 @@ def test_shift_equivariance(pants222):
         eta = random_reduced_word(rng, 30, first_not=xi[0])
         g = geodesic_from_pair(pants222, GeodesicPair(Ray(xi), Ray(eta)), depth=30)
         word = cutting_sequence_trace(pants222, g, 8)
-        pulled = g.transform(pants222.gens[word[0]])
+        m = pants222.gens[word[0]]
+        pulled = Geodesic(*(BoundaryPoint.from_complex(m(e.point)) for e in (g.p, g.q)))
         assert cutting_sequence_trace(pants222, pulled, 7) == word[1:]
 
 
