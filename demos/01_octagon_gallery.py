@@ -9,7 +9,8 @@ prints each validation report, and writes one SVG per triple.
 
 import os
 
-from cuffdim import build_pants, octagon_svg, schottky_arcs, validate_pants
+from cuffdim import build_pants, octagon_svg, validate_pants
+from cuffdim.pants import SYMBOL_NAMES
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -19,8 +20,7 @@ for cuffs in [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.6, 1.7, 3.1), (5.0, 2.0, 0.8)
     report = validate_pants(pants)
     print(f"\ncuffs {cuffs}: axis separation {pants.axis_gap:.6f}")
     print(report.summary())
-    arcs = schottky_arcs(pants)
-    for name, arc in arcs.items():
+    for name, arc in zip(SYMBOL_NAMES, pants.arcs):
         print(f"  arc {name}: [{arc.lo:.4f}, {arc.hi:.4f}] length {arc.length:.4f}")
     name = "octagon_" + "_".join(f"{c:g}" for c in cuffs) + ".svg"
     path = os.path.join(OUT, name)

@@ -34,7 +34,6 @@ from .pants import (
     build_pants,
     expansion_map_step,
     octagon_svg,
-    schottky_arcs,
     validate_pants,
 )
 from .symbolic import (

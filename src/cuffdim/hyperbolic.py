@@ -389,21 +389,26 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
     bounding plane, so a geodesic running along a side counts as inside.
     The products are laid out (k, ...), side first, so that every
     reduction runs over whole rows.  More chords than ``CLIP_BLOCK`` run
-    in equal blocks, so the (k, block) temporaries stay in cache; no block
-    is a single chord, whose product numpy rounds differently (gemv).
+    in equal blocks that keep the (k, block) temporaries in cache; none is
+    a single chord, whose product numpy rounds differently (by gemv).
     """
-    n = math.prod(l_back.shape[:-1])
-    if n > CLIP_BLOCK:
-        back, fwd = l_back.reshape(n, 3), l_fwd.reshape(n, 3)
-        out = (np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, np.intp))
-        n_blocks = -(-n // CLIP_BLOCK)
-        for k in range(n_blocks):
-            blk = slice(k * n // n_blocks, (k + 1) * n // n_blocks)
-            for o, r in zip(out, clip_chord(back[blk], fwd[blk], normals)):
-                o[blk] = r
-        return tuple(o.reshape(l_back.shape[:-1]) for o in out)
     nJ = normals * np.array([1.0, 1.0, -1.0])
-    shape = (len(normals),) + l_back.shape[:-1]
+    n = math.prod(l_back.shape[:-1])
+    if n <= CLIP_BLOCK:
+        return _clip_block(nJ, l_back, l_fwd)
+    back, fwd = l_back.reshape(n, 3), l_fwd.reshape(n, 3)
+    out = (np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, np.intp))
+    n_blocks = -(-n // CLIP_BLOCK)
+    for k in range(n_blocks):
+        blk = slice(k * n // n_blocks, (k + 1) * n // n_blocks)
+        for o, r in zip(out, _clip_block(nJ, back[blk], fwd[blk])):
+            o[blk] = r
+    return tuple(o.reshape(l_back.shape[:-1]) for o in out)
+
+
+def _clip_block(nJ: np.ndarray, l_back: np.ndarray, l_fwd: np.ndarray):
+    """clip_chord on one block, with the sign-flipped normals nJ."""
+    shape = (len(nJ),) + l_back.shape[:-1]
     a = (nJ @ l_back.reshape(-1, 3).T).reshape(shape)
     b = (nJ @ l_fwd.reshape(-1, 3).T).reshape(shape)
     t = np.negative(a)  # t_cross = log(-a / b) / 2, in place

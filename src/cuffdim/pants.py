@@ -317,11 +317,6 @@ def build_pants(cuffs) -> PantsGeometry:
 # Accessors
 
 
-def schottky_arcs(p: PantsGeometry) -> dict[str, Arc]:
-    """The four boundary arcs keyed by their symbol name."""
-    return {SYMBOL_NAMES[s]: p.arcs[s] for s in range(4)}
-
-
 def expansion_map_step(p: PantsGeometry, t) -> tuple[int | None, BoundaryPoint, float]:
     """One step of the piecewise-Moebius boundary map.
 

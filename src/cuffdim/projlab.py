@@ -31,9 +31,7 @@ POINT_CLOUD_MAGIC = b"CSPTS001"
 # block's temporaries
 PRODUCT_COVER_MAX_BOXES = 60_000_000
 
-# cells of one box-counting bitmap (64 MiB of bools); the default scales
-# need at most 513^2 for a cloud in the unit disk
-BOX_COUNT_MAX_CELLS = 2**26
+BOX_COUNT_MAX_CELLS = 2**26  # cells of one box-counting bitmap (64 MiB of bools)
 
 
 # ---------------------------------------------------------------------------
