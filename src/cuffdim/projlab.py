@@ -711,6 +711,8 @@ def box_dimension(points: np.ndarray, scales=None, min_points: int = 100_000) ->
     of more than ``BOX_COUNT_MAX_CELLS`` cells is refused.
     """
     pts = np.asarray(points)
+    if pts.shape[1:] != (() if np.iscomplexobj(pts) else (2,)):
+        raise GeometryError(f"box dimension needs complex (N,) or real (N, 2) points, not {pts.shape}")
     x, y = (pts.real, pts.imag) if np.iscomplexobj(pts) else pts.astype(float).T
     if x.shape[0] < min_points:
         raise GeometryError(f"box dimension needs at least {min_points} points")
@@ -724,9 +726,10 @@ def box_dimension(points: np.ndarray, scales=None, min_points: int = 100_000) ->
         raise GeometryError(f"box dimension needs at least 4 positive scales, got {scales}")
     # contiguous columns: axis reductions over an (N, 2) array are strided
     x, y = x - x.min(), y - y.min()
+    x_max, y_max = x.max(), y.max()
     counts = []
     for s in scales.tolist():
-        nx, ny = np.floor(x.max() / s) + 1.0, np.floor(y.max() / s) + 1.0
+        nx, ny = np.floor(x_max / s) + 1.0, np.floor(y_max / s) + 1.0
         if nx * ny > BOX_COUNT_MAX_CELLS:
             raise GeometryError(
                 f"box scale {s!r} needs a {nx:.0f} x {ny:.0f} grid, above "

@@ -577,6 +577,10 @@ def test_box_dimension_preconditions():
     big = rng.random(100_000) + 1j * rng.random(100_000)
     with pytest.raises(GeometryError):
         box_dimension(big, scales=[0.5, 0.25, 0.125])
+    xyz = rng.random((100_000, 3))
+    for bad in (xyz, xyz[:, 0], big[:, None]):
+        with pytest.raises(GeometryError, match=r"complex \(N,\) or real \(N, 2\) points"):
+            box_dimension(bad)
 
 
 def _box_counts_oracle(xy, scales):
