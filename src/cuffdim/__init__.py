@@ -32,7 +32,6 @@ from .pants import (
     PantsReport,
     bar,
     build_pants,
-    expansion_map_step,
     octagon_svg,
     validate_pants,
 )
@@ -40,7 +39,6 @@ from .symbolic import (
     CylinderCover,
     GeodesicPair,
     Ray,
-    boundary_expansion,
     cutting_sequence_trace,
     cylinder_cover,
     geodesic_from_pair,

@@ -387,27 +387,34 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
 
     Endpoint products within CLIP_EPS of zero are treated as lying on the
     bounding plane, so a geodesic running along a side counts as inside.
-    The products are laid out (k, ...), side first, so that every
-    reduction runs over whole rows.  More chords than ``CLIP_BLOCK`` run
-    in equal blocks that keep the (k, block) temporaries in cache; none is
-    a single chord, whose product numpy rounds differently (by gemv).
+    The bounds kernel ``_clip_block`` lays each side's crossing bounds out
+    (k, ...), side first, so that every reduction runs over whole rows.
+    More chords than ``CLIP_BLOCK`` run in equal blocks that keep the
+    (k, block) temporaries in cache; none is a single chord, whose product
+    numpy rounds differently (by gemv).  The geodesic sampler reduces the
+    same blocks' bounds without the sides.
     """
-    nJ = normals * np.array([1.0, 1.0, -1.0])
     n = math.prod(l_back.shape[:-1])
     if n <= CLIP_BLOCK:
-        return _clip_block(nJ, l_back, l_fwd)
+        return _clip_sides(*_clip_block(normals, l_back, l_fwd))
     back, fwd = l_back.reshape(n, 3), l_fwd.reshape(n, 3)
     out = (np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, np.intp))
     n_blocks = -(-n // CLIP_BLOCK)
     for k in range(n_blocks):
         blk = slice(k * n // n_blocks, (k + 1) * n // n_blocks)
-        for o, r in zip(out, _clip_block(nJ, back[blk], fwd[blk])):
+        for o, r in zip(out, _clip_sides(*_clip_block(normals, back[blk], fwd[blk]))):
             o[blk] = r
     return tuple(o.reshape(l_back.shape[:-1]) for o in out)
 
 
-def _clip_block(nJ: np.ndarray, l_back: np.ndarray, l_fwd: np.ndarray):
-    """clip_chord on one block, with the sign-flipped normals nJ."""
+def _clip_sides(lower: np.ndarray, upper: np.ndarray):
+    return lower.max(axis=0), upper.min(axis=0), lower.argmax(axis=0), upper.argmin(axis=0)
+
+
+def _clip_block(normals: np.ndarray, l_back: np.ndarray, l_fwd: np.ndarray):
+    """Per-side bounds (lower, upper), shape (k, ...): a chord is inside
+    side i for t in [lower[i], upper[i]]."""
+    nJ = normals * np.array([1.0, 1.0, -1.0])
     shape = (len(nJ),) + l_back.shape[:-1]
     a = (nJ @ l_back.reshape(-1, 3).T).reshape(shape)
     b = (nJ @ l_fwd.reshape(-1, 3).T).reshape(shape)
@@ -424,7 +431,7 @@ def _clip_block(nJ: np.ndarray, l_back: np.ndarray, l_fwd: np.ndarray):
     upper[~(apos & bneg)] = np.inf
     # sides violated for every t
     lower[(aneg & ~bpos) | (bneg & ~apos)] = np.inf
-    return lower.max(axis=0), upper.min(axis=0), lower.argmax(axis=0), upper.argmin(axis=0)
+    return lower, upper
 
 
 def chord_point(l_back: np.ndarray, l_fwd: np.ndarray, t) -> np.ndarray:

@@ -314,25 +314,6 @@ def build_pants(cuffs) -> PantsGeometry:
 
 
 # ---------------------------------------------------------------------------
-# Accessors
-
-
-def expansion_map_step(p: PantsGeometry, t) -> tuple[int | None, BoundaryPoint, float]:
-    """One step of the piecewise-Moebius boundary map.
-
-    Returns (symbol, image, derivative).  Points outside the four arcs are
-    fixed with derivative 1 and symbol None; arc membership uses the
-    half-open convention [lo, hi).
-    """
-    theta = t.theta if isinstance(t, BoundaryPoint) else float(t) % TWO_PI
-    for sym in range(4):
-        if p.arcs[sym].contains(theta):
-            image, deriv = p.gens[sym].apply_angle(theta)
-            return sym, BoundaryPoint(image), deriv
-    return None, BoundaryPoint(theta), 1.0
-
-
-# ---------------------------------------------------------------------------
 # Validation
 
 

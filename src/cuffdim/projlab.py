@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperbolic import GeometryError, chord_point, clip_chord, lift_light
+# clip_chord stays bound here for the benchmark tracer, which patches it
+from .hyperbolic import CLIP_BLOCK, GeometryError, _clip_block, chord_point, clip_chord, lift_light  # noqa: F401
 from .pants import PantsGeometry
 from .symbolic import cylinder_cover
 from .thermo import CylinderMeasure, GibbsChain
@@ -527,23 +528,34 @@ class GeodesicPointSample:
     attempts: int
 
 
-def _chain_walk(chain: GibbsChain, cur: np.ndarray, rng, steps: int):
-    """Symbols appended by `steps` chain steps from states cur, one row per
-    step, and the final states.
-
-    Successor j counts the first two cumulative probabilities below the
-    draw, so the third successor takes the remainder even where a row's
-    cumulative sum rounds below 1.
+def _chain_walk(chain: GibbsChain):
+    """Walk function (cur, draws, n_syms, n_keys=0) -> (syms, key): one chain
+    step per row of draws (steps, m) from the states cur.  syms holds the
+    symbols appended by the first n_syms steps; key is the state n_keys
+    steps before the end times 3^n_keys plus the base-3 number of the last
+    n_keys successor choices (the final state when n_keys = 0).  A choice
+    counts the first two cumulative probabilities below the draw, so the
+    third successor takes the remainder where a row's sum rounds below 1.
     """
     c0, c1 = np.cumsum(chain.transition_probs, axis=1)[:, :2].T.copy()
     succ = chain.skeleton.cols.ravel()
     last = chain.skeleton.cover.words[:, -1].astype(np.intp)
-    syms = np.empty((steps, len(cur)), dtype=np.intp)
-    for k in range(steps):
-        r = rng.random(len(cur))
-        cur = succ[3 * cur + (r > c0[cur]) + (r > c1[cur])]
-        syms[k] = last[cur]
-    return syms, cur
+
+    def walk(cur, draws, n_syms, n_keys=0):
+        syms = np.empty((n_syms, len(cur)), dtype=np.intp)
+        split = len(draws) - n_keys
+        for k, r in enumerate(draws):
+            # an integer sum: the sum of two bool arrays would be their OR
+            choice = (r > c0[cur]).view(np.int8) + (r > c1[cur]).view(np.int8)
+            edge = 3 * cur + choice
+            if k >= split:
+                key = edge if k == split else 3 * key + choice
+            cur = succ[edge]
+            if k < n_syms:
+                syms[k] = last[cur]
+        return syms, cur if n_keys == 0 else key
+
+    return walk
 
 
 def _extend_words(chain: GibbsChain, idx: np.ndarray, rng, total_len: int) -> np.ndarray:
@@ -551,7 +563,8 @@ def _extend_words(chain: GibbsChain, idx: np.ndarray, rng, total_len: int) -> np
     words = chain.skeleton.cover.words[idx].astype(np.uint8)
     if total_len <= chain.depth:
         return words[:, :total_len]
-    syms, _ = _chain_walk(chain, idx, rng, total_len - chain.depth)
+    steps = total_len - chain.depth
+    syms, _ = _chain_walk(chain)(idx, rng.random((steps, len(idx))), steps)
     return np.concatenate([words, syms.T.astype(np.uint8)], axis=1)
 
 
@@ -606,6 +619,14 @@ def sample_complete_geodesic_points(
     octagon and emits the point at a uniform arclength along the chord.
     Non-crossing realizations are resampled and counted.  Deterministic
     for a fixed seed.
+
+    Each word is realized from its last symbol's arc midpoint by one
+    normalized inverse branch per preceding symbol.  The branches through
+    its last n + j symbols (n the depth) are tabulated once per call over
+    the n_states * 3^j (n + j)-words, j the largest j <= steps with
+    n_states * 3^j <= 2 * count.  Each round draws its randoms up front
+    and runs in ``clip_chord``'s blocks; the output does not depend on j
+    or the blocks.
     """
     if not 1 <= count <= 10**7:
         raise GeometryError(f"sample count {count} outside [1, 1e7]")
@@ -622,22 +643,27 @@ def sample_complete_geodesic_points(
     first = words[:, 0].copy()
     # intp symbols keep the coefficient gathers fast
     heads = words.T.astype(np.intp)
-    # a word's last n symbols are its final chain state, so the steps that
-    # read only them run once per state, from the arc midpoint of its last
-    # symbol; the steps before them run per word, in the same order
-    z_state = _prepend_symbols(p, p.arc_point(np.arange(4), 0.0)[heads[-1]], heads[:-1])
+    j = 0  # the table holds at most two entries per point
+    while j < steps and len(first) * 3 ** (j + 1) <= 2 * count:
+        j += 1
+    # table[s * 3^i + key]: the (n + i)-word of state s and the choices key,
+    # realized as its first symbol's branch at its successor's entry
+    table = _prepend_symbols(p, p.arc_point(np.arange(4), 0.0)[heads[-1]], heads[:-1])
+    succ = chain.skeleton.cols.ravel()
+    for i in range(j):
+        src = (succ[:, None] * 3**i + np.arange(3**i)).ravel()
+        table = _prepend_symbols(p, table[src], [np.repeat(heads[0], 3 ** (i + 1))])
+    walk = _chain_walk(chain)
 
-    def realize(idx):
-        syms, final = _chain_walk(chain, idx, rng, steps)
-        cols = list(heads[:, idx]) + list(syms)
-        return _prepend_symbols(p, z_state[final], cols[:steps])
+    def realize(idx, walk_draws):
+        syms, key = walk(idx, walk_draws, max(steps - j - chain.depth, 0), j)
+        return _prepend_symbols(p, table[key], list(heads[: steps - j, idx]) + list(syms))
 
     pts = np.empty(count, dtype=complex)
     lens = np.empty(count)
     fracs = np.empty(count)
     need = np.arange(count)
-    resampled = 0
-    attempts = 0
+    resampled = attempts = 0
     while len(need):
         m = len(need)
         attempts += m
@@ -651,20 +677,26 @@ def sample_complete_geodesic_points(
         while len(clash):
             eta_idx[clash] = draw(rng.random(len(clash)))
             clash = clash[first[xi_idx[clash]] == first[eta_idx[clash]]]
-        z_fwd = realize(xi_idx)
-        z_back = realize(eta_idx)
-        l_fwd = lift_light(z_fwd)
-        l_back = lift_light(z_back)
-        t_in, t_out, _, _ = clip_chord(l_back, l_fwd, normals)
-        good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)
+        xi_draws = rng.random((steps, m))
+        eta_draws = rng.random((steps, m))
         u = rng.random(m)
-        rows = need[good]
-        ell = (t_out - t_in)[good]
-        pts[rows] = chord_point(l_back[good], l_fwd[good], t_in[good] + u[good] * ell)
-        lens[rows] = ell
-        fracs[rows] = u[good]
-        resampled += int(np.sum(~good))
-        need = need[~good]
+        rejected = []
+        n_blocks = -(-m // CLIP_BLOCK)
+        for b in range(n_blocks):
+            blk = slice(b * m // n_blocks, (b + 1) * m // n_blocks)
+            l_fwd = lift_light(realize(xi_idx[blk], xi_draws[:, blk]))
+            l_back = lift_light(realize(eta_idx[blk], eta_draws[:, blk]))
+            lower, upper = _clip_block(normals, l_back, l_fwd)
+            t_in, t_out = lower.max(axis=0), upper.min(axis=0)
+            good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)
+            rows = need[blk][good]
+            ell = (t_out - t_in)[good]
+            ub = u[blk][good]
+            pts[rows] = chord_point(l_back[good], l_fwd[good], t_in[good] + ub * ell)
+            lens[rows], fracs[rows] = ell, ub
+            rejected.append(need[blk][~good])
+        need = np.concatenate(rejected)
+        resampled += len(need)
     return GeodesicPointSample(
         points=pts,
         lengths=lens,

@@ -46,7 +46,6 @@ from .pants import (
     Arc,
     PantsGeometry,
     bar,
-    expansion_map_step,
 )
 
 Word = tuple[int, ...]
@@ -85,23 +84,6 @@ def word_to_string(word) -> str:
 def bar_reverse(word) -> Word:
     """Reverse the word and bar every symbol (the time-reversal involution)."""
     return tuple(bar(s) for s in reversed(word))
-
-
-# ---------------------------------------------------------------------------
-# Boundary expansion
-
-
-def boundary_expansion(p: PantsGeometry, t, max_n: int) -> Word:
-    """Itinerary of a circle point under the boundary map, up to max_n symbols."""
-    theta = t.theta if isinstance(t, BoundaryPoint) else float(t) % TWO_PI
-    out = []
-    for _ in range(max_n):
-        sym, image, _ = expansion_map_step(p, theta)
-        if sym is None:
-            break
-        out.append(sym)
-        theta = image.theta
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from cuffdim.pants import (
     CuffLengths,
     bar,
     build_pants,
-    expansion_map_step,
     octagon_svg,
     validate_pants,
 )
 from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import hausdorff_delta
+
+from test_symbolic import expansion_map_step
 
 
 def test_cuff_range_enforced():

@@ -1,6 +1,7 @@
 """Box covers, projections, Favard averages, certification, sampling."""
 
 import dataclasses
+import functools
 import itertools
 import hashlib
 import math
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import GeometryError
+from cuffdim.hyperbolic import CLIP_BLOCK, GeometryError, chord_point, clip_chord, lift_light
 from cuffdim.projlab import (
     box_dimension,
     constant_family,
@@ -29,7 +30,7 @@ from cuffdim.projlab import (
     BoxCover,
     ks_uniform_statistic,
 )
-from cuffdim import build_pants, projlab, thermo
+from cuffdim import build_pants, hyperbolic, projlab, thermo
 from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import gibbs_measure
 
@@ -480,6 +481,132 @@ def test_sampler_output_matches_frozen_digest(cuffs, depth, word_len):
     for a in (s.points.real, s.points.imag, s.lengths, s.time_fractions):
         h.update(a.astype(np.float32).tobytes())
     assert h.hexdigest() == SAMPLER_DIGESTS[(cuffs, depth, word_len)]
+
+
+def _sampler_oracle(p, chain, count, seed, word_len, max_attempt_factor=10):
+    """The sampler as written before its endpoint table and blocked rounds.
+
+    Each round draws the stationary states and the clash redraws, then one
+    draw row per chain step of the forward walk and of the backward walk;
+    every word is pulled back in full from its last symbol's arc midpoint,
+    all chords are clipped by one clip_chord call, and the chord times are
+    drawn last.  Returns (points, lengths, fractions, resampled, attempts).
+    """
+    steps = max(word_len, chain.depth) - chain.depth
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pi_cum = np.cumsum(chain.stationary)
+    pi_cum[-1] = 1.0
+    words = chain.skeleton.cover.words.astype(np.intp)
+    cum = np.cumsum(chain.transition_probs, axis=1)[:, :2]
+    mid = p.arc_point(np.arange(4), 0.0)
+
+    def realize(idx):
+        cur, rows = idx, list(words[idx].T)
+        for _ in range(steps):
+            r = rng.random(len(idx))
+            cur = chain.skeleton.cols[cur, (r[:, None] > cum[cur]).sum(axis=1)]
+            rows.append(words[cur, -1])
+        z = mid[rows[-1]]
+        for sym in rows[-2::-1]:
+            z, _ = p.inverse_branch(sym, z)
+            z /= np.abs(z)
+        return z
+
+    pts, lens, fracs = np.empty(count, complex), np.empty(count), np.empty(count)
+    need, resampled, attempts = np.arange(count), 0, 0
+    while len(need):
+        m = len(need)
+        attempts += m
+        if attempts > max_attempt_factor * count:
+            raise GeometryError("oracle exceeded its attempt budget")
+        xi = np.searchsorted(pi_cum, rng.random(m))
+        eta = np.searchsorted(pi_cum, rng.random(m))
+        clash = np.flatnonzero(words[xi, 0] == words[eta, 0])
+        while len(clash):
+            eta[clash] = np.searchsorted(pi_cum, rng.random(len(clash)))
+            clash = clash[words[xi[clash], 0] == words[eta[clash], 0]]
+        l_fwd, l_back = lift_light(realize(xi)), lift_light(realize(eta))
+        t_in, t_out, _, _ = clip_chord(l_back, l_fwd, p.interior_normals)
+        good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)
+        u = rng.random(m)
+        ell = (t_out - t_in)[good]
+        pts[need[good]] = chord_point(l_back[good], l_fwd[good], t_in[good] + u[good] * ell)
+        lens[need[good]] = ell
+        fracs[need[good]] = u[good]
+        resampled += int(np.sum(~good))
+        need = need[~good]
+    return pts, lens, fracs, resampled, attempts
+
+
+@functools.cache
+def _sampler_chain(cuffs, depth):
+    p = build_pants(cuffs)
+    return p, thermo.gibbs_chain(p, 0.5, depth)
+
+
+def _assert_sample_equals_oracle(s, want):
+    got = (s.points, s.lengths, s.time_fractions, s.resampled, s.attempts)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+# the counts pick different table depths j: 0 at counts 1 and 2, and at
+# CLIP_BLOCK + 1 and 20,000 two levels apart, up to j = steps (depth 4,
+# and depth 8 with one step); CLIP_BLOCK + 1 runs two blocks of unequal size
+@pytest.mark.parametrize("count", [1, 2, CLIP_BLOCK + 1, 20_000])
+@pytest.mark.parametrize(
+    "cuffs, depth, word_len",
+    [
+        ((A_HALF,) * 3, 6, 14),
+        ((2.0, 2.0, 2.0), 6, 4),  # word_len below the depth: no walk steps
+        ((0.5, 1.0, 6.0), 6, 20),
+        ((0.2, 1.0, 12.0), 8, 9),
+        ((8.0, 8.0, 8.0), 4, 9),
+    ],
+)
+def test_sampler_matches_stepwise_oracle(cuffs, depth, word_len, count):
+    p, chain = _sampler_chain(cuffs, depth)
+    for seed in (7, 13):
+        s = sample_complete_geodesic_points(p, chain, count, seed, word_len=word_len)
+        _assert_sample_equals_oracle(s, _sampler_oracle(p, chain, count, seed, word_len))
+
+
+def _reject_where(kernel, reject):
+    """_clip_block that also rejects every chord whose lifts satisfy reject."""
+
+    def patched(normals, l_back, l_fwd):
+        lower, upper = kernel(normals, l_back, l_fwd)
+        lower[:, reject(l_back, l_fwd)] = np.inf
+        return lower, upper
+
+    return patched
+
+
+def test_sampler_resamples_rejected_chords(monkeypatch):
+    p, chain = _sampler_chain((A_HALF,) * 3, 6)
+    # a fixed subset of chords, those whose forward endpoint has positive
+    # real part (about half): every round rejects the drawn chords in it
+    kernel = _reject_where(hyperbolic._clip_block, lambda back, fwd: fwd[..., 0] > 0.0)
+    monkeypatch.setattr(hyperbolic, "_clip_block", kernel)
+    monkeypatch.setattr(projlab, "_clip_block", kernel)
+    count = 20_000
+    s = sample_complete_geodesic_points(p, chain, count, seed=7)
+    assert s.resampled > count // 10
+    assert s.attempts == count + s.resampled
+    z = s.points
+    r2 = np.abs(z) ** 2
+    lift = np.stack([2.0 * z.real, 2.0 * z.imag, 1.0 + r2]) / (1.0 - r2)
+    normals = p.interior_normals
+    assert np.all(normals[:, :2] @ lift[:2] - np.outer(normals[:, 2], lift[2]) >= -1e-12)
+    _assert_sample_equals_oracle(s, _sampler_oracle(p, chain, count, 7, 14))
+
+
+def test_sampler_rejecting_every_chord_exhausts_the_budget(monkeypatch):
+    p, chain = _sampler_chain((A_HALF,) * 3, 6)
+    kernel = _reject_where(hyperbolic._clip_block, lambda back, fwd: np.ones(fwd.shape[:-1], bool))
+    monkeypatch.setattr(projlab, "_clip_block", kernel)
+    with pytest.raises(GeometryError, match="attempt budget"):
+        sample_complete_geodesic_points(p, chain, 5_000, seed=7)
 
 
 def _extend_words_oracle(chain, idx, rng, total_len):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import GeometryError, Geodesic, BoundaryPoint, classify_isometry
+from cuffdim.hyperbolic import TWO_PI, GeometryError, Geodesic, BoundaryPoint, classify_isometry
 from cuffdim import symbolic
 from cuffdim.pants import ABAR, ALPHA, BBAR, BETA
 from cuffdim.symbolic import (
@@ -13,7 +13,6 @@ from cuffdim.symbolic import (
     GeodesicPair,
     Ray,
     bar_reverse,
-    boundary_expansion,
     cover_to_csv,
     cutting_sequence_trace,
     cylinder_cover,
@@ -29,6 +28,37 @@ from cuffdim.symbolic import (
 )
 
 from conftest import random_reduced_word
+
+
+# The cylinder-word oracle: the piecewise-Moebius boundary map, one circle
+# point at a time.  test_pants checks its step on its own.
+
+
+def expansion_map_step(p, t):
+    """One step of the boundary map: (symbol, image, derivative).
+
+    Points outside the four arcs are fixed with derivative 1 and symbol
+    None; arc membership uses the half-open convention [lo, hi).
+    """
+    theta = t.theta if isinstance(t, BoundaryPoint) else float(t) % TWO_PI
+    for sym in range(4):
+        if p.arcs[sym].contains(theta):
+            image, deriv = p.gens[sym].apply_angle(theta)
+            return sym, BoundaryPoint(image), deriv
+    return None, BoundaryPoint(theta), 1.0
+
+
+def boundary_expansion(p, t, max_n):
+    """Itinerary of a circle point under the boundary map, up to max_n symbols."""
+    theta = t.theta if isinstance(t, BoundaryPoint) else float(t) % TWO_PI
+    out = []
+    for _ in range(max_n):
+        sym, image, _ = expansion_map_step(p, theta)
+        if sym is None:
+            break
+        out.append(sym)
+        theta = image.theta
+    return tuple(out)
 
 
 def test_word_string_round_trip():
