@@ -6,79 +6,56 @@ Schottky arcs, computes the limit-set dimension as the root of a
 transfer-operator pressure, samples the Gibbs measure, and runs planar
 projection experiments (Favard decay, transversality certification,
 box-counting dimension of complete-geodesic point clouds).
+
+The namespace is lazy: ``import cuffdim`` loads no layer module, and
+``cuffdim.<name>`` imports the name's home layer on first access (PEP 562).
+Names are looked up in their layer on every access and never stored here,
+so ``vars(cuffdim)`` holds only the submodules imported so far.  A δ caller
+(``build_pants`` + ``hausdorff_delta``) loads ``hyperbolic``, ``pants`` and
+``thermo``; ``symbolic`` and ``projlab`` load only when a caller uses them.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .hyperbolic import (
-    BoundaryPoint,
-    DiskPoint,
-    Geodesic,
-    GeometryError,
-    IsometryInfo,
-    MoebiusTransform,
-    classify_isometry,
-    hyp_distance,
-)
-from .pants import (
-    ALPHA,
-    ABAR,
-    BETA,
-    BBAR,
-    Arc,
-    CuffLengths,
-    OctagonSide,
-    PantsGeometry,
-    PantsReport,
-    bar,
-    build_pants,
-    octagon_svg,
-    validate_pants,
-)
-from .symbolic import (
-    CylinderCover,
-    GeodesicPair,
-    Ray,
-    cutting_sequence_trace,
-    cylinder_cover,
-    geodesic_from_pair,
-    is_reduced,
-    periodic_suspension_sum,
-    suspension_time,
-    word_from_string,
-    word_to_element,
-    word_to_string,
-)
-from .thermo import (
-    CylinderMeasure,
-    DeltaResult,
-    TransferMatrix,
-    cover_scaling_delta,
-    entropy_identity_check,
-    gibbs_chain,
-    gibbs_measure,
-    hausdorff_delta,
-    pressure,
-    pressure_root,
-    solve_locus,
-    solve_locus_symmetric,
-    transfer_matrix,
-)
-from .projlab import (
-    BoxCover,
-    TransversalFamilySpec,
-    TransversalityReport,
-    box_dimension,
-    constant_family,
-    direction_family,
-    favard_estimate,
-    four_corner_cover,
-    product_cover,
-    project_cover_length,
-    projection_profile,
-    read_point_cloud,
-    sample_complete_geodesic_points,
-    segment_cover,
-    transversality_certify,
-    write_point_cloud,
-)
+_EXPORTS = {
+    "hyperbolic": (
+        "BoundaryPoint DiskPoint Geodesic GeometryError IsometryInfo MoebiusTransform"
+        " classify_isometry hyp_distance"
+    ),
+    "pants": (
+        "ALPHA ABAR BETA BBAR Arc CuffLengths OctagonSide PantsGeometry PantsReport"
+        " bar build_pants octagon_svg validate_pants"
+    ),
+    "symbolic": (
+        "CylinderCover GeodesicPair Ray cutting_sequence_trace cylinder_cover"
+        " geodesic_from_pair is_reduced periodic_suspension_sum suspension_time"
+        " word_from_string word_to_element word_to_string"
+    ),
+    "thermo": (
+        "CylinderMeasure DeltaResult TransferMatrix cover_scaling_delta"
+        " entropy_identity_check gibbs_chain gibbs_measure hausdorff_delta pressure"
+        " pressure_root solve_locus solve_locus_symmetric transfer_matrix"
+    ),
+    "projlab": (
+        "BoxCover TransversalFamilySpec TransversalityReport box_dimension"
+        " constant_family direction_family favard_estimate four_corner_cover"
+        " product_cover project_cover_length projection_profile read_point_cloud"
+        " sample_complete_geodesic_points segment_cover transversality_certify"
+        " write_point_cloud"
+    ),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

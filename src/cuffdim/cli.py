@@ -27,21 +27,12 @@ import time
 import numpy as np
 
 from . import __version__
+# the delta commands need only these three layers; the other commands
+# import symbolic and projlab inside their handlers
 from .hyperbolic import GeometryError
 from .pants import build_pants, octagon_svg, validate_pants
-from .projlab import (
-    FAMILIES,
-    box_dimension,
-    four_corner_cover,
-    product_cover,
-    projection_profile,
-    sample_complete_geodesic_points,
-    segment_cover,
-    transversality_certify,
-    write_point_cloud,
-)
-from .symbolic import Ray, GeodesicPair, cover_to_csv, cutting_sequence_trace, cylinder_cover, word_to_string
-from .thermo import LOCUS_DELTA_TOL, _delta_at, gibbs_measure, hausdorff_delta, solve_locus, solve_locus_symmetric
+from .thermo import (LOCUS_DELTA_TOL, _delta_at, collocation_nodes, gibbs_measure, hausdorff_delta,
+                     solve_locus, solve_locus_symmetric)
 
 LEDGER_FILE = "cuffdim-ledger.jsonl"
 # named in every delta ledger key, so values from another solver are misses
@@ -156,6 +147,14 @@ def parse_depths(text: str) -> tuple[int, ...]:
         raise GeometryError(f"--depths wants comma-separated integers, got {text!r}") from None
 
 
+def parse_levels(text: str) -> tuple[int, ...]:
+    """Collocation levels, each checked before any solve or ledger lookup."""
+    levels = parse_depths(text)
+    for n in levels:
+        collocation_nodes(n)
+    return levels
+
+
 def parse_range(text: str) -> list[float]:
     """lo:hi:count range specification."""
     try:
@@ -187,7 +186,7 @@ def parse_depth_span(text: str) -> tuple[int, ...]:
 
 def _cmd_delta(args) -> tuple[dict, dict, int]:
     cuffs = parse_cuffs(args.cuffs)
-    depths = parse_depths(args.depths)
+    depths = parse_levels(args.depths)
 
     def compute():
         p = build_pants(cuffs)
@@ -247,7 +246,7 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
 
 def _cmd_locus(args) -> tuple[dict, dict, int]:
     # delta at the root is read back from the cache of the locus solve's _delta_at
-    depths = parse_depths(args.depths)
+    depths = parse_levels(args.depths)
     if args.symmetric:
         a = solve_locus_symmetric(args.target, tol=args.tol, depths=depths)
         solved, cuffs = {"a": a}, (a, a, a)
@@ -279,6 +278,8 @@ def _cmd_octagon(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_cover(args) -> tuple[dict, dict, int]:
+    from .symbolic import cover_to_csv, cylinder_cover
+
     p = build_pants(parse_cuffs(args.cuffs))
     cov = cylinder_cover(p, args.depth)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -296,6 +297,8 @@ def _cmd_cover(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_trace(args) -> tuple[dict, dict, int]:
+    from .symbolic import GeodesicPair, Ray, cutting_sequence_trace, word_to_string
+
     p = build_pants(parse_cuffs(args.cuffs))
     pair = GeodesicPair(
         Ray.from_string(args.xi, args.xi_period or None),
@@ -310,6 +313,8 @@ def _cmd_trace(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_favard(args) -> tuple[dict, dict, int]:
+    from .projlab import four_corner_cover, product_cover, projection_profile, segment_cover
+
     depths = parse_depth_span(args.depths)
     if args.fixture == "omega":
         p = build_pants(parse_cuffs(args.cuffs))
@@ -328,6 +333,8 @@ def _cmd_favard(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_certify(args) -> tuple[dict, dict, int]:
+    from .projlab import FAMILIES, transversality_certify
+
     family = FAMILIES.get(args.family)
     if family is None:
         raise GeometryError(f"unknown family {args.family!r}; have {sorted(FAMILIES)}")
@@ -342,6 +349,8 @@ def _cmd_certify(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_sample_cs(args) -> tuple[dict, dict, int]:
+    from .projlab import box_dimension, sample_complete_geodesic_points, write_point_cloud
+
     if args.count < SAMPLE_CS_MIN_COUNT:
         raise GeometryError(
             f"sample-cs count {args.count} outside [{SAMPLE_CS_MIN_COUNT}, 1e7]: "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +24,9 @@ import numpy as np
 from .hyperbolic import CLIP_BLOCK, GeometryError, _clip_block, chord_point, clip_chord, lift_light  # noqa: F401
 from .pants import PantsGeometry
 from .symbolic import cylinder_cover
-from .thermo import CylinderMeasure, GibbsChain
+
+if TYPE_CHECKING:
+    from .thermo import CylinderMeasure, GibbsChain
 
 POINT_CLOUD_MAGIC = b"CSPTS001"
 
@@ -246,9 +249,7 @@ def favard_estimate(cover: BoxCover, grid: int = 256) -> float:
     The integrand is pi-periodic, so the trapezoid rule with periodic
     closure equals the plain grid mean.
     """
-    if grid < 16:
-        raise GeometryError(f"direction grid {grid} below 16")
-    return float(np.mean(project_lengths(cover, lambda_grid(grid))))
+    return projection_profile({0: cover}, grid).favard(0)
 
 
 @dataclass(frozen=True)
@@ -273,6 +274,8 @@ class ProjectionProfile:
 
 
 def projection_profile(covers: dict[int, BoxCover], grid: int = 256, label: str = "") -> ProjectionProfile:
+    if grid < 16:
+        raise GeometryError(f"direction grid {grid} below 16")
     depths = tuple(sorted(covers))
     lams = lambda_grid(grid)
     lengths = {d: project_lengths(covers[d], lams) for d in depths}
@@ -630,6 +633,8 @@ def sample_complete_geodesic_points(
     """
     if not 1 <= count <= 10**7:
         raise GeometryError(f"sample count {count} outside [1, 1e7]")
+    from .thermo import CylinderMeasure  # the projection path never loads thermo
+
     chain = mu.chain if isinstance(mu, CylinderMeasure) else mu
     if chain.depth < 4:
         raise GeometryError("sampling needs a chain of depth >= 4")

@@ -436,8 +436,8 @@ def cutting_sequence_trace(
     when the forward word runs out.  ``prec`` no longer changes the result:
     every trace runs in double precision.
     """
-    if n > MAX_TRACE_LEN:
-        raise GeometryError(f"trace length {n} exceeds {MAX_TRACE_LEN}")
+    if not 0 <= n <= MAX_TRACE_LEN:
+        raise GeometryError(f"trace length {n} outside [0, {MAX_TRACE_LEN}]")
     if isinstance(g, GeodesicPair):
         ends = tuple((r.period, _images(p, r.prefix, r.period)) for r in (g.xi, g.eta))
 

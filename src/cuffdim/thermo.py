@@ -36,12 +36,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hyperbolic import GeometryError, _brentq
 from .pants import PantsGeometry, build_pants
-from .symbolic import CylinderCover, cylinder_cover
+
+if TYPE_CHECKING:
+    from .symbolic import CylinderCover
 
 LOG3 = math.log(3.0)
 POWER_RTOL = 1e-12  # power iteration stops at l1 residual <= POWER_RTOL * lambda
@@ -73,6 +76,8 @@ def transition_skeleton(p: PantsGeometry, n: int) -> TransitionSkeleton:
     cached = p._cache.get(("skeleton", n))
     if cached is not None:
         return cached
+
+    from .symbolic import cylinder_cover  # only skeletons need the symbolic layer
 
     cover = cylinder_cover(p, n)
     w = cover.words.astype(np.int64)
@@ -346,6 +351,10 @@ def hausdorff_delta(
     """
     if tol < 1e-6:
         raise GeometryError(f"tolerance {tol} below the supported 1e-6")
+    if not depths:
+        raise GeometryError("hausdorff_delta needs at least one collocation level")
+    for n in depths:  # refuse a bad level before any solve, not only when reached
+        collocation_nodes(n)
     lo = PRESSURE_BRACKET[0]
     roots: list[tuple[int, float]] = []
     gap = math.inf

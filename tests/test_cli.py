@@ -275,6 +275,14 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         # below the box-dimension fit's floor; test_sample_cs_command runs 20000
         (["sample-cs", "--cuffs", "2,2,2", "--count", "5", "--out", "c.bin"], "20000"),
         (["sample-cs", "--cuffs", "2,2,2", "--count", "19999", "--out", "c.bin"], "20000"),
+        (["favard", "--fixture", "segment", "--depths", "2:2", "--grid", "0", "--out", "f.csv"],
+         "grid 0 below 16"),
+        (["favard", "--fixture", "segment", "--depths", "2:2", "--grid", "-4", "--out", "f.csv"],
+         "grid -4 below 16"),
+        (["trace", "--cuffs", "2,2,2", "--xi-period", "ab", "--eta-period", "BA", "-n", "-3"],
+         "trace length -3"),
+        (["locus", "--symmetric", "--target", "0.5", "--depths", "4,99"],
+         "collocation level 99 outside [1, 10]"),
     ]
     for argv, named in cases:
         status = run(argv)
@@ -285,6 +293,25 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         assert err["error"]["type"] == "GeometryError"
         assert named in err["error"]["message"]
         assert not (workdir / argv[-1]).exists()
+
+
+def test_delta_refuses_levels_outside_one_to_ten_before_the_ledger(workdir, capsys):
+    # 4 -> 6 converges, so level 99 was never solved: the command exited 0
+    # and left a ledger entry at depth 99 that a later --depths 99 was served
+    ledger = workdir / "ledger.jsonl"
+    for depths, bad in (("4,6,99", 99), ("0,4", 0)):
+        assert run(["delta", "--cuffs", "2,2,2", "--depths", depths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())["error"]
+        assert err == {"type": "GeometryError", "message": f"collocation level {bad} outside [1, 10]"}
+    assert not ledger.exists()
+    # a converged entry would serve any depth: the levels are checked first
+    assert run(["delta", "--cuffs", "2,2,2", "--depths", "4,6"]) == 0
+    capsys.readouterr()
+    assert run(["delta", "--cuffs", "2,2,2", "--depths", "99"]) == 2
+    assert "collocation level 99" in capsys.readouterr().err
+    assert len(ledger.read_text().splitlines()) == 1
 
 
 def test_octagon_svg_artifact(workdir, capsys):

@@ -101,13 +101,25 @@ def _ratio_range(p, s, m, grid=4000):
     return lo, hi
 
 
-def test_nodes_per_level():
+def test_nodes_per_level(monkeypatch):
     assert [collocation_nodes(n) for n in range(4, 11)] == [16, 23, 32, 45, 64, 91, 128]
     for n in (0, 11):
         with pytest.raises(GeometryError):
             collocation_nodes(n)
     with pytest.raises(GeometryError):
         hausdorff_delta(build_pants((2.0, 2.0, 2.0)), depths=(4, 11))
+
+    # every level is checked before any solve: 4 -> 6 converges, so a bad
+    # later level used to be neither reached nor named
+    def refuse(*args):
+        raise AssertionError("solved before the levels were checked")
+
+    monkeypatch.setattr(thermo, "collocation", refuse)
+    for depths, bad in (((4, 6, 99), 99), ((0, 4), 0)):
+        with pytest.raises(GeometryError, match=rf"collocation level {bad} outside \[1, 10\]"):
+            hausdorff_delta(build_pants((2.0, 2.0, 2.0)), depths=depths)
+    with pytest.raises(GeometryError, match="at least one collocation level"):
+        hausdorff_delta(build_pants((2.0, 2.0, 2.0)), depths=())
 
 
 def test_barycentric_rows_reproduce_polynomials():

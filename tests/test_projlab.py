@@ -317,6 +317,14 @@ def test_projection_of_empty_cover_is_zero():
 def test_favard_grid_minimum():
     with pytest.raises(GeometryError):
         favard_estimate(unit_square_cover(), grid=8)
+    # the profile shares the check: an empty grid used to give a header-only
+    # profile and NaN Favard lengths
+    covers = {2: segment_cover(2)}
+    for grid in (15, 0, -4):
+        with pytest.raises(GeometryError, match=f"direction grid {grid} below 16"):
+            projection_profile(covers, grid=grid)
+    prof = projection_profile(covers, grid=16)
+    assert prof.favard(2) == favard_estimate(covers[2], grid=16)
 
 
 def test_favard_single_box_bounds():

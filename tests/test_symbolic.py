@@ -271,6 +271,10 @@ def test_trace_length_cap(pants222):
     axis = classify_isometry(pants222.g_alpha).axis
     with pytest.raises(GeometryError):
         cutting_sequence_trace(pants222, axis, 500)
+    pair = GeodesicPair(Ray.from_string("", "ab"), Ray.from_string("", "BA"))
+    with pytest.raises(GeometryError, match=r"trace length -3 outside \[0, 200\]"):
+        cutting_sequence_trace(pants222, pair, -3)
+    assert cutting_sequence_trace(pants222, pair, 0) == ()
 
 
 def test_shift_equivariance(pants222):
