@@ -136,11 +136,6 @@ class MoebiusTransform:
         return cls(1.0 + 0.0j, 0.0j)
 
     @classmethod
-    def rotation(cls, psi: float) -> "MoebiusTransform":
-        """Rotation of the disk by angle psi about the origin."""
-        return cls(cmath.exp(0.5j * psi), 0.0j)
-
-    @classmethod
     def real_translation(cls, length: float) -> "MoebiusTransform":
         """Hyperbolic translation along the horizontal diameter.
 
@@ -148,13 +143,6 @@ class MoebiusTransform:
         when ``length`` > 0.
         """
         return cls(math.cosh(0.5 * length), math.sinh(0.5 * length))
-
-    @classmethod
-    def from_sl2r(cls, a: float, b: float, c: float, d: float) -> "MoebiusTransform":
-        """Conjugate a real SL(2,R) matrix (upper half-plane) to the disk."""
-        u = complex(0.5 * (a + d), 0.5 * (b - c))
-        v = complex(0.5 * (a - d), -0.5 * (b + c))
-        return cls(u, v)
 
     # -- group operations ----------------------------------------------------
 
@@ -169,13 +157,6 @@ class MoebiusTransform:
     def inverse(self) -> "MoebiusTransform":
         return MoebiusTransform(self.u.conjugate(), -self.v)
 
-    def power(self, k: int) -> "MoebiusTransform":
-        m = self if k >= 0 else self.inverse()
-        out = MoebiusTransform.identity()
-        for _ in range(abs(k)):
-            out = out.compose(m)
-        return out
-
     # -- action --------------------------------------------------------------
 
     def apply(self, z: complex) -> complex:
@@ -183,24 +164,12 @@ class MoebiusTransform:
 
     __call__ = apply
 
-    def apply_angle(self, theta: float) -> tuple[float, float]:
-        """Image angle and angular derivative at a boundary angle."""
-        z = cmath.exp(1j * theta)
-        den = self.v.conjugate() * z + self.u.conjugate()
-        w = (self.u * z + self.v) / den
-        return math.atan2(w.imag, w.real) % TWO_PI, 1.0 / abs(den) ** 2
-
     @property
     def trace(self) -> float:
         return 2.0 * self.u.real
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         return abs(self.u - 1.0) <= tol and abs(self.v) <= tol
-
-    def almost_equal(self, other: "MoebiusTransform", tol: float = 1e-12) -> bool:
-        same = abs(self.u - other.u) <= tol and abs(self.v - other.v) <= tol
-        flip = abs(self.u + other.u) <= tol and abs(self.v + other.v) <= tol
-        return same or flip
 
 
 # ---------------------------------------------------------------------------

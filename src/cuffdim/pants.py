@@ -104,11 +104,6 @@ class Arc:
     def midpoint(self) -> float:
         return (self.lo + 0.5 * self.length) % TWO_PI
 
-    def contains(self, theta: float, half_open: bool = True) -> bool:
-        """Membership, by default with the half-open convention [lo, hi)."""
-        d = (float(theta) - self.lo) % TWO_PI
-        return d < self.length if half_open else d <= self.length
-
 
 @dataclass(frozen=True)
 class OctagonSide:
@@ -172,11 +167,6 @@ class PantsGeometry:
     def interior_normals(self) -> np.ndarray:
         """Octagon side normals oriented so interior points have <x, n> > 0."""
         return self._normals
-
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        x = _lift(complex(z))
-        vals = self._normals @ (x * np.array([1.0, 1.0, -1.0]))
-        return bool(np.all(vals > margin))
 
     # -- Schottky arcs and inverse branches, vectorised over symbols ---------
 
@@ -258,8 +248,9 @@ def build_pants(cuffs) -> PantsGeometry:
     law gives the seams, and four frames per half (translations along the
     axes and seams) carry the origin to the vertices and the diameters to
     the sides.  g_beta enters the gluing inverted: the two cuff-c lifts are
-    the axes of g_alpha g_beta^-1 and g_beta^-1 g_alpha.  Any failure
-    raises one GeometryError naming the cuffs.
+    the axes of g_alpha g_beta^-1 and g_beta^-1 g_alpha.  Any failure,
+    arithmetic ones included (tiny cuffs underflow sinh to 0), raises one
+    GeometryError naming the cuffs.
     """
     cuffs = CuffLengths.coerce(cuffs)
     a, b, c = cuffs.as_tuple()
@@ -309,7 +300,7 @@ def build_pants(cuffs) -> PantsGeometry:
             arcs=arcs,
             vertices=verts,
         )
-    except GeometryError as exc:
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:  # GeometryError is a ValueError
         raise GeometryError(f"pants construction failed for cuffs {cuffs.as_tuple()}: {exc}") from exc
 
 
@@ -341,12 +332,6 @@ class PantsReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def residual(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.residual
-        raise KeyError(name)
 
     def summary(self) -> str:
         lines = []

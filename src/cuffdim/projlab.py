@@ -76,14 +76,6 @@ class BoxCover:
     y0 = property(lambda self: self._boxes(2))
     y1 = property(lambda self: self._boxes(3))
 
-    @property
-    def total_area(self) -> float:
-        return float(sum(np.sum((x1 - x0) * (y1 - y0)) for x0, x1, y0, y1 in self.blocks))
-
-    @property
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
-
 
 def _unit_pieces(cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cylinder arcs as unit-interval pieces (parent index, lo, hi).

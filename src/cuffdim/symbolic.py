@@ -43,7 +43,6 @@ from .pants import (
     CUFF_SIDE_INDICES,
     SEAM_SIDE_SYMBOL,
     SYMBOL_CHARS,
-    Arc,
     PantsGeometry,
     bar,
 )
@@ -128,36 +127,8 @@ class CylinderCover:
         m = self.p + self.q
         return m / np.abs(m)
 
-    def word(self, i: int) -> Word:
-        return tuple(int(s) for s in self.words[i])
-
     def word_string(self, i: int) -> str:
         return word_to_string(self.words[i])
-
-    def arc(self, i: int) -> Arc:
-        lo = float(self.lo[i])
-        return Arc(lo, lo + float(self.lengths[i]))
-
-    def index_of(self, word) -> int:
-        word = check_reduced(word)
-        if len(word) != self.depth:
-            raise GeometryError(f"word length {len(word)} != cover depth {self.depth}")
-        return int(lex_rank(np.array([word], dtype=np.int64))[0])
-
-    def entries(self):
-        for i in range(self.n_words):
-            yield self.word_string(i), self.arc(i)
-
-
-def lex_rank(words: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of reduced words among all of the same length."""
-    w = words.astype(np.int64)
-    n = w.shape[1]
-    if n == 1:
-        return w[:, 0]
-    rel = w[:, 1:] - (w[:, 1:] > (w[:, :-1] ^ 1))
-    weights = 3 ** np.arange(n - 2, -1, -1, dtype=np.int64)
-    return w[:, 0] * 3 ** (n - 1) + rel @ weights
 
 
 def cylinder_cover(p: PantsGeometry, n: int) -> CylinderCover:
@@ -248,14 +219,6 @@ class Ray:
     @property
     def first(self) -> int:
         return self.prefix[0] if self.prefix else self.period[0]
-
-    def head(self, n: int) -> Word:
-        """First n symbols of the (possibly infinite) word."""
-        out = list(self.prefix[:n])
-        if self.period:
-            while len(out) < n:
-                out.extend(self.period)
-        return tuple(out[:n])
 
 
 @dataclass(frozen=True)

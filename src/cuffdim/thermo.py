@@ -472,11 +472,6 @@ class CylinderMeasure:
     s: float
     chain: GibbsChain = field(repr=False)
 
-    def symbol_marginals(self) -> np.ndarray:
-        out = np.zeros(4)
-        np.add.at(out, self.cover.words[:, 0], self.weights)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class GibbsChain:
@@ -555,14 +550,15 @@ def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str)
     hybrid root refinement.
 
     Scan points where the dimension itself is not computable (degenerate
-    geometry, power-iteration failure) are skipped but reported when no
-    bracket exists.  delta is solved at most once per point, so the
-    rechecks at the root reuse the solve Brent's method made there.  The
-    bracket may rest on unconverged scan values, but delta at the returned
-    root must be converged.
+    geometry, power-iteration failure) are skipped; with no bracket the
+    error names each distinct failure.  delta is solved at most once per
+    point, so the rechecks reuse the solve Brent's method made at the
+    root.  The bracket may rest on unconverged scan values, but delta at
+    the returned root must be converged.
     """
     if not 0.05 < target < 0.95:
         raise GeometryError(f"target {target} outside (0.05, 0.95)")
+    xs = [float(x) for x in xs]  # plain floats, so failures name the cuffs legibly
     seen = {}
 
     def g(x: float) -> float:
@@ -580,12 +576,13 @@ def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str)
             )
         return float(x)
 
-    vals = []
+    vals, failures = [], {}
     for x in xs:
         try:
             vals.append(g(x))
-        except GeometryError:
+        except GeometryError as exc:
             vals.append(None)
+            failures[str(exc)] = None
     for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
         if v0 is None or v1 is None:
             continue
@@ -601,7 +598,8 @@ def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str)
         f"{x:.3f}: " + ("failed" if v is None else f"delta={v + target:.4f}")
         for x, v in zip(xs, vals)
     )
-    raise GeometryError(f"no delta={target} bracket for {what}; scan: {scanned}")
+    causes = "".join(f"; failed: {msg}" for msg in failures)
+    raise GeometryError(f"no delta={target} bracket for {what}; scan: {scanned}{causes}")
 
 
 def solve_locus(

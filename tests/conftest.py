@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,11 +13,14 @@ A_HALF = 2.4350334764413515
 
 
 def random_mobius(rng: np.random.Generator, spread: float = 2.0) -> MoebiusTransform:
-    """Random disk automorphism via rotation-translation-rotation."""
+    """Random disk automorphism via rotation-translation-rotation.
+
+    The rotation by psi about the origin is (u, v) = (exp(i psi / 2), 0).
+    """
     return (
-        MoebiusTransform.rotation(rng.uniform(0.0, 2.0 * math.pi))
+        MoebiusTransform(cmath.exp(0.5j * rng.uniform(0.0, 2.0 * math.pi)), 0)
         @ MoebiusTransform.real_translation(rng.uniform(-spread, spread))
-        @ MoebiusTransform.rotation(rng.uniform(0.0, 2.0 * math.pi))
+        @ MoebiusTransform(cmath.exp(0.5j * rng.uniform(0.0, 2.0 * math.pi)), 0)
     )
 
 

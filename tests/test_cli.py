@@ -283,6 +283,9 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
          "trace length -3"),
         (["locus", "--symmetric", "--target", "0.5", "--depths", "4,99"],
          "collocation level 99 outside [1, 10]"),
+        # admitted cuffs whose construction underflows exited 1 with a traceback
+        (["delta", "--cuffs", "1e-300,1e-300,1e-300"], "cuffs (1e-300, 1e-300, 1e-300)"),
+        (["octagon", "--cuffs", "5e-324,1,1", "--out", "oct.svg"], "cuffs (5e-324, 1.0, 1.0)"),
     ]
     for argv, named in cases:
         status = run(argv)

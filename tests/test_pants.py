@@ -1,5 +1,6 @@
 """Octagon construction, Schottky arcs, boundary map, validation."""
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -8,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import GeometryError, MoebiusTransform, classify_isometry
+from cuffdim.hyperbolic import TWO_PI, GeometryError, MoebiusTransform, _lift, classify_isometry
 from cuffdim.pants import (
     ABAR,
     ALPHA,
@@ -25,7 +26,7 @@ from cuffdim.pants import (
 from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import hausdorff_delta
 
-from test_symbolic import expansion_map_step
+from test_symbolic import expansion_map_step, lex_rank
 
 
 def test_cuff_range_enforced():
@@ -41,6 +42,11 @@ def test_construction_failure_names_the_cuffs():
     build_pants((0.01, 0.01, 20))  # failed before the closed-form construction
     with pytest.raises(GeometryError, match=r"cuffs \(20, 0\.0001, 0\.0001\)"):
         build_pants((20, 0.0001, 0.0001))
+    # admitted cuffs so short that sinh underflows to 0 in the hexagon law
+    # escaped as a bare ZeroDivisionError
+    for cuffs in ((5e-324, 1, 1), (1e-300,) * 3):
+        with pytest.raises(GeometryError, match=rf"cuffs \({cuffs[0]}, "):
+            build_pants(cuffs)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +139,7 @@ def test_canonical_placement(pants222):
     side_b = p.side("b")
     assert abs(side_b.start.z + side_b.end.z) < 1e-12
     # interior reference point on the vertical diameter is inside
-    assert p.contains(p.interior_ref)
+    assert np.all(p.interior_normals @ (_lift(p.interior_ref) * [1.0, 1.0, -1.0]) > 0.0)
 
 
 def test_validate_many_random_triples():
@@ -204,8 +210,8 @@ def test_fixed_points_sit_in_the_arcs(pants222):
         att, rep = classify_isometry(g).fixed_points
         t_att = math.atan2(att.imag, att.real)
         t_rep = math.atan2(rep.imag, rep.real)
-        assert p.arcs[sym].contains(t_rep)
-        assert p.arcs[bar(sym)].contains(t_att)
+        for arc, t in ((p.arcs[sym], t_rep), (p.arcs[bar(sym)], t_att)):
+            assert (t - arc.lo) % TWO_PI < arc.length
 
 
 def test_expansion_step_outside_arcs_is_identity(pants222):
@@ -237,13 +243,34 @@ def test_expansion_derivative_exceeds_one_inside_arcs(pants222):
     assert min(margins) > 0.0
 
 
+def test_inverse_branch_chain_rule(pants123):
+    # |phi'| = |den|^-2, so the den of the composed branch phi_s o phi_t is
+    # the product of the two dens: the multiplicative chord bookkeeping of
+    # cylinder_cover rests on this
+    p = pants123
+    z = np.exp(1j * np.random.default_rng(33).uniform(0.0, TWO_PI, size=64))
+    for s, t in itertools.product(range(4), repeat=2):
+        w, den_t = p.inverse_branch(t, z)
+        _, den_s = p.inverse_branch(s, w)
+        u, v = p.compose_branch(*p.compose_branch(1.0, 0.0, s), t)
+        den_st = np.conj(v) * z + np.conj(u)
+        assert np.allclose(np.abs(den_st), np.abs(den_s * den_t), rtol=1e-12, atol=0.0)
+
+
+def test_inverse_branch_derivative_integrates_to_full_circle(pants123):
+    # each branch is a disk automorphism, so it maps the circle onto itself
+    # once: the mean of |phi'| = |den|^-2 over the circle is 1
+    theta = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
+    for sym in range(4):
+        _, den = pants123.inverse_branch(sym, np.exp(1j * theta))
+        assert abs(np.mean(np.abs(den) ** -2.0) - 1.0) < 1e-6 / TWO_PI
+
+
 def test_ping_pong_nesting_exhaustive_to_depth_four(pants222):
     covers = {n: cylinder_cover(pants222, n) for n in (1, 2, 3, 4)}
     for n in (2, 3, 4):
         cov, parent = covers[n], covers[n - 1]
         # prefix lookup: the first n-1 symbols locate the parent arc
-        from cuffdim.symbolic import lex_rank
-
         pidx = lex_rank(cov.words[:, : n - 1].astype(np.int64))
         lo_rel = (cov.lo - parent.lo[pidx]) % (2.0 * math.pi)
         assert np.all(lo_rel + cov.lengths <= parent.lengths[pidx] + 1e-12)
@@ -283,11 +310,11 @@ def test_construction_is_bit_deterministic():
 
 def test_tampered_generator_fails_validation(pants222):
     tampered = dataclasses.replace(
-        pants222, g_beta=MoebiusTransform.rotation(1e-3) @ pants222.g_beta
+        pants222, g_beta=MoebiusTransform(cmath.exp(0.5e-3j), 0) @ pants222.g_beta
     )
     report = validate_pants(tampered)
     assert not report.passed
-    assert report.residual("cuff_recovery") > 1e-8
+    assert {c.name: c.residual for c in report.checks}["cuff_recovery"] > 1e-8
 
 
 def test_permuted_cuffs_give_same_dimension():

@@ -1,5 +1,6 @@
 """Boundary expansions, cylinder covers, tracing, suspension times."""
 
+import cmath
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from cuffdim.symbolic import (
     cylinder_cover,
     geodesic_from_pair,
     is_reduced,
-    lex_rank,
     periodic_suspension_sum,
     realize_ray,
     suspension_time,
@@ -30,8 +30,10 @@ from cuffdim.symbolic import (
 from conftest import random_reduced_word
 
 
-# The cylinder-word oracle: the piecewise-Moebius boundary map, one circle
-# point at a time.  test_pants checks its step on its own.
+# The cylinder-word oracles: the piecewise-Moebius boundary map, one circle
+# point at a time, and the rank of a word in the covers' enumeration order.
+# test_pants checks the map's step on its own and imports both; test_thermo
+# imports the rank.
 
 
 def expansion_map_step(p, t):
@@ -42,9 +44,12 @@ def expansion_map_step(p, t):
     """
     theta = t.theta if isinstance(t, BoundaryPoint) else float(t) % TWO_PI
     for sym in range(4):
-        if p.arcs[sym].contains(theta):
-            image, deriv = p.gens[sym].apply_angle(theta)
-            return sym, BoundaryPoint(image), deriv
+        arc, g = p.arcs[sym], p.gens[sym]
+        if (theta - arc.lo) % TWO_PI < arc.length:
+            z = cmath.exp(1j * theta)
+            w = g(z)
+            deriv = 1.0 / abs(g.v.conjugate() * z + g.u.conjugate()) ** 2
+            return sym, BoundaryPoint(math.atan2(w.imag, w.real)), deriv
     return None, BoundaryPoint(theta), 1.0
 
 
@@ -59,6 +64,17 @@ def boundary_expansion(p, t, max_n):
         out.append(sym)
         theta = image.theta
     return tuple(out)
+
+
+def lex_rank(words: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of reduced words among all of the same length."""
+    w = words.astype(np.int64)
+    n = w.shape[1]
+    if n == 1:
+        return w[:, 0]
+    rel = w[:, 1:] - (w[:, 1:] > (w[:, :-1] ^ 1))
+    weights = 3 ** np.arange(n - 2, -1, -1, dtype=np.int64)
+    return w[:, 0] * 3 ** (n - 1) + rel @ weights
 
 
 def test_word_string_round_trip():
@@ -193,7 +209,7 @@ def test_realized_endpoints_lie_in_their_cylinders(pants222):
     for _ in range(100):
         word = random_reduced_word(rng, 6)
         theta = realize_ray(pants222, Ray(word)).theta
-        idx = cov.index_of(word)
+        idx = lex_rank(np.array([word]))[0]
         rel = (theta - cov.lo[idx]) % (2.0 * math.pi)
         assert rel <= cov.lengths[idx]
 
@@ -307,7 +323,7 @@ def test_distinct_prefixes_give_disjoint_endpoint_arcs(pants222):
         w2 = random_reduced_word(rng, 10)
     t1 = realize_ray(pants222, Ray(w1)).theta
     t2 = realize_ray(pants222, Ray(w2)).theta
-    i1, i2 = cov.index_of(w1), cov.index_of(w2)
+    i1, i2 = lex_rank(np.array([w1, w2]))
     assert i1 != i2
     assert (t1 - cov.lo[i1]) % (2 * math.pi) <= cov.lengths[i1]
     assert (t2 - cov.lo[i2]) % (2 * math.pi) <= cov.lengths[i2]

@@ -8,7 +8,7 @@ import pytest
 from cuffdim import thermo
 from cuffdim.hyperbolic import GeometryError
 from cuffdim.pants import build_pants
-from cuffdim.symbolic import cylinder_cover, lex_rank
+from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import (
     LOG3,
     cover_scaling_delta,
@@ -25,6 +25,7 @@ from cuffdim.thermo import (
 )
 
 from conftest import A_HALF
+from test_symbolic import lex_rank
 
 
 def test_transfer_matrix_structure(pants222):
@@ -167,7 +168,7 @@ def test_moran_counts_match_brute_force(cuffs):
 def test_gibbs_at_zero_is_maximal_entropy(pants222):
     mu = gibbs_measure(pants222, 0.0, 3)
     assert abs(mu.weights.sum() - 1.0) < 1e-12
-    assert np.allclose(mu.symbol_marginals(), 0.25, atol=1e-12)
+    assert np.allclose(np.bincount(mu.cover.words[:, 0], mu.weights), 0.25, atol=1e-12)
     # depth-1 cylinders all carry weight 1/4
     mu1 = gibbs_measure(pants222, 0.0, 1)
     assert np.allclose(mu1.weights, 0.25, atol=1e-12)
@@ -282,6 +283,16 @@ def test_solve_locus_reports_scan_on_failure():
     with pytest.raises(GeometryError) as err:
         solve_locus(8.0, 8.0, 0.9, tol=1e-3, depths=(5, 6))
     assert "scan" in str(err.value)
+
+
+def test_locus_scan_names_each_failure():
+    # the scan once listed "21.000: failed, 25.000: failed" and dropped why
+    with pytest.raises(GeometryError) as err:
+        thermo._bracketed_solve(lambda x: (x, 1.0, 1.0), [21.0, 25.0], 0.5, 1e-3, (4, 6), "locus in a")
+    msg = str(err.value)
+    assert "scan: 21.000: failed, 25.000: failed" in msg
+    assert "failed: cuff length a=21.0 outside (0, 20]" in msg
+    assert "failed: cuff length a=25.0 outside (0, 20]" in msg
 
 
 def test_locus_target_range_checked():
