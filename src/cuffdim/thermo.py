@@ -10,13 +10,17 @@ The inverse branches phi_tau are Moebius maps, analytic on a neighbourhood
 of the arcs, so ``hausdorff_delta`` collocates L_s: m first-kind
 Chebyshev nodes in angle on each arc, each node mapped through every
 admissible branch and read back by barycentric interpolation on the
-image arc.  The leading eigenvalue lambda_m of the dense 4m x 4m matrix
-converges spectrally in m.  Level n uses m = round(4 * 2^(n/2)) nodes
-(16, 32, 64, 128 at n = 4, 6, 8, 10) and solves log lambda_m(s) = 0 by
-Newton's method from the left, where lambda_m dominates, with lambda_m
-and its left and right vectors from warm-started power iteration; the
-root is tracked across levels until it stabilizes.  No LAPACK
-eigensolver runs: the tests keep one, with Brent's method, as oracle.
+image arc.  The 12 admissible (arc, branch) blocks are built in one
+pass over (12, m) arrays, and the matrix at s broadcasts the per-node
+weights |phi_tau'|^s over a block view of the interpolation rows rather
+than repeating them.  The leading eigenvalue lambda_m of the dense
+4m x 4m matrix converges spectrally in m.  Level n uses
+m = round(4 * 2^(n/2)) nodes (16, 32, 64, 128 at n = 4, 6, 8, 10) and
+solves log lambda_m(s) = 0 by Newton's method from the left, where
+lambda_m dominates, with lambda_m and its left and right vectors from
+warm-started power iteration; the root is tracked across levels until it
+stabilizes.  No LAPACK eigensolver runs: the tests keep one, with
+Brent's method, as oracle.
 
 The depth-n Markov discretization stays for the Gibbs chain, the
 cover-scaling estimate and the ladder cross-check: the transition
@@ -161,12 +165,13 @@ def _perron(apply, n: int, x0=None, rtol=POWER_RTOL, maxiter=POWER_MAXITER):
     """Perron eigenvalue and eigenvector of an n x n operator, given as its
     product ``apply(x)``, by power iteration from x0 (uniform by default)
     until the l1 residual is at most rtol * lambda."""
-    x = np.full(n, 1.0 / n) if x0 is None else x0 / x0.sum()
+    # np.add.reduce is what ndarray.sum runs, without its Python-level wrapper
+    x = np.full(n, 1.0 / n) if x0 is None else x0 / np.add.reduce(x0)
     lam = 1.0
     for _ in range(maxiter):
         y = apply(x)
-        lam = y.sum()
-        res = np.abs(y - lam * x).sum()
+        lam = np.add.reduce(y)
+        res = np.add.reduce(np.abs(y - lam * x))
         x = y / lam
         if res <= rtol * lam:
             return lam, x
@@ -264,28 +269,33 @@ class Collocation:
     log_weight: np.ndarray  # (4m, 4)
 
     def matrix(self, s: float) -> np.ndarray:
-        return self.interp * np.repeat(np.exp(s * self.log_weight), self.m, axis=1)
+        """interp with column block tau of row i scaled by |phi_tau'|^s: the
+        weights broadcast over an (n, 4, m) view, and are not repeated m times."""
+        n = 4 * self.m
+        weights = np.exp(s * self.log_weight)[:, :, None]
+        return (self.interp.reshape(n, 4, self.m) * weights).reshape(n, n)
 
 
 def collocation(p: PantsGeometry, m: int) -> Collocation:
-    """The m-node collocation of p's transfer operator, cached on p."""
+    """The m-node collocation of p's transfer operator, cached on p.
+
+    One pass builds the 12 admissible (arc j, branch tau) blocks,
+    tau != bar(j): the nodes of every arc go through their branches as one
+    (12, m) array, the image coordinates through one barycentric call, and
+    the rows are scattered into the zero (4, m, 4, m) block array.
+    """
     cached = p._cache.get(("collocation", m))
     if cached is not None:
         return cached
     x, _ = chebyshev_nodes(m)
-    interp = np.zeros((4 * m, 4 * m))
-    log_weight = np.zeros((4 * m, 4))
-    for j in range(4):
-        z = p.arc_point(j, x)
-        rows = slice(j * m, (j + 1) * m)
-        for tau in range(4):
-            if tau == j ^ 1:
-                continue
-            img, den = p.inverse_branch(tau, z)
-            t = p.arc_coordinate(tau, np.angle(img))
-            interp[rows, tau * m : (tau + 1) * m] = barycentric_rows(t, m)
-            log_weight[rows, tau] = -2.0 * np.log(np.abs(den))
-    col = Collocation(m=m, interp=interp, log_weight=log_weight)
+    j, tau = np.nonzero((np.arange(4) ^ 1)[:, None] != np.arange(4))
+    img, den = p.inverse_branch(tau[:, None], p.arc_point(j[:, None], x))
+    t = p.arc_coordinate(tau[:, None], np.angle(img))
+    interp = np.zeros((4, m, 4, m))
+    interp[j, :, tau, :] = barycentric_rows(t.ravel(), m).reshape(12, m, m)
+    log_weight = np.zeros((4, m, 4))
+    log_weight[j, :, tau] = -2.0 * np.log(np.abs(den))
+    col = Collocation(m, interp.reshape(4 * m, 4 * m), log_weight.reshape(4 * m, 4))
     p._cache[("collocation", m)] = col
     return col
 
@@ -307,7 +317,7 @@ def _newton_root(col: Collocation, s: float, r, l, where: str):
         a = col.matrix(s)
         try:
             _, r = _perron(a.dot, n, r, rtol, COLLOCATION_MAXITER)
-            _, l = _perron(lambda x: x @ a, n, l, min(1e-3, math.sqrt(rtol)), COLLOCATION_MAXITER)
+            _, l = _perron(a.__rmatmul__, n, l, min(1e-3, math.sqrt(rtol)), COLLOCATION_MAXITER)
         except GeometryError as exc:
             raise GeometryError(f"{where} at {m} nodes, s={s!r}: {exc}") from exc
         # the two-sided quotient is accurate to the product of the vectors' errors, so
@@ -317,17 +327,27 @@ def _newton_root(col: Collocation, s: float, r, l, where: str):
         lam = float(l @ a.dot(r)) / lr
         da_r = np.einsum("it,itk,tk->i", col.log_weight, a.reshape(n, 4, m), r.reshape(4, m))
         slope = float(l @ da_r) / (lam * lr)
+        if not (0.0 < lam < math.inf and math.isfinite(lr) and math.isfinite(slope)):
+            raise GeometryError(
+                f"{where} at {m} nodes, s={s!r}: two-sided quotient <l, A r> / <l, r> = "
+                f"{lam!r} is not a positive finite eigenvalue (<l, r> = {lr!r}, slope {slope!r})"
+            )
         f = math.log(lam)
         if f_prev is None and f <= 0.0 and s > lo:
             s = lo
             continue
+        if f_prev is None and f <= 0.0:
+            raise _NoBracket(
+                f"log eigenvalue has its root below {lo} at {m} nodes for {where}: "
+                f"{f:.4g} at s={s!r}"
+            )
         step = -f / slope
         if rtol <= POWER_RTOL and abs(step) <= NEWTON_XTOL:
             return s, abs(f), r, l
-        if (f_prev is None and f <= 0.0) or s + step >= hi:
+        if s + step >= hi:
             raise _NoBracket(
-                f"log eigenvalue has no sign change on [{lo}, {hi}] at {m} nodes for "
-                f"{where}: {f:.4g} at s={s!r}, Newton step {step:.4g}"
+                f"log eigenvalue has its root above {hi} at {m} nodes for {where}: "
+                f"{f:.4g} at s={s!r}, Newton step {step:.4g} predicts s={s + step:.4g}"
             )
         s, f_prev = s + step, f
     raise GeometryError(f"{where} at {m} nodes: Newton took {NEWTON_MAXITER} steps")
@@ -343,11 +363,13 @@ def hausdorff_delta(
     n = 4..10) and solves log lambda_m(s) = 0 by Newton's method from the
     left: from s = 0.001 at the first level, and from 0.01 below the
     previous root after it, with the Perron vectors carried to the new
-    nodes.  A level with no sign change on PRESSURE_BRACKET is skipped;
-    only the last one raises.  Stops as soon as successive roots differ by
-    less than ``tol``; the result carries the roots of the solved levels
-    so the refinement tail is visible, and ``pressure_residual`` is
-    |log lambda_m(delta)| at the last one.
+    nodes.  A level whose root lies outside PRESSURE_BRACKET is skipped;
+    only the last one raises, naming the end the root lies beyond.  A
+    two-sided quotient that is not a positive finite eigenvalue raises at
+    once.  Stops as soon as successive roots differ by less than ``tol``;
+    the result carries the roots of the solved levels so the refinement
+    tail is visible, and ``pressure_residual`` is |log lambda_m(delta)| at
+    the last one.
     """
     if tol < 1e-6:
         raise GeometryError(f"tolerance {tol} below the supported 1e-6")

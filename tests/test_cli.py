@@ -286,6 +286,9 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         # admitted cuffs whose construction underflows exited 1 with a traceback
         (["delta", "--cuffs", "1e-300,1e-300,1e-300"], "cuffs (1e-300, 1e-300, 1e-300)"),
         (["octagon", "--cuffs", "5e-324,1,1", "--out", "oct.svg"], "cuffs (5e-324, 1.0, 1.0)"),
+        # a negative two-sided eigenvalue quotient at 16 nodes raised a bare ValueError
+        (["delta", "--cuffs", "0.0003,0.001,20", "--depths", "4,6"],
+         "cuffs (0.0003, 0.001, 20.0) at 16 nodes"),
     ]
     for argv, named in cases:
         status = run(argv)

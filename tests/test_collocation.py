@@ -42,6 +42,24 @@ GRID = [
 ]
 
 
+def _collocation_loop(p, m):
+    """interp and log_weight of the m-node collocation, one (arc j, branch tau) block at a time."""
+    x, _ = thermo.chebyshev_nodes(m)
+    interp = np.zeros((4 * m, 4 * m))
+    log_weight = np.zeros((4 * m, 4))
+    for j in range(4):
+        z = p.arc_point(j, x)
+        rows = slice(j * m, (j + 1) * m)
+        for tau in range(4):
+            if tau == j ^ 1:
+                continue
+            img, den = p.inverse_branch(tau, z)
+            t = p.arc_coordinate(tau, np.angle(img))
+            interp[rows, tau * m : (tau + 1) * m] = barycentric_rows(t, m)
+            log_weight[rows, tau] = -2.0 * np.log(np.abs(den))
+    return interp, log_weight
+
+
 def _eigvals_lambda(p, s, m):
     """Largest real eigenvalue of the m-node collocation matrix at s, by LAPACK."""
     return float(np.linalg.eigvals(collocation(p, m).matrix(s)).real.max())
@@ -144,6 +162,19 @@ def test_branch_images_land_in_their_arc(pants123):
             assert np.all(np.abs(t) <= 1.0)
 
 
+@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (0.2, 1.0, 12.0), (A_HALF,) * 3, (20.0,) * 3])
+def test_collocation_is_bit_identical_to_the_per_block_loop(cuffs):
+    p = build_pants(cuffs)
+    for m in (16, 23, 32, 64, 128):
+        col = collocation(p, m)
+        interp, log_weight = _collocation_loop(p, m)
+        assert np.array_equal(col.interp, interp), m
+        assert np.array_equal(col.log_weight, log_weight), m
+        for s in (0.001, 0.5, 0.999):
+            repeated = interp * np.repeat(np.exp(s * log_weight), m, axis=1)
+            assert np.array_equal(col.matrix(s), repeated), (m, s)
+
+
 def test_delta_result_reports_nodes_and_residual(pants222):
     res = hausdorff_delta(pants222, tol=1e-4, depths=(4, 6, 8))
     assert res.converged and res.depth_used == 6 and res.nodes == 32
@@ -207,8 +238,36 @@ def test_levels_that_cannot_bracket_are_skipped():
         assert [n for n, _ in res.roots] == [8, 10]
         assert res.last_gap == abs(res.roots[1][1] - res.roots[0][1])
         assert 0.001 + 1e-9 < res.delta < 0.999 - 1e-9
-    with pytest.raises(GeometryError, match=r"no sign change .* at 128 nodes for cuffs \(0\.01"):
+    # Newton from the left would step past 0.999: the error says the root lies above it
+    with pytest.raises(
+        GeometryError, match=r"root above 0\.999 at 128 nodes for cuffs \(0\.01, .* predicts s="
+    ):
         hausdorff_delta(build_pants((0.01, 0.01, 0.01)))
+
+
+def test_bracket_errors_name_the_end_the_root_lies_beyond(monkeypatch):
+    # delta is 0.0693 at (20)^3 and 0.5700 at (2)^3: narrowed brackets miss each root
+    monkeypatch.setattr(thermo, "PRESSURE_BRACKET", (0.5, 0.999))
+    with pytest.raises(GeometryError, match=r"root below 0\.5 at 16 nodes for cuffs \(20"):
+        hausdorff_delta(build_pants((20.0, 20.0, 20.0)), depths=(4,))
+    monkeypatch.setattr(thermo, "PRESSURE_BRACKET", (0.001, 0.5))
+    with pytest.raises(
+        GeometryError, match=r"root above 0\.5 at 16 nodes for cuffs \(2.* predicts s=0\.5"
+    ):
+        hausdorff_delta(build_pants((2.0, 2.0, 2.0)), depths=(4,))
+
+
+def test_nonpositive_two_sided_quotient_raises_a_named_error():
+    # <l, A r> / <l, r> reads -7.8e56 at 16 nodes; math.log raised a bare ValueError
+    p = build_pants((0.0003, 0.001, 20.0))
+    for depths in ((4, 6), (4, 6, 8, 10)):
+        t0 = time.perf_counter()
+        with pytest.raises(
+            GeometryError,
+            match=r"^cuffs \(0\.0003, 0\.001, 20\.0\) at 16 nodes, s=.*two-sided quotient",
+        ):
+            hausdorff_delta(p, depths=depths)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_delta_runs_no_lapack_eigensolver(monkeypatch):
