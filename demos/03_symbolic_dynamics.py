@@ -14,7 +14,6 @@ from cuffdim import (
     GeodesicPair,
     Ray,
     build_pants,
-    classify_isometry,
     cutting_sequence_trace,
     cylinder_cover,
     geodesic_from_pair,
@@ -35,7 +34,7 @@ print("\nperiodic words: time in the octagon vs translation length")
 for word_str in ("a", "ab", "aB", "abb", "abaB", "bbAb"):
     word = word_from_string(word_str)
     total = periodic_suspension_sum(pants, word)
-    ell = classify_isometry(word_to_element(pants, word)).translation_length
+    ell = word_to_element(pants, word).translation_length
     print(f"  ({word_str})^inf: period sum {total:.10f}  length {ell:.10f}")
 
 print("\ntracing a random geodesic and recovering its forward word:")

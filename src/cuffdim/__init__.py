@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "hyperbolic": (
-        "BoundaryPoint DiskPoint Geodesic GeometryError IsometryInfo MoebiusTransform"
-        " classify_isometry hyp_distance"
+        "BoundaryPoint DiskPoint Geodesic GeometryError MoebiusTransform hyp_distance"
     ),
     "pants": (
         "ALPHA ABAR BETA BBAR Arc CuffLengths OctagonSide PantsGeometry PantsReport"
@@ -30,8 +29,8 @@ _EXPORTS = {
     ),
     "symbolic": (
         "CylinderCover GeodesicPair Ray cutting_sequence_trace cylinder_cover"
-        " geodesic_from_pair is_reduced periodic_suspension_sum suspension_time"
-        " word_from_string word_to_element word_to_string"
+        " geodesic_from_pair is_reduced periodic_suspension_sum word_from_string"
+        " word_to_element word_to_string"
     ),
     "thermo": (
         "CylinderMeasure DeltaResult TransferMatrix cover_scaling_delta"

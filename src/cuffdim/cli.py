@@ -31,7 +31,7 @@ from . import __version__
 # import symbolic and projlab inside their handlers
 from .hyperbolic import GeometryError
 from .pants import build_pants, octagon_svg, validate_pants
-from .thermo import (LOCUS_DELTA_TOL, _delta_at, collocation_nodes, gibbs_measure, hausdorff_delta,
+from .thermo import (LOCUS_DELTA_TOL, _delta_at, check_ladder, gibbs_measure, hausdorff_delta,
                      solve_locus, solve_locus_symmetric)
 
 LEDGER_FILE = "cuffdim-ledger.jsonl"
@@ -148,11 +148,8 @@ def parse_depths(text: str) -> tuple[int, ...]:
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
-    """Collocation levels, each checked before any solve or ledger lookup."""
-    levels = parse_depths(text)
-    for n in levels:
-        collocation_nodes(n)
-    return levels
+    """Collocation levels, checked as a ladder before any solve or ledger lookup."""
+    return check_ladder(parse_depths(text))
 
 
 def parse_range(text: str) -> list[float]:
@@ -218,6 +215,7 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
             for c in parse_range(args.c)
         ]
     depth = args.depth
+    ladder = check_ladder((max(4, depth - 2), depth))
     rows = [["a", "b", "c", "depth", "delta", "pressure_residual", "converged",
              "validator_passed", "error", "wall_ms"]]
     worst, failed = 0.0, 0
@@ -227,7 +225,7 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
         try:
             p = build_pants((a, b, c))
             valid = validate_pants(p).passed
-            res = hausdorff_delta(p, tol=args.tol, depths=(max(4, depth - 2), depth))
+            res = hausdorff_delta(p, tol=args.tol, depths=ladder)
         except GeometryError as exc:
             fields, converged, error = ["", ""], False, str(exc)
         else:

@@ -27,8 +27,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-IDENTITY_TOL = 1e-12  # |u - 1| and |v| below this classify as the identity
-PARABOLIC_TRACE_TOL = 1e-9  # |tr| within this of 2 classifies as parabolic
 ENDPOINT_GAP = 1e-12  # minimal angular separation of geodesic endpoints
 
 
@@ -165,11 +163,9 @@ class MoebiusTransform:
     __call__ = apply
 
     @property
-    def trace(self) -> float:
-        return 2.0 * self.u.real
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return abs(self.u - 1.0) <= tol and abs(self.v) <= tol
+    def translation_length(self) -> float:
+        """2 arccosh(|tr| / 2), tr = 2 Re u; 0 for elliptic maps and the identity."""
+        return 2.0 * math.acosh(max(1.0, abs(self.u.real)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,41 +286,6 @@ def hyp_distance(z1, z2) -> float:
     num = abs(a - b)
     den = math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2))
     return 2.0 * math.asinh(num / den)
-
-
-# ---------------------------------------------------------------------------
-# Isometry classification
-
-
-@dataclass(frozen=True)
-class IsometryInfo:
-    kind: str  # identity | elliptic | parabolic | hyperbolic
-    translation_length: float
-    axis: Geodesic | None
-    fixed_points: tuple[complex, ...]
-
-
-def classify_isometry(m: MoebiusTransform) -> IsometryInfo:
-    """Classify by trace; hyperbolic maps carry their axis.
-
-    The axis endpoints are the boundary fixed points with the attracting
-    one listed first.  Translation length is 2*arccosh(|tr|/2).
-    """
-    if m.is_identity(IDENTITY_TOL):
-        return IsometryInfo("identity", 0.0, None, ())
-    tr = abs(m.trace)
-    if abs(tr - 2.0) <= PARABOLIC_TRACE_TOL:
-        fix = ()
-        if abs(m.v) > 0:
-            fix = ((1j * m.u.imag) / m.v.conjugate(),)
-        return IsometryInfo("parabolic", 0.0, None, fix)
-    if tr < 2.0:
-        return IsometryInfo("elliptic", 0.0, None, ())
-    s = math.sqrt(m.u.real ** 2 - 1.0)
-    att = (1j * m.u.imag + s) / m.v.conjugate()
-    rep = (1j * m.u.imag - s) / m.v.conjugate()
-    axis = Geodesic(BoundaryPoint.from_complex(att), BoundaryPoint.from_complex(rep))
-    return IsometryInfo("hyperbolic", 2.0 * math.acosh(0.5 * tr), axis, (att, rep))
 
 
 # ---------------------------------------------------------------------------

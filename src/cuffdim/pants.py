@@ -43,7 +43,6 @@ from .hyperbolic import (
     _lift,
     _light,
     _mink,
-    classify_isometry,
     hyp_distance,
 )
 
@@ -327,7 +326,6 @@ class ValidationCheck:
 @dataclass(frozen=True)
 class PantsReport:
     checks: tuple[ValidationCheck, ...]
-    min_arc_gap: float
 
     @property
     def passed(self) -> bool:
@@ -367,9 +365,9 @@ def validate_pants(p: PantsGeometry) -> PantsReport:
     checks.append(ValidationCheck("side_lengths", sres <= SIDE_LENGTH_TOL, sres))
 
     recovered = (
-        abs(classify_isometry(p.g_alpha).translation_length - b),
-        abs(classify_isometry(p.g_beta).translation_length - a),
-        abs(classify_isometry(p.g_alpha @ p.g_beta.inverse()).translation_length - c),
+        abs(p.g_alpha.translation_length - b),
+        abs(p.g_beta.translation_length - a),
+        abs((p.g_alpha @ p.g_beta.inverse()).translation_length - c),
     )
     cres = max(recovered)
     checks.append(
@@ -389,7 +387,7 @@ def validate_pants(p: PantsGeometry) -> PantsReport:
     gres = _gluing_residual(p)
     checks.append(ValidationCheck("gluing", gres <= GLUING_TOL, gres))
 
-    return PantsReport(checks=tuple(checks), min_arc_gap=gap)
+    return PantsReport(checks=tuple(checks))
 
 
 def _gluing_residual(p: PantsGeometry) -> float:
@@ -415,18 +413,20 @@ def _gluing_residual(p: PantsGeometry) -> float:
 # ---------------------------------------------------------------------------
 # SVG emission
 
-
-def _svg_xy(z: complex, size: int) -> tuple[float, float]:
-    half = 0.5 * size
-    return half + 0.46 * size * z.real, half - 0.46 * size * z.imag
+SVG_SIZE = 640  # width and height of the octagon picture, in pixels
 
 
-def _svg_arc_path(g: Geodesic, z0: complex, z1: complex, size: int) -> str:
-    x0, y0 = _svg_xy(z0, size)
-    x1, y1 = _svg_xy(z1, size)
+def _svg_xy(z: complex) -> tuple[float, float]:
+    half = 0.5 * SVG_SIZE
+    return half + 0.46 * SVG_SIZE * z.real, half - 0.46 * SVG_SIZE * z.imag
+
+
+def _svg_arc_path(g: Geodesic, z0: complex, z1: complex) -> str:
+    x0, y0 = _svg_xy(z0)
+    x1, y1 = _svg_xy(z1)
     if g.is_diameter:
         return f"M {x0:.3f} {y0:.3f} L {x1:.3f} {y1:.3f}"
-    r = g.radius * 0.46 * size
+    r = g.radius * 0.46 * SVG_SIZE
     cross = (z0 - g.center).real * (z1 - g.center).imag - (z0 - g.center).imag * (
         z1 - g.center
     ).real
@@ -434,10 +434,10 @@ def _svg_arc_path(g: Geodesic, z0: complex, z1: complex, size: int) -> str:
     return f"M {x0:.3f} {y0:.3f} A {r:.3f} {r:.3f} 0 0 {sweep} {x1:.3f} {y1:.3f}"
 
 
-def octagon_svg(p: PantsGeometry, size: int = 640, report: PantsReport | None = None) -> str:
-    """Render the octagon, its labels and the Schottky arcs as SVG text."""
-    if report is None:
-        report = validate_pants(p)
+def octagon_svg(p: PantsGeometry, report: PantsReport) -> str:
+    """Render the octagon, its labels and the Schottky arcs, with the
+    validation ``report`` as a comment, as SVG text."""
+    size = SVG_SIZE
     half = 0.5 * size
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -453,10 +453,10 @@ def octagon_svg(p: PantsGeometry, size: int = 640, report: PantsReport | None = 
         'fill="none" stroke="#999" stroke-width="1"/>'
     )
     for side in p.sides:
-        path = _svg_arc_path(side.geodesic, side.start.z, side.end.z, size)
+        path = _svg_arc_path(side.geodesic, side.start.z, side.end.z)
         out.append(f'<path d="{path}" fill="none" stroke="#114" stroke-width="1.6"/>')
         mid = 0.55 * (side.start.z + side.end.z)
-        x, y = _svg_xy(mid, size)
+        x, y = _svg_xy(mid)
         out.append(
             f'<text x="{x:.3f}" y="{y:.3f}" font-size="14" fill="#114" '
             f'text-anchor="middle">{side.label}</text>'
@@ -465,18 +465,18 @@ def octagon_svg(p: PantsGeometry, size: int = 640, report: PantsReport | None = 
         arc = p.arcs[sym]
         steps = max(2, int(arc.length / 0.05))
         pts = [
-            _svg_xy(np.exp(1j * (arc.lo + arc.length * k / steps)), size)
+            _svg_xy(np.exp(1j * (arc.lo + arc.length * k / steps)))
             for k in range(steps + 1)
         ]
         d = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in pts)
         out.append(f'<path d="{d}" fill="none" stroke="#b22" stroke-width="4"/>')
-        x, y = _svg_xy(1.08 * np.exp(1j * arc.midpoint), size)
+        x, y = _svg_xy(1.08 * np.exp(1j * arc.midpoint))
         out.append(
             f'<text x="{x:.3f}" y="{y:.3f}" font-size="13" fill="#b22" '
             f'text-anchor="middle">{SYMBOL_NAMES[sym]}</text>'
         )
     for v in p.vertices:
-        x, y = _svg_xy(v.z, size)
+        x, y = _svg_xy(v.z)
         out.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="#114"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

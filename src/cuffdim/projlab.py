@@ -3,12 +3,11 @@
 The limit set lives on the circle; mapped to the unit interval by angle
 over 2*pi, the product of two covers is a family of axis-aligned boxes in
 the unit square.  A cylinder arc that crosses angle zero maps to two unit
-intervals, so the corresponding word pairs contribute up to four boxes;
-pair counts and box counts are tracked separately.  This module projects
-such covers onto lines, averages projected lengths over directions
-(Favard length), certifies transversality of map families numerically,
-samples points on complete geodesics inside the octagon, and estimates
-box-counting dimensions of large point clouds.
+intervals, so the corresponding word pairs contribute up to four boxes.
+This module projects such covers onto lines, averages projected lengths
+over directions (Favard length), certifies transversality of map families
+numerically, samples points on complete geodesics inside the octagon, and
+estimates box-counting dimensions of large point clouds.
 """
 
 from __future__ import annotations
@@ -30,12 +29,26 @@ if TYPE_CHECKING:
 
 POINT_CLOUD_MAGIC = b"CSPTS001"
 
-# admits every restricted depth-8 product cover (57.4M boxes at most); a
+# admits every depth-8 product cover (57.4M boxes at most); a
 # projection holds 16 bytes per box in its start and end buffer, plus one
 # block's temporaries
 PRODUCT_COVER_MAX_BOXES = 60_000_000
 
 BOX_COUNT_MAX_CELLS = 2**26  # cells of one box-counting bitmap (64 MiB of bools)
+BOX_SCALES = 2.0 ** -np.arange(3, 9)  # box sides of box_dimension, coarsest first
+
+# transversality_certify: grid points per axis of the point sample, pair
+# separation floor as a fraction of the sample's diameter, candidate C_T
+# ladder, determinant slack, and the evaluator check's parameter probes and
+# finite-difference step
+CERTIFY_POINTS_PER_AXIS = 8
+CERTIFY_SEPARATION = 2.0**-10
+CERTIFY_CANDIDATES = (0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
+CERTIFY_DET_TOL = 1e-9
+CONSISTENCY_PROBES = 5
+CONSISTENCY_STEP = 1e-6
+
+SAMPLER_MAX_ATTEMPT_FACTOR = 10  # sampler draws at most this many geodesics per point
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +71,6 @@ class BoxCover:
     label: str
     depth: int
     blocks: tuple
-    n_pairs: int | None = None  # word pairs behind the boxes, when applicable
     # no per-box masses or word tags are kept; bench/spans.py::_product_attrs
     # still reads both names
     masses = None
@@ -95,40 +107,31 @@ def _unit_pieces(cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return parent, p_lo, p_hi
 
 
-def product_cover(p: PantsGeometry, n: int, restrict: bool = True) -> BoxCover:
+def product_cover(p: PantsGeometry, n: int) -> BoxCover:
     """Product of two depth-n cylinder covers as boxes in the unit square.
 
-    Each word pair contributes the product of its unit-interval pieces;
-    with ``restrict`` set, only pairs whose words start with different
-    symbols are kept (the domain of the geodesic correspondence).
-
-    The cover's blocks are the products P_s x P_t over first symbols
-    s != t, where P_s holds the pieces whose word starts with s (a piece
-    split at angle zero keeps its parent's symbol); unrestricted, one block
-    pairs all pieces with all pieces.  A cover of more than
-    ``PRODUCT_COVER_MAX_BOXES`` boxes is refused.
+    Each pair of words with different first symbols (the domain of the
+    geodesic correspondence) contributes the product of its unit-interval
+    pieces.  The cover's blocks are the products P_s x P_t over first
+    symbols s != t, where P_s holds the pieces whose word starts with s (a
+    piece split at angle zero keeps its parent's symbol).  A cover of more
+    than ``PRODUCT_COVER_MAX_BOXES`` boxes is refused.
     """
     if not 1 <= n <= 9:
         raise GeometryError(f"product cover depth {n} outside [1, 9]")
     cov = cylinder_cover(p, n)
     parent, p_lo, p_hi = _unit_pieces(cov)
     first = cov.words[parent, 0]
-    if restrict:
-        groups = [np.flatnonzero(first == s) for s in range(4)]
-        pairs = [(gs, gt) for s, gs in enumerate(groups) for t, gt in enumerate(groups) if s != t]
-        sizes = np.bincount(cov.words[:, 0], minlength=4)
-        n_pairs = int(cov.n_words**2 - np.sum(sizes**2))
-    else:
-        pairs = [(slice(None), slice(None))]
-        n_pairs = cov.n_words**2
+    groups = [np.flatnonzero(first == s) for s in range(4)]
     cover = BoxCover(
         label=f"omega-product-{n}",
         depth=n,
         blocks=tuple(
             (p_lo[gs, None], p_hi[gs, None], p_lo[None, gt], p_hi[None, gt])
-            for gs, gt in pairs
+            for s, gs in enumerate(groups)
+            for t, gt in enumerate(groups)
+            if s != t
         ),
-        n_pairs=n_pairs,
     )
     if cover.n_boxes > PRODUCT_COVER_MAX_BOXES:
         raise GeometryError(
@@ -265,14 +268,14 @@ class ProjectionProfile:
         return out.getvalue()
 
 
-def projection_profile(covers: dict[int, BoxCover], grid: int = 256, label: str = "") -> ProjectionProfile:
+def projection_profile(covers: dict[int, BoxCover], grid: int = 256) -> ProjectionProfile:
+    """Projected lengths of each cover on the grid, labelled by the shallowest cover."""
     if grid < 16:
         raise GeometryError(f"direction grid {grid} below 16")
     depths = tuple(sorted(covers))
     lams = lambda_grid(grid)
     lengths = {d: project_lengths(covers[d], lams) for d in depths}
-    if not label and depths:
-        label = covers[depths[0]].label
+    label = covers[depths[0]].label if depths else ""
     return ProjectionProfile(label=label, lambdas=lams, depths=depths, lengths=lengths)
 
 
@@ -303,10 +306,11 @@ class TransversalFamilySpec:
         if not (self.n_range <= self.n_params and self.n_range < self.n_space):
             raise GeometryError("transversal family needs m <= l and m < n")
 
-    def evaluator_consistency(self, points: np.ndarray, n_lambda: int = 5, h: float = 1e-6) -> float:
-        """Max deviation of finite-difference DP from the analytic DP."""
-        worst = 0.0
-        for lam in _lambda_probe(self, n_lambda):
+    def evaluator_consistency(self, points: np.ndarray) -> float:
+        """Max deviation of finite-difference DP from the analytic DP, at
+        CONSISTENCY_PROBES parameters with step CONSISTENCY_STEP."""
+        worst, h = 0.0, CONSISTENCY_STEP
+        for lam in _lambda_probe(self, CONSISTENCY_PROBES):
             analytic = self.DP(lam, points)
             for k in range(self.n_params):
                 e = np.zeros(self.n_params)
@@ -412,34 +416,27 @@ class TransversalityReport:
         }
 
 
-def default_point_sample(n_space: int, per_axis: int = 8) -> np.ndarray:
-    """Regular grid in the unit cube, offset from the faces."""
-    axes = [np.linspace(0.06, 0.94, per_axis)] * n_space
+def default_point_sample(n_space: int) -> np.ndarray:
+    """Regular grid of CERTIFY_POINTS_PER_AXIS per axis in the unit cube, offset from the faces."""
+    axes = [np.linspace(0.06, 0.94, CERTIFY_POINTS_PER_AXIS)] * n_space
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def transversality_certify(
-    fam: TransversalFamilySpec,
-    points: np.ndarray | None = None,
-    lam_grid: int = 256,
-    sep: float | None = None,
-    candidates=(0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
-    report_tol: float = 1e-9,
-) -> TransversalityReport:
+def transversality_certify(fam: TransversalFamilySpec, lam_grid: int = 256) -> TransversalityReport:
     """Grid certification of the derivative bounds and the determinant gap.
 
-    Estimates the derivative bounds as grid maxima and certifies the
-    largest candidate C_T for which every sampled (lambda, x, y) with
-    |T| <= C_T has det(D T D T^t) >= C_T^2 - report_tol.  For m = 1 the
-    determinant reduces to the squared norm of the parameter gradient of
-    T, which is what the report records.
+    Estimates the derivative bounds as grid maxima over the points of
+    ``default_point_sample`` and certifies the largest of
+    CERTIFY_CANDIDATES C_T for which every sampled (lambda, x, y) with
+    |T| <= C_T has det(D T D T^t) >= C_T^2 - CERTIFY_DET_TOL.  Point pairs
+    closer than CERTIFY_SEPARATION times the sample's diameter are left
+    out.  For m = 1 the determinant reduces to the squared norm of the
+    parameter gradient of T, which is what the report records.
     """
     if lam_grid < 32:
         raise GeometryError(f"lambda grid {lam_grid} below 32")
-    if points is None:
-        points = default_point_sample(fam.n_space)
-    points = np.asarray(points, dtype=float)
+    points = default_point_sample(fam.n_space)
 
     consistency = fam.evaluator_consistency(points[:: max(1, len(points) // 16)])
     if consistency > 1e-6:
@@ -451,9 +448,7 @@ def transversality_certify(
     n_pts = points.shape[0]
     ii, jj = np.triu_indices(n_pts, k=1)
     d = np.linalg.norm(points[ii] - points[jj], axis=-1)
-    diam = float(d.max())
-    if sep is None:
-        sep = diam * 2.0**-10
+    sep = float(d.max()) * CERTIFY_SEPARATION
     keep = d >= sep
     excluded = int(np.sum(~keep))
     ii, jj, dist = ii[keep], jj[keep], d[keep]
@@ -482,13 +477,13 @@ def transversality_certify(
 
     certified_ct = None
     margin = None
-    for ct in candidates:
+    for ct in CERTIFY_CANDIDATES:
         triggered = t_norms <= ct
         if not np.any(triggered):
             certified_ct, margin = ct, math.inf
             break
         worst = float(np.min(dets[triggered]) - ct * ct)
-        if worst >= -report_tol:
+        if worst >= -CERTIFY_DET_TOL:
             certified_ct, margin = ct, worst
             break
     return TransversalityReport(
@@ -499,12 +494,12 @@ def transversality_certify(
         c2=c2,
         c_l=c_l,
         margin=margin,
-        candidates=tuple(float(c) for c in candidates),
+        candidates=tuple(float(c) for c in CERTIFY_CANDIDATES),
         n_points=n_pts,
         n_pairs=int(len(ii)),
         excluded_pairs=excluded,
         lam_grid=lam_grid,
-        separation=float(sep),
+        separation=sep,
         consistency_residual=consistency,
         det_reduction="det(DT DT^t); for m=1 this is |grad_lambda T|^2",
     )
@@ -604,7 +599,6 @@ def sample_complete_geodesic_points(
     count: int,
     seed: int,
     word_len: int = 14,
-    max_attempt_factor: int = 10,
 ) -> GeodesicPointSample:
     """Points of complete geodesics inside the octagon, flow-time uniform.
 
@@ -612,7 +606,8 @@ def sample_complete_geodesic_points(
     chain (backward word conditioned to start with a different symbol),
     realizes the geodesic from cylinder midpoints, clips it against the
     octagon and emits the point at a uniform arclength along the chord.
-    Non-crossing realizations are resampled and counted.  Deterministic
+    Non-crossing realizations are resampled and counted, and more than
+    SAMPLER_MAX_ATTEMPT_FACTOR draws per point are refused.  Deterministic
     for a fixed seed.
 
     Each word is realized from its last symbol's arc midpoint by one
@@ -664,9 +659,9 @@ def sample_complete_geodesic_points(
     while len(need):
         m = len(need)
         attempts += m
-        if attempts > max_attempt_factor * count:
+        if attempts > SAMPLER_MAX_ATTEMPT_FACTOR * count:
             raise GeometryError(
-                f"geodesic sampler exceeded {max_attempt_factor}x attempt budget"
+                f"geodesic sampler exceeded {SAMPLER_MAX_ATTEMPT_FACTOR}x attempt budget"
             )
         xi_idx = draw(rng.random(m))
         eta_idx = draw(rng.random(m))
@@ -725,15 +720,14 @@ class BoxDimensionFit:
     estimate: float
     scales: np.ndarray
     counts: np.ndarray
-    used_scales: np.ndarray
     fit_residual: float
 
 
-def box_dimension(points: np.ndarray, scales=None, min_points: int = 100_000) -> BoxDimensionFit:
+def box_dimension(points: np.ndarray, min_points: int = 100_000) -> BoxDimensionFit:
     """Box-counting dimension of a planar point cloud.
 
-    Counts occupied boxes of each scale (dyadic by default) and fits the
-    log-log slope, dropping the coarsest and finest scale from the fit.
+    Counts occupied boxes of each scale of BOX_SCALES and fits the log-log
+    slope, dropping the coarsest and finest scale from the fit.
     ``points`` is complex or real (N, 2), all finite.  Boxes are anchored
     at the coordinate minima, and the boxes of scale s are counted in a
     bitmap of nx * ny cells, nx = floor(x_max / s) + 1 (likewise ny); one
@@ -748,11 +742,7 @@ def box_dimension(points: np.ndarray, scales=None, min_points: int = 100_000) ->
     bad = int(np.count_nonzero(~(np.isfinite(x) & np.isfinite(y))))
     if bad:
         raise GeometryError(f"box dimension needs finite points; {bad} are not")
-    if scales is None:
-        scales = 2.0 ** -np.arange(3, 9)
-    scales = np.sort(np.asarray(scales, dtype=float))[::-1]
-    if len(scales) < 4 or not np.all(scales > 0.0):
-        raise GeometryError(f"box dimension needs at least 4 positive scales, got {scales}")
+    scales = np.array(BOX_SCALES, dtype=float)  # the fit's own copy
     # contiguous columns: axis reductions over an (N, 2) array are strided
     x, y = x - x.min(), y - y.min()
     x_max, y_max = x.max(), y.max()
@@ -770,17 +760,9 @@ def box_dimension(points: np.ndarray, scales=None, min_points: int = 100_000) ->
     counts = np.asarray(counts)
     x = np.log(1.0 / scales)[1:-1]
     y = np.log(counts)[1:-1]
-    if len(x) < 3:
-        raise GeometryError("fewer than 3 usable scales after dropping the ends")
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return BoxDimensionFit(
-        estimate=float(slope),
-        scales=scales,
-        counts=counts,
-        used_scales=scales[1:-1],
-        fit_residual=resid,
-    )
+    return BoxDimensionFit(estimate=float(slope), scales=scales, counts=counts, fit_residual=resid)
 
 
 # ---------------------------------------------------------------------------

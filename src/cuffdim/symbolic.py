@@ -456,24 +456,18 @@ def _shift(p: PantsGeometry, period: Word | None, stack: list, sym: int):
     return period, stack
 
 
-def suspension_time(p: PantsGeometry, pair: GeodesicPair, depth: int = 12) -> float:
-    """Length of the intersection of the realized geodesic with the octagon."""
-    g = geodesic_from_pair(p, pair, depth)
-    hit = octagon_crossing(p, g)
-    if hit is None:
-        raise GeometryError("realized geodesic does not cross the octagon")
-    t_in, t_out, _, _ = hit
-    return t_out - t_in
-
-
-def periodic_suspension_sum(p: PantsGeometry, word, depth: int = 12) -> float:
-    """Sum of suspension times over one period of the bi-infinite word."""
+def periodic_suspension_sum(p: PantsGeometry, word) -> float:
+    """Sum over one period of the bi-infinite word of the suspension times:
+    the lengths of the rotated periodic geodesics inside the octagon."""
     word = check_reduced(word)
     total = 0.0
-    k = len(word)
-    for i in range(k):
-        rotated = word[i:] + word[:i]
-        total += suspension_time(p, GeodesicPair.periodic(rotated), depth)
+    for i in range(len(word)):
+        g = geodesic_from_pair(p, GeodesicPair.periodic(word[i:] + word[:i]))
+        hit = octagon_crossing(p, g)
+        if hit is None:
+            raise GeometryError("realized geodesic does not cross the octagon")
+        t_in, t_out, _, _ = hit
+        total += t_out - t_in
     return total
 
 

@@ -233,6 +233,18 @@ def collocation_nodes(n: int) -> int:
     return round(4.0 * 2.0 ** (0.5 * n))
 
 
+def check_ladder(levels) -> tuple[int, ...]:
+    """The collocation levels as a tuple: at least one, each valid, strictly increasing."""
+    levels = tuple(levels)
+    if not levels:
+        raise GeometryError("hausdorff_delta needs at least one collocation level")
+    for n in levels:
+        collocation_nodes(n)
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise GeometryError(f"collocation levels {levels} do not strictly increase")
+    return levels
+
+
 def chebyshev_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     """First-kind Chebyshev nodes on [-1, 1] and their barycentric weights."""
     angles = (2 * np.arange(m) + 1) * (math.pi / (2 * m))
@@ -344,6 +356,11 @@ def _newton_root(col: Collocation, s: float, r, l, where: str):
         step = -f / slope
         if rtol <= POWER_RTOL and abs(step) <= NEWTON_XTOL:
             return s, abs(f), r, l
+        if s + step < lo:
+            raise GeometryError(
+                f"{where} at {m} nodes, s={s!r}: Newton step {step:.4g} leaves the bracket "
+                f"below {lo} at s={s + step:.4g}"
+            )
         if s + step >= hi:
             raise _NoBracket(
                 f"log eigenvalue has its root above {hi} at {m} nodes for {where}: "
@@ -358,14 +375,15 @@ def hausdorff_delta(
 ) -> DeltaResult:
     """Limit-set dimension by Chebyshev collocation of the transfer operator.
 
-    Each level n in ``depths`` collocates with m = round(4 * 2^(n/2))
-    first-kind Chebyshev nodes per arc (16, 23, 32, 45, 64, 91, 128 at
-    n = 4..10) and solves log lambda_m(s) = 0 by Newton's method from the
-    left: from s = 0.001 at the first level, and from 0.01 below the
-    previous root after it, with the Perron vectors carried to the new
-    nodes.  A level whose root lies outside PRESSURE_BRACKET is skipped;
-    only the last one raises, naming the end the root lies beyond.  A
-    two-sided quotient that is not a positive finite eigenvalue raises at
+    The levels in ``depths`` must strictly increase.  Level n collocates
+    with m = round(4 * 2^(n/2)) first-kind Chebyshev nodes per arc (16,
+    23, 32, 45, 64, 91, 128 at n = 4..10) and solves log lambda_m(s) = 0 by
+    Newton's method from the left: from s = 0.001 at the first level, and
+    from 0.01 below the previous root after it, with the Perron vectors
+    carried to the new nodes.  A level whose root lies outside
+    PRESSURE_BRACKET is skipped; only the last one raises, naming the end
+    the root lies beyond.  A Newton step to the left of the bracket, or a
+    two-sided quotient that is not a positive finite eigenvalue, raises at
     once.  Stops as soon as successive roots differ by less than ``tol``;
     the result carries the roots of the solved levels so the refinement
     tail is visible, and ``pressure_residual`` is |log lambda_m(delta)| at
@@ -373,10 +391,7 @@ def hausdorff_delta(
     """
     if tol < 1e-6:
         raise GeometryError(f"tolerance {tol} below the supported 1e-6")
-    if not depths:
-        raise GeometryError("hausdorff_delta needs at least one collocation level")
-    for n in depths:  # refuse a bad level before any solve, not only when reached
-        collocation_nodes(n)
+    depths = check_ladder(depths)  # before any solve, not only when a level is reached
     lo = PRESSURE_BRACKET[0]
     roots: list[tuple[int, float]] = []
     gap = math.inf
@@ -504,7 +519,6 @@ class GibbsChain:
     skeleton: TransitionSkeleton
     transition_probs: np.ndarray  # (N, 3)
     stationary: np.ndarray  # (N,)
-    eigenvalue: float
 
 
 def gibbs_chain(p: PantsGeometry, s: float, n: int) -> GibbsChain:
@@ -516,14 +530,7 @@ def gibbs_chain(p: PantsGeometry, s: float, n: int) -> GibbsChain:
     probs = probs / probs.sum(axis=1, keepdims=True)  # exact row normalization
     pi = left * right
     pi = pi / pi.sum()
-    return GibbsChain(
-        depth=n,
-        s=s,
-        skeleton=skel,
-        transition_probs=probs,
-        stationary=pi,
-        eigenvalue=lam,
-    )
+    return GibbsChain(depth=n, s=s, skeleton=skel, transition_probs=probs, stationary=pi)
 
 
 def gibbs_measure(p: PantsGeometry, s: float, n: int) -> CylinderMeasure:
@@ -559,6 +566,9 @@ def entropy_identity_check(p: PantsGeometry, delta: float, n: int) -> float:
 
 
 LOCUS_DELTA_TOL = 1e-5  # ladder tolerance of every delta solve on the locus
+LOCUS_C_RANGE = (0.05, 20.0)  # c range solve_locus scans
+LOCUS_A_RANGE = (0.2, 12.0)  # a = b = c range solve_locus_symmetric scans
+LOCUS_SCAN_POINTS = 8  # geometric scan points before the root refinement
 
 
 @functools.lru_cache(maxsize=64)
@@ -625,35 +635,26 @@ def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str)
 
 
 def solve_locus(
-    a: float,
-    b: float,
-    target: float,
-    tol: float = 1e-3,
-    depths: tuple[int, ...] = (6, 8),
-    c_range: tuple[float, float] = (0.05, 20.0),
-    scan_points: int = 8,
+    a: float, b: float, target: float, tol: float = 1e-3, depths: tuple[int, ...] = (6, 8)
 ) -> float:
-    """Third cuff length c with delta(a, b, c) = target.
+    """Third cuff length c in LOCUS_C_RANGE with delta(a, b, c) = target.
 
-    Monotonicity of delta in c is not assumed: a coarse geometric scan
-    brackets a sign change first, then hybrid root-finding refines it.
-    Raises ``GeometryError`` when delta at the root is unconverged.
+    Monotonicity of delta in c is not assumed: a geometric scan of
+    LOCUS_SCAN_POINTS brackets a sign change first, then hybrid
+    root-finding refines it.  Raises ``GeometryError`` when delta at the
+    root is unconverged.
     """
-    cs = np.geomspace(c_range[0], c_range[1], scan_points)
+    cs = np.geomspace(*LOCUS_C_RANGE, LOCUS_SCAN_POINTS)
     return _bracketed_solve(
-        lambda c: (a, b, c), cs, target, tol, depths, f"locus in c over {c_range}"
+        lambda c: (a, b, c), cs, target, tol, depths, f"locus in c over {LOCUS_C_RANGE}"
     )
 
 
 def solve_locus_symmetric(
-    target: float,
-    tol: float = 1e-3,
-    depths: tuple[int, ...] = (6, 8),
-    a_range: tuple[float, float] = (0.2, 12.0),
-    scan_points: int = 8,
+    target: float, tol: float = 1e-3, depths: tuple[int, ...] = (6, 8)
 ) -> float:
-    """Cuff length a with delta(a, a, a) = target (one-parameter locus slice)."""
-    xs = np.geomspace(a_range[0], a_range[1], scan_points)
+    """Cuff length a in LOCUS_A_RANGE with delta(a, a, a) = target (one-parameter locus slice)."""
+    xs = np.geomspace(*LOCUS_A_RANGE, LOCUS_SCAN_POINTS)
     return _bracketed_solve(
-        lambda a: (a, a, a), xs, target, tol, depths, f"symmetric locus over {a_range}"
+        lambda a: (a, a, a), xs, target, tol, depths, f"symmetric locus over {LOCUS_A_RANGE}"
     )

@@ -286,9 +286,20 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         # admitted cuffs whose construction underflows exited 1 with a traceback
         (["delta", "--cuffs", "1e-300,1e-300,1e-300"], "cuffs (1e-300, 1e-300, 1e-300)"),
         (["octagon", "--cuffs", "5e-324,1,1", "--out", "oct.svg"], "cuffs (5e-324, 1.0, 1.0)"),
-        # a negative two-sided eigenvalue quotient at 16 nodes raised a bare ValueError
+        # Newton stepped below the bracket at 16 nodes, to s = -4.57, where a
+        # negative two-sided eigenvalue quotient raised a bare ValueError
         (["delta", "--cuffs", "0.0003,0.001,20", "--depths", "4,6"],
          "cuffs (0.0003, 0.001, 20.0) at 16 nodes"),
+        # a ladder that repeats or descends reported converged with gap 0 or a
+        # coarser root; delta-scan --depth 4 builds (4, 4)
+        (["delta", "--cuffs", "0.2,1,12", "--depths", "4,4"],
+         "collocation levels (4, 4) do not strictly increase"),
+        (["delta", "--cuffs", "2,2,2", "--depths", "8,4"], "levels (8, 4)"),
+        (["locus", "--symmetric", "--target", "0.5", "--depths", "6,6"], "levels (6, 6)"),
+        (["delta-scan", "--symmetric", "2:2:1", "--depth", "4", "--out", "s.csv"],
+         "levels (4, 4)"),
+        (["delta-scan", "--symmetric", "2:2:1", "--depth", "3", "--out", "s.csv"],
+         "levels (4, 3)"),
     ]
     for argv, named in cases:
         status = run(argv)
@@ -318,6 +329,19 @@ def test_delta_refuses_levels_outside_one_to_ten_before_the_ledger(workdir, caps
     assert run(["delta", "--cuffs", "2,2,2", "--depths", "99"]) == 2
     assert "collocation level 99" in capsys.readouterr().err
     assert len(ledger.read_text().splitlines()) == 1
+
+
+def test_delta_refuses_a_ladder_that_does_not_increase_before_the_ledger(workdir, capsys):
+    # --depths 4,4 stored delta = 0.35147774 as converged, and a later default
+    # run was served it, where the converged value is 0.35149650
+    ledger = workdir / "ledger.jsonl"
+    for depths in ("4,4", "8,4"):
+        assert run(["delta", "--cuffs", "0.2,1,12", "--depths", depths]) == 2
+        assert "do not strictly increase" in capsys.readouterr().err
+    assert not ledger.exists()
+    status, summary = run_json(capsys, ["delta", "--cuffs", "0.2,1,12"])
+    assert status == 0 and summary["results"]["cached"] is False
+    assert abs(summary["results"]["delta"] - 0.35149650) < 1e-8
 
 
 def test_octagon_svg_artifact(workdir, capsys):

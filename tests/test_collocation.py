@@ -140,6 +140,18 @@ def test_nodes_per_level(monkeypatch):
         hausdorff_delta(build_pants((2.0, 2.0, 2.0)), depths=())
 
 
+def test_levels_must_strictly_increase(monkeypatch):
+    # (4, 4) reported converged with gap 0, and (8, 4) a coarser root as converged
+    def refuse(*args):
+        raise AssertionError("solved before the ladder was checked")
+
+    monkeypatch.setattr(thermo, "collocation", refuse)
+    p = build_pants((0.2, 1.0, 12.0))
+    for depths in ((4, 4), (8, 4), (4, 6, 6), (6, 8, 7)):
+        with pytest.raises(GeometryError, match=rf"levels \({depths[0]}, .* do not strictly increase"):
+            hausdorff_delta(p, depths=depths)
+
+
 def test_barycentric_rows_reproduce_polynomials():
     m = 16
     x, _ = thermo.chebyshev_nodes(m)
@@ -257,8 +269,13 @@ def test_bracket_errors_name_the_end_the_root_lies_beyond(monkeypatch):
         hausdorff_delta(build_pants((2.0, 2.0, 2.0)), depths=(4,))
 
 
-def test_nonpositive_two_sided_quotient_raises_a_named_error():
-    # <l, A r> / <l, r> reads -7.8e56 at 16 nodes; math.log raised a bare ValueError
+def test_nonpositive_two_sided_quotient_raises_a_named_error(monkeypatch):
+    # a negative quotient <l, A r> / <l, r> once reached math.log, which raised a
+    # bare ValueError.  The power iterations run on A, whose Perron vectors they
+    # find, and the quotient is taken with -A, where it reads -lambda
+    matrix, perron = thermo.Collocation.matrix, thermo._perron
+    monkeypatch.setattr(thermo.Collocation, "matrix", lambda col, s: -matrix(col, s))
+    monkeypatch.setattr(thermo, "_perron", lambda apply, *a: perron(lambda x: -apply(x), *a))
     p = build_pants((0.0003, 0.001, 20.0))
     for depths in ((4, 6), (4, 6, 8, 10)):
         t0 = time.perf_counter()
@@ -268,6 +285,26 @@ def test_nonpositive_two_sided_quotient_raises_a_named_error():
         ):
             hausdorff_delta(p, depths=depths)
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_newton_step_below_the_bracket_raises_before_evaluating_there(monkeypatch):
+    # at 16 nodes the second step went from s = 0.1376 to -4.57, where the
+    # quotient was then evaluated
+    matrix, seen = thermo.Collocation.matrix, []
+
+    def spy(col, s):
+        seen.append(s)
+        return matrix(col, s)
+
+    monkeypatch.setattr(thermo.Collocation, "matrix", spy)
+    p = build_pants((0.0003, 0.001, 20.0))
+    with pytest.raises(
+        GeometryError,
+        match=r"^cuffs \(0\.0003, 0\.001, 20\.0\) at 16 nodes, s=0\.137.*Newton step -4\.7"
+        r".* leaves the bracket below 0\.001 at s=-4\.57",
+    ):
+        hausdorff_delta(p, depths=(4, 6))
+    assert min(seen) >= thermo.PRESSURE_BRACKET[0]
 
 
 def test_delta_runs_no_lapack_eigensolver(monkeypatch):

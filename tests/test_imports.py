@@ -21,8 +21,8 @@ CLI_LAYERS = DELTA_LAYERS | {"cli"}
 # every name the package namespace exported when it imported all five layers
 EXPORTED = {
     "hyperbolic": (
-        "BoundaryPoint", "DiskPoint", "Geodesic", "GeometryError", "IsometryInfo",
-        "MoebiusTransform", "classify_isometry", "hyp_distance",
+        "BoundaryPoint", "DiskPoint", "Geodesic", "GeometryError", "MoebiusTransform",
+        "hyp_distance",
     ),
     "pants": (
         "ALPHA", "ABAR", "BETA", "BBAR", "Arc", "CuffLengths", "OctagonSide",
@@ -31,8 +31,8 @@ EXPORTED = {
     ),
     "symbolic": (
         "CylinderCover", "GeodesicPair", "Ray", "cutting_sequence_trace", "cylinder_cover",
-        "geodesic_from_pair", "is_reduced", "periodic_suspension_sum", "suspension_time",
-        "word_from_string", "word_to_element", "word_to_string",
+        "geodesic_from_pair", "is_reduced", "periodic_suspension_sum", "word_from_string",
+        "word_to_element", "word_to_string",
     ),
     "thermo": (
         "CylinderMeasure", "DeltaResult", "TransferMatrix", "cover_scaling_delta",
@@ -90,7 +90,7 @@ PATHS = {
     "import-cli": ("import cuffdim.cli", CLI_LAYERS),
     "delta": (command("delta", "--cuffs", "2,2,2", "--depths", "4,6"), CLI_LAYERS),
     "delta-scan": (
-        command("delta-scan", "--symmetric", "2:2:1", "--depth", "4", "--out", "s.csv"),
+        command("delta-scan", "--symmetric", "2:2:1", "--depth", "5", "--out", "s.csv"),
         CLI_LAYERS,
     ),
     "locus": (command("locus", "--symmetric", "--target", "0.5", "--depths", "4,6"), CLI_LAYERS),

@@ -1,4 +1,9 @@
-"""Moebius algebra: group laws, boundary action, classification."""
+"""Moebius algebra: group laws, boundary action, translation length.
+
+Classification by kind, axis and fixed points is a test oracle
+(``conftest.classify_isometry``); the package keeps only the translation
+length.
+"""
 
 import cmath
 import functools
@@ -7,13 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import (
-    GeometryError,
-    MoebiusTransform,
-    classify_isometry,
-)
+from cuffdim.hyperbolic import GeometryError, MoebiusTransform
 
-from conftest import random_mobius
+from conftest import classify_isometry, is_identity, random_mobius
 
 
 def test_compose_with_inverse_is_identity():
@@ -21,7 +22,7 @@ def test_compose_with_inverse_is_identity():
     for _ in range(50):
         m = random_mobius(rng)
         prod = m @ m.inverse()
-        assert prod.is_identity(1e-12)
+        assert is_identity(prod)
 
 
 def test_identity_is_neutral():
@@ -46,7 +47,7 @@ def test_compose_matches_pointwise_application():
 
 def test_inverse_involution():
     rng = np.random.default_rng(4)
-    assert MoebiusTransform.identity().inverse().is_identity()
+    assert is_identity(MoebiusTransform.identity().inverse())
     for _ in range(30):
         m = random_mobius(rng)
         mm = m.inverse().inverse()
@@ -122,8 +123,7 @@ def test_translation_length_conjugation_invariant():
     for _ in range(20):
         k = random_mobius(rng)
         conj = k @ m @ k.inverse()
-        ell = classify_isometry(conj).translation_length
-        assert abs(ell - 1.7) < 1e-10
+        assert abs(conj.translation_length - 1.7) < 1e-10
 
 
 def test_translation_length_of_powers():
@@ -135,8 +135,7 @@ def test_translation_length_of_powers():
             continue
         for k in range(1, 6):
             m_k = functools.reduce(MoebiusTransform.__matmul__, [m] * k)
-            ell_k = classify_isometry(m_k).translation_length
-            assert abs(ell_k - k * info.translation_length) < 1e-8
+            assert abs(m_k.translation_length - k * m.translation_length) < 1e-8
 
 
 def test_attracting_fixed_point_listed_first():
@@ -153,3 +152,15 @@ def test_attracting_fixed_point_listed_first():
         assert d_att < 1.0 < d_rep
         assert abs(m.apply(att) - att) < 1e-9
         assert abs(m.apply(rep) - rep) < 1e-9
+
+
+def test_translation_length_property_matches_the_classification():
+    # hyperbolic maps agree bit for bit with 2 arccosh(|tr| / 2); the
+    # identity, a parabolic and an elliptic map have length 0
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m = random_mobius(rng, spread=6.0)
+        assert m.translation_length == classify_isometry(m).translation_length
+    assert MoebiusTransform.identity().translation_length == 0.0
+    assert MoebiusTransform(1.0 + 0.5j, -0.5j).translation_length == 0.0
+    assert MoebiusTransform(cmath.exp(0.35j), 0).translation_length == 0.0

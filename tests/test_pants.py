@@ -9,7 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import TWO_PI, GeometryError, MoebiusTransform, _lift, classify_isometry
+from cuffdim import pants as pants_mod
+from cuffdim.hyperbolic import TWO_PI, GeometryError, MoebiusTransform, _lift
 from cuffdim.pants import (
     ABAR,
     ALPHA,
@@ -26,6 +27,7 @@ from cuffdim.pants import (
 from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import hausdorff_delta
 
+from conftest import classify_isometry, trace
 from test_symbolic import expansion_map_step, lex_rank
 
 
@@ -177,18 +179,24 @@ def test_gluing_maps_sides_endpoint_to_endpoint(pants123):
     assert abs(p.g_beta(s_beta.end.z) - s_bbar.start.z) < 1e-9
 
 
+def min_arc_gap(report) -> float:
+    """The smallest gap between Schottky arcs, read off the arcs_disjoint check."""
+    (check,) = (c for c in report.checks if c.name == "arcs_disjoint")
+    assert check.note == f"min gap {-check.residual:.3e}"
+    return -check.residual
+
+
 def test_schottky_arcs_disjoint_with_positive_gaps(pants222):
     assert len(pants222.arcs) == 4
     total = sum(a.length for a in pants222.arcs)
     assert total < 2.0 * math.pi
-    report = validate_pants(pants222)
-    assert report.min_arc_gap > 0.0
+    assert min_arc_gap(validate_pants(pants222)) > 0.0
 
 
 def test_schottky_arcs_disjoint_for_small_cuffs():
     report = validate_pants(build_pants((0.5, 0.5, 0.5)))
     assert report.passed
-    assert report.min_arc_gap > 0.0
+    assert min_arc_gap(report) > 0.0
 
 
 def test_arc_image_endpoints(pants222):
@@ -283,8 +291,8 @@ def test_ping_pong_nesting_exhaustive_to_depth_four(pants222):
 
 
 def test_fricke_trace_identity(pants123):
-    a_tr = pants123.g_alpha.trace
-    b_tr = pants123.g_beta.trace
+    a_tr = trace(pants123.g_alpha)
+    b_tr = trace(pants123.g_beta)
     ab = pants123.g_alpha @ pants123.g_beta
     comm = (
         pants123.g_alpha
@@ -292,8 +300,8 @@ def test_fricke_trace_identity(pants123):
         @ pants123.g_alpha.inverse()
         @ pants123.g_beta.inverse()
     )
-    lhs = a_tr**2 + b_tr**2 + ab.trace**2 - a_tr * b_tr * ab.trace - 2.0
-    assert abs(lhs - comm.trace) < 1e-8
+    lhs = a_tr**2 + b_tr**2 + trace(ab) ** 2 - a_tr * b_tr * trace(ab) - 2.0
+    assert abs(lhs - trace(comm)) < 1e-8
 
 
 def test_construction_is_bit_deterministic():
@@ -344,11 +352,19 @@ def test_group_law_pointwise_exactness(pants222):
 
 
 def test_svg_emission(pants111):
-    svg = octagon_svg(pants111)
+    svg = octagon_svg(pants111, validate_pants(pants111))
     assert svg.startswith("<?xml")
     for label in SIDE_ORDER:
         assert f">{label}</text>" in svg
     for name in SYMBOL_NAMES:
         assert f">{name}</text>" in svg
     assert "validation:" in svg
-    assert svg == octagon_svg(build_pants((1.0, 1.0, 1.0)))
+    p = build_pants((1.0, 1.0, 1.0))
+    assert svg == octagon_svg(p, validate_pants(p))
+
+
+def test_svg_size_is_the_module_constant(pants111, monkeypatch):
+    monkeypatch.setattr(pants_mod, "SVG_SIZE", 320)
+    svg = octagon_svg(pants111, validate_pants(pants111))
+    assert 'width="320" height="320" viewBox="0 0 320 320"' in svg
+    assert '<circle cx="160.000" cy="160.000" r="147.200"' in svg

@@ -60,33 +60,30 @@ def test_unit_square_projections():
 
 
 def test_product_cover_counts(pants222):
-    # 4x4 word pairs minus the 4 equal-first-symbol blocks; the arc through
-    # angle zero splits into two unit-interval pieces, adding boxes
-    unres = product_cover(pants222, 1, restrict=False)
-    assert unres.n_pairs == 16
-    assert unres.n_boxes == 25
-    res = product_cover(pants222, 1, restrict=True)
-    assert res.n_pairs == 12
-    assert res.n_boxes == 18
-    assert product_cover(pants222, 2).n_pairs == 12 * 9
+    # the arc through angle zero splits into two unit-interval pieces, so the
+    # 5 pieces of the 4 arcs make 5 x 5 pairs, less the 2^2 + 1 + 1 + 1 whose
+    # words start with the same symbol
+    assert product_cover(pants222, 1).n_boxes == 18
     with pytest.raises(GeometryError):
         product_cover(pants222, 10)
 
 
 def test_product_cover_area_decreases(pants222):
-    # the unrestricted product area is exactly the squared total arc mass
+    # the product area is the squared total arc mass less the squared mass
+    # of the words starting with each symbol
     areas = []
     for n in (1, 2, 3, 4):
-        cov = product_cover(pants222, n, restrict=False)
-        total = cylinder_cover(pants222, n).lengths.sum() / (2.0 * math.pi)
+        cov = product_cover(pants222, n)
+        cyl = cylinder_cover(pants222, n)
+        mass = np.bincount(cyl.words[:, 0], weights=cyl.lengths, minlength=4) / (2.0 * math.pi)
         area = float(np.sum((cov.x1 - cov.x0) * (cov.y1 - cov.y0)))
-        assert abs(area - total**2) < 1e-12
+        assert abs(area - (mass.sum() ** 2 - np.sum(mass**2))) < 1e-12
         areas.append(area)
     assert all(a > b for a, b in zip(areas, areas[1:]))
 
 
 def test_product_cover_boxes_do_not_overlap(pants222):
-    cov = product_cover(pants222, 1, restrict=True)
+    cov = product_cover(pants222, 1)
     x0, x1, y0, y1 = cov.x0, cov.x1, cov.y0, cov.y1
     n = cov.n_boxes
     for i in range(n):
@@ -230,8 +227,7 @@ def _product_covers():
     for cuffs in ((2.0, 2.0, 2.0), (0.2, 1.0, 12.0), (A_HALF, A_HALF, A_HALF)):
         p = build_pants(cuffs)
         for n in range(1, 6):
-            for restrict in (True, False):
-                yield p, n, restrict, product_cover(p, n, restrict=restrict)
+            yield p, n, product_cover(p, n)
 
 
 def _blocked_covers():
@@ -246,9 +242,6 @@ def test_blocked_projection_is_bit_identical_to_the_box_arrays():
     for cover in _blocked_covers():
         # x pieces as a column, y pieces as a row: intervals from outer sums
         assert all(xl.shape[1] == 1 and yl.shape[0] == 1 for xl, _, yl, _ in cover.blocks)
-        if cover.label.startswith("omega"):
-            # one arc through angle zero is split, so some pairs make two boxes
-            assert cover.n_boxes > cover.n_pairs
         flat = _flat_cover(cover.label, cover.x0, cover.x1, cover.y0, cover.y1)
         for lam in lams:
             assert project_cover_length(cover, lam) == project_cover_length(flat, lam)
@@ -264,16 +257,16 @@ def _lexsorted(rows):
 
 
 def test_blocks_expand_to_the_box_multiset():
-    # every pair of unit-interval pieces whose words start apart (all pairs
-    # unrestricted) is one box
-    for p, n, restrict, cover in _product_covers():
+    # every pair of unit-interval pieces whose words start apart is one box
+    for p, n, cover in _product_covers():
         cov = cylinder_cover(p, n)
         parent, lo, hi = projlab._unit_pieces(cov)
         first = cov.words[parent, 0]
         i, j = np.divmod(np.arange(len(lo) ** 2), len(lo))
-        if restrict:
-            keep = first[i] != first[j]
-            i, j = i[keep], j[keep]
+        keep = first[i] != first[j]
+        i, j = i[keep], j[keep]
+        # one arc through angle zero is split, so some word pairs make two boxes
+        assert len(i) > np.sum(cov.words[:, None, 0] != cov.words[None, :, 0])
         want = np.stack([lo[i], hi[i], lo[j], hi[j]], axis=1)
         got = _block_rows(cover)
         assert cover.n_boxes == len(got) == len(want)
@@ -334,9 +327,8 @@ def test_favard_single_box_bounds():
 
 
 def test_projection_profile_csv(pants222):
-    prof = projection_profile(
-        {n: four_corner_cover(n) for n in (1, 2)}, grid=32, label="fc"
-    )
+    prof = projection_profile({n: four_corner_cover(n) for n in (1, 2)}, grid=32)
+    assert prof.label == "four-corner-1"
     text = prof.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "depth,lambda,length"
@@ -383,10 +375,11 @@ def test_inconsistent_evaluators_rejected():
         transversality_certify(broken)
 
 
-def test_separation_floor_excludes_close_pairs():
+def test_separation_floor_excludes_close_pairs(monkeypatch):
     fam = direction_family()
     pts = np.array([[0.1, 0.1], [0.1 + 1e-9, 0.1], [0.8, 0.8]])
-    rep = transversality_certify(fam, points=pts, lam_grid=32)
+    monkeypatch.setattr(projlab, "default_point_sample", lambda n_space: pts)
+    rep = transversality_certify(fam, lam_grid=32)
     assert rep.excluded_pairs == 1
     assert rep.n_pairs == 2
 
@@ -713,8 +706,6 @@ def test_box_dimension_preconditions():
     with pytest.raises(GeometryError):
         box_dimension(pts)
     big = rng.random(100_000) + 1j * rng.random(100_000)
-    with pytest.raises(GeometryError):
-        box_dimension(big, scales=[0.5, 0.25, 0.125])
     xyz = rng.random((100_000, 3))
     for bad in (xyz, xyz[:, 0], big[:, None]):
         with pytest.raises(GeometryError, match=r"complex \(N,\) or real \(N, 2\) points"):
@@ -732,7 +723,7 @@ def _box_counts_oracle(xy, scales):
 
 
 @pytest.mark.parametrize("seed", [55, 56])
-def test_box_counts_equal_the_unique_oracle(seed):
+def test_box_counts_equal_the_unique_oracle(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     r = 0.95 * np.sqrt(rng.random(50_000))
     pts = r * np.exp(2j * math.pi * rng.random(50_000))
@@ -743,30 +734,35 @@ def test_box_counts_equal_the_unique_oracle(seed):
         xy * 3.0 - 7.0,  # negative coordinates and a span above 1
         pts[:5_000] ** 3,  # a skewed cloud
     ]
-    scale_lists = [None, [0.3, 0.07, 0.011, 0.0023, 0.05, 1.7e-3], 2.0 ** -np.arange(1, 11)]
+    scale_lists = [projlab.BOX_SCALES, np.array([0.3, 0.07, 0.05, 0.011, 0.0023, 1.7e-3]),
+                   2.0 ** -np.arange(1, 11)]
     for cloud in clouds:
         xy_c = np.stack([cloud.real, cloud.imag], axis=-1) if np.iscomplexobj(cloud) else cloud
         for scales in scale_lists:
-            fit = box_dimension(cloud, scales=scales, min_points=1)
+            monkeypatch.setattr(projlab, "BOX_SCALES", scales)
+            fit = box_dimension(cloud, min_points=1)
             want = _box_counts_oracle(xy_c, fit.scales)
             assert fit.counts.dtype == want.dtype
             assert np.array_equal(fit.counts, want)
 
 
-def test_box_dimension_refuses_a_grid_above_the_cap():
+def test_box_dimension_refuses_a_grid_above_the_cap(monkeypatch):
     pts = np.random.default_rng(57).random(1000) + 1j * np.random.default_rng(58).random(1000)
     pts[:2] = [0.0, 1.0 + 1.0j]  # the cloud spans [0, 1]^2
     # 2^-13 needs 8193^2 cells, just above 2^26; 2^-12 needs 4097^2
     msg = r"scale 0\.0001220703125 needs a 8193 x 8193 grid, above BOX_COUNT_MAX_CELLS = 67108864"
+    monkeypatch.setattr(projlab, "BOX_SCALES", 2.0 ** -np.arange(1, 14))
     with pytest.raises(GeometryError, match=msg):
-        box_dimension(pts, scales=2.0 ** -np.arange(1, 14), min_points=1)
-    assert box_dimension(pts, scales=2.0 ** -np.arange(1, 13), min_points=1).counts[-1] <= 1000
+        box_dimension(pts, min_points=1)
+    monkeypatch.setattr(projlab, "BOX_SCALES", 2.0 ** -np.arange(1, 13))
+    assert box_dimension(pts, min_points=1).counts[-1] <= 1000
     # a scale so small that the grid side overflows to infinity
+    monkeypatch.setattr(projlab, "BOX_SCALES", np.array([0.5, 0.25, 0.125, 1e-320]))
     with np.errstate(over="ignore"), pytest.raises(GeometryError, match="inf x inf grid"):
-        box_dimension(pts, scales=[0.5, 0.25, 0.125, 1e-320], min_points=1)
+        box_dimension(pts, min_points=1)
 
 
-def test_box_dimension_refuses_non_finite_points_and_bad_scales():
+def test_box_dimension_refuses_non_finite_points():
     pts = np.random.default_rng(59).random(100_000) + 0.5j
     pts[[3, 70, 900]] = [complex(math.nan, 0.1), complex(0.2, math.inf), complex(-math.inf, math.nan)]
     with pytest.raises(GeometryError, match="3 are not"):
@@ -774,9 +770,6 @@ def test_box_dimension_refuses_non_finite_points_and_bad_scales():
     xy = np.stack([pts.real, pts.imag], axis=-1)
     with pytest.raises(GeometryError, match="3 are not"):
         box_dimension(xy)
-    for bad in ([0.5, 0.25, 0.0, 0.125], [0.5, 0.25, -0.125, 0.1], [0.5, math.nan, 0.25, 0.1]):
-        with pytest.raises(GeometryError, match="at least 4 positive scales"):
-            box_dimension(pts[1000:2000], scales=bad, min_points=1)
 
 
 # ---------------------------------------------------------------------------

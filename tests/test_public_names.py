@@ -1,4 +1,4 @@
-"""Every public name in the package has a caller outside the tests.
+"""Every public name and keyword in the package has a caller outside the tests.
 
 The library, the demos and the benchmark harness are parsed, never run.  A
 public (non-underscore) top-level function or class counts as called when
@@ -9,6 +9,13 @@ alias such as ``__call__ = apply``: a bare ``Name`` is a local or a
 parameter, and cannot reach a method.  The names the package namespace
 exports are the declared API and count as called.  Test files are not
 callers.
+
+A public function's or method's parameter with a default counts as used
+when some call outside its own definition, to a function or method of that
+name, passes it: by keyword, by position (a method's ``self`` or ``cls``
+is not a position the caller writes), through ``*args`` at or before its
+position, or through ``**kwargs``.  A keyword that no such call passes is
+a constant in disguise.
 """
 
 import ast
@@ -77,15 +84,78 @@ def orphans(trees: dict, defining: list, exported: set) -> list[str]:
     return out
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    trees = {
+def caller_trees(dirs) -> dict:
+    """Parsed trees of the Python files under ``dirs``, test files left out."""
+    return {
         path: ast.parse(path.read_text(), filename=str(path))
-        for d in CALLER_DIRS
+        for d in dirs
         for path in sorted(d.rglob("*.py"))
         if not path.name.startswith("test_")
     }
+
+
+def defaulted_parameters(node, is_method: bool):
+    """(position, name) of each parameter of a def that has a default.
+
+    The position is the one a caller writes, so a method's ``self`` or
+    ``cls`` is not counted; a keyword-only parameter has no position.
+    """
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    skip = 1 if is_method and not static else 0
+    first_default = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional):
+        if i >= first_default:
+            yield i - skip, a.arg
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, a.arg
+
+
+def call_passes(call: ast.Call, position, name: str) -> bool:
+    """Whether the call passes the parameter at ``position`` named ``name``."""
+    if position is not None and any(
+        i == position or isinstance(arg, ast.Starred) for i, arg in enumerate(call.args)
+    ):
+        return True
+    return any(k.arg in (None, name) for k in call.keywords)
+
+
+def unused_keywords(trees: dict, defining: list) -> tuple[list[str], int]:
+    """Defaulted public parameters that no call in ``trees`` passes, and the
+    count of defaulted public parameters."""
+    calls = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls[name].append(node)
+    out, total = [], 0
+    for path in defining:
+        for qualname, node in public_definitions(trees[path]):
+            if isinstance(node, ast.ClassDef):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            for position, name in defaulted_parameters(node, "." in qualname):
+                total += 1
+                if not any(
+                    call_passes(c, position, name) for c in calls[node.name] if id(c) not in own
+                ):
+                    out.append(f"{path.name}:{node.lineno} {qualname}({name})")
+    return out, total
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    trees = caller_trees(CALLER_DIRS)
     found = orphans(trees, sorted(PACKAGE.glob("*.py")), set(cuffdim._HOME))
     assert not found, "public names with no caller outside the tests:\n" + "\n".join(found)
+
+
+def test_every_public_keyword_is_passed_outside_the_tests():
+    found, _ = unused_keywords(caller_trees(CALLER_DIRS), sorted(PACKAGE.glob("*.py")))
+    assert not found, "public keywords no caller outside the tests passes:\n" + "\n".join(found)
 
 
 SYNTHETIC = '''
@@ -113,3 +183,34 @@ def test_a_method_used_only_as_a_local_name_is_flagged():
     trees = {path: ast.parse(SYNTHETIC)}
     # word is a local variable in main and an attribute only inside its own body
     assert orphans(trees, [path], {"main"}) == ["synthetic.py:3 Cover.word"]
+
+
+KEYWORD_LIB = '''
+class Grid:
+    def scale(self, x, factor=2):
+        return x * factor
+
+    @classmethod
+    def make(cls, n, fill=0.0):
+        return cls()
+
+
+def solve(x, tol=1e-3, steps=8):
+    return x
+
+
+def run(grid):
+    return solve(1.0, 1e-4), grid.scale(1, 3), Grid.make(2, 1.0)
+'''
+
+
+def test_keyword_gate_counts_positions_and_ignores_test_callers(tmp_path):
+    (tmp_path / "lib.py").write_text(KEYWORD_LIB)
+    (tmp_path / "test_lib.py").write_text("from lib import solve\nsolve(1.0, steps=3)\n")
+    trees = caller_trees([tmp_path])
+    assert list(trees) == [tmp_path / "lib.py"]
+    found, total = unused_keywords(trees, [tmp_path / "lib.py"])
+    # tol is passed only by position, steps only from a test file, and the
+    # methods' second positional argument reaches factor and fill, not self or cls
+    assert total == 4
+    assert found == ["lib.py:11 solve(steps)"]

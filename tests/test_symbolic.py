@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import TWO_PI, GeometryError, Geodesic, BoundaryPoint, classify_isometry
+from cuffdim.hyperbolic import TWO_PI, GeometryError, Geodesic, BoundaryPoint
 from cuffdim import symbolic
 from cuffdim.pants import ABAR, ALPHA, BBAR, BETA
 from cuffdim.symbolic import (
@@ -19,15 +19,15 @@ from cuffdim.symbolic import (
     cylinder_cover,
     geodesic_from_pair,
     is_reduced,
+    octagon_crossing,
     periodic_suspension_sum,
     realize_ray,
-    suspension_time,
     word_from_string,
     word_to_element,
     word_to_string,
 )
 
-from conftest import random_reduced_word
+from conftest import classify_isometry, is_identity, random_reduced_word
 
 
 # The cylinder-word oracles: the piecewise-Moebius boundary map, one circle
@@ -166,12 +166,12 @@ def test_lex_rank_is_the_enumeration_order(pants222):
 
 
 def test_word_to_element_basics(pants222):
-    assert word_to_element(pants222, ()).is_identity()
+    assert is_identity(word_to_element(pants222, ()))
     with pytest.raises(GeometryError):
         word_to_element(pants222, (ALPHA, ABAR))
     # the (alpha, bbar) element realizes the third cuff
     e = word_to_element(pants222, (ALPHA, BBAR))
-    assert abs(classify_isometry(e).translation_length - 2.0) < 1e-8
+    assert abs(e.translation_length - 2.0) < 1e-8
 
 
 def test_geodesic_from_pair_periodic_words_give_axes(pants222):
@@ -334,20 +334,20 @@ def test_distinct_prefixes_give_disjoint_endpoint_arcs(pants222):
 
 
 def test_suspension_time_positive_and_cuff_periods(pants222):
-    ell = suspension_time(pants222, GeodesicPair(Ray((), (ALPHA,)), Ray((), (ABAR,))))
-    assert abs(ell - 2.0) < 1e-6  # one period along the axis of g_alpha
-    ell_b = suspension_time(pants222, GeodesicPair(Ray((), (BETA,)), Ray((), (BBAR,))))
-    assert abs(ell_b - 2.0) < 1e-6
+    # a one-letter period sums one suspension time: one period along the axis
+    assert abs(periodic_suspension_sum(pants222, (ALPHA,)) - 2.0) < 1e-6
+    assert abs(periodic_suspension_sum(pants222, (BETA,)) - 2.0) < 1e-6
     rng = np.random.default_rng(47)
     for _ in range(10):
         xi = random_reduced_word(rng, 10)
         eta = random_reduced_word(rng, 10, first_not=xi[0])
-        assert suspension_time(pants222, GeodesicPair(Ray(xi), Ray(eta))) > 0.0
+        t_in, t_out, _, _ = octagon_crossing(
+            pants222, geodesic_from_pair(pants222, GeodesicPair(Ray(xi), Ray(eta)))
+        )
+        assert t_out - t_in > 0.0
 
 
 def test_octagon_crossing_none_for_gap_geodesic(pants222):
-    from cuffdim.symbolic import octagon_crossing
-
     g = Geodesic(BoundaryPoint(4.5), BoundaryPoint(5.0))
     assert octagon_crossing(pants222, g) is None
     hit = octagon_crossing(
@@ -368,7 +368,7 @@ def test_periodic_suspension_sums_match_translation_lengths(pants222, pants123):
             if word[0] == (word[-1] ^ 1):
                 continue
             total = periodic_suspension_sum(p, word)
-            ell = classify_isometry(word_to_element(p, word)).translation_length
+            ell = word_to_element(p, word).translation_length
             assert abs(total - ell) <= 1e-6 * max(ell, 1.0), word
             done += 1
 

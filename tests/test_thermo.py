@@ -258,7 +258,7 @@ def test_locus_solves_each_point_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 14
 
 
-def test_locus_root_needs_a_converged_delta():
+def test_locus_root_needs_a_converged_delta(monkeypatch):
     # the scan brackets against the unconverged a = 0.359, but delta at the root converges
     a = solve_locus_symmetric(0.88, depths=(4, 6, 8))
     assert abs(a - 0.5851534820) < 1e-9
@@ -268,7 +268,8 @@ def test_locus_root_needs_a_converged_delta():
     with pytest.raises(GeometryError, match=r"cuffs \(0\.4991\d*, .*gap 7\.\d+e-05"):
         solve_locus_symmetric(0.9, depths=(4, 6, 8))
     # a deeper ladder converges there
-    a = solve_locus_symmetric(0.9, depths=(6, 8, 10), a_range=(0.4, 12.0))
+    monkeypatch.setattr(thermo, "LOCUS_A_RANGE", (0.4, 12.0))
+    a = solve_locus_symmetric(0.9, depths=(6, 8, 10))
     assert abs(a - 0.4991165413) < 1e-9
 
 
