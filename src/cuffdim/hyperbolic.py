@@ -34,74 +34,6 @@ class GeometryError(ValueError):
     """Raised when inputs violate a geometric precondition."""
 
 
-def _brentq(
-    f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100, fa=None, fb=None
-) -> float:
-    """Root of f on the sign-changing bracket [xa, xb] by Brent's method.
-
-    A line-for-line port of scipy's C ``brentq``: the same interpolation,
-    extrapolation and bisection rules in the same floating-point order, so
-    roots are bit-identical to ``scipy.optimize.brentq`` with equal
-    arguments.  ``fa``/``fb`` are f(xa)/f(xb) when the caller already
-    has them; f is then not evaluated there again.  A same-sign bracket,
-    a NaN value or an exhausted ``maxiter`` raises ``GeometryError``.
-    """
-
-    def call(x: float, fx=None) -> float:
-        fx = float(f(x) if fx is None else fx)
-        if math.isnan(fx):
-            raise GeometryError(f"root solve hit a NaN value at x={x!r}")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre, fa), call(xcur, fb)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise GeometryError(
-            f"root bracket [{xpre!r}, {xcur!r}] has no sign change: "
-            f"f = {fpre!r}, {fcur!r}"
-        )
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise GeometryError(f"root solve did not converge in {maxiter} iterations")
-
-
 # ---------------------------------------------------------------------------
 # Moebius transforms
 

@@ -20,7 +20,7 @@ solves log lambda_m(s) = 0 by Newton's method from the left, where
 lambda_m dominates, with lambda_m and its left and right vectors from
 warm-started power iteration; the root is tracked across levels until it
 stabilizes.  No LAPACK eigensolver runs: the tests keep one, with
-Brent's method, as oracle.
+scipy's Brent method, as oracle.
 
 The depth-n Markov discretization stays for the Gibbs chain, the
 cover-scaling estimate and the ladder cross-check: the transition
@@ -28,8 +28,10 @@ w -> w' (drop the first symbol, append one) on depth-n reduced words
 carries the contracting inverse-branch derivative of w's first symbol,
 evaluated at the midpoint of the target cylinder arc and raised to the
 power s, and ``pressure`` is the log of its Perron eigenvalue.  Every
-word has exactly three successors and three predecessors, so M x and
-x M are three-term numpy gathers; no sparse matrix is built.
+word has exactly three successors and three predecessors, so M x, x M
+and M' x are three-term numpy gathers, and ``pressure_root`` runs the
+collocation's Newton iteration on them.  The locus refines a sign change
+of delta - target by the Illinois method, which needs no derivative.
 
 All derivative bookkeeping is done on log scale: cuff lengths up to 20
 produce branch derivatives spanning hundreds of orders of magnitude.
@@ -44,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hyperbolic import GeometryError, _brentq
+from .hyperbolic import GeometryError
 from .pants import PantsGeometry, build_pants
 
 if TYPE_CHECKING:
@@ -148,6 +150,10 @@ class TransferMatrix:
         """x M, the product with the transpose."""
         return _gather(*self._pred_terms, x)
 
+    def dmatvec(self, x: np.ndarray) -> np.ndarray:
+        """M' x, the product with the s-derivative of M."""
+        return _gather(self._succ_terms[0], self._succ_terms[1] * self.skeleton.log_deriv.T, x)
+
 
 def transfer_matrix(p: PantsGeometry, s: float, n: int) -> TransferMatrix:
     """Weighted depth-n transition matrix at exponent s."""
@@ -164,14 +170,16 @@ def transfer_matrix(p: PantsGeometry, s: float, n: int) -> TransferMatrix:
 def _perron(apply, n: int, x0=None, rtol=POWER_RTOL, maxiter=POWER_MAXITER):
     """Perron eigenvalue and eigenvector of an n x n operator, given as its
     product ``apply(x)``, by power iteration from x0 (uniform by default)
-    until the l1 residual is at most rtol * lambda."""
+    until the l1 residual is at most rtol * lambda.  A NaN sum, or a sum
+    at or below 0 that the residual settles on, raises at that step."""
     # np.add.reduce is what ndarray.sum runs, without its Python-level wrapper
     x = np.full(n, 1.0 / n) if x0 is None else x0 / np.add.reduce(x0)
-    lam = 1.0
-    for _ in range(maxiter):
+    for step in range(1, maxiter + 1):
         y = apply(x)
         lam = np.add.reduce(y)
         res = np.add.reduce(np.abs(y - lam * x))
+        if not res > rtol * -lam:  # a sum may dip below 0 and recover
+            raise GeometryError(f"power sum {float(lam)!r} at step {step} is not positive")
         x = y / lam
         if res <= rtol * lam:
             return lam, x
@@ -209,17 +217,15 @@ class DeltaResult:
 
 
 def pressure_root(p: PantsGeometry, n: int) -> float:
-    """Root of the depth-n pressure in s on PRESSURE_BRACKET."""
-    lo, hi = PRESSURE_BRACKET
-    f_lo, f_hi = pressure(p, lo, n), pressure(p, hi, n)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise GeometryError(
-            f"pressure has no sign change on [{lo}, {hi}] at depth {n}: "
-            f"P({lo})={f_lo:.4f}, P({hi})={f_hi:.4f}"
-        )
-    return _brentq(
-        lambda s: pressure(p, s, n), lo, hi, xtol=1e-12, rtol=8.9e-16, fa=f_lo, fb=f_hi
-    )
+    """Root of the depth-n pressure on PRESSURE_BRACKET, by Newton's method from its left end."""
+
+    def at(s):
+        tm = transfer_matrix(p, s, n)
+        return tm.matvec, tm.rmatvec, tm.dmatvec
+
+    nwords = len(transition_skeleton(p, n).cols)  # checks n before any solve
+    where, site = f"cuffs {p.cuffs.as_tuple()}", f"at depth {n}"
+    return _newton_root(at, nwords, PRESSURE_BRACKET[0], None, None, where, site, POWER_MAXITER)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +293,12 @@ class Collocation:
         weights = np.exp(s * self.log_weight)[:, :, None]
         return (self.interp.reshape(n, 4, self.m) * weights).reshape(n, n)
 
+    def products(self, s: float):
+        """x -> A x, x -> x A and x -> A' x = (A o LW) x for A = matrix(s), LW the log weights."""
+        a, m = self.matrix(s), self.m
+        return a.dot, a.__rmatmul__, lambda r: np.einsum(
+            "it,itk,tk->i", self.log_weight, a.reshape(-1, 4, m), r.reshape(4, m))
+
 
 def collocation(p: PantsGeometry, m: int) -> Collocation:
     """The m-node collocation of p's transfer operator, cached on p.
@@ -313,35 +325,34 @@ def collocation(p: PantsGeometry, m: int) -> Collocation:
 
 
 class _NoBracket(GeometryError):
-    """log lambda_m(s) has no root on PRESSURE_BRACKET that Newton can reach."""
+    """log lambda(s) has no root on PRESSURE_BRACKET that Newton can reach."""
 
 
-def _newton_root(col: Collocation, s: float, r, l, where: str):
-    """Root of log lambda_m, |log lambda_m| there, and the Perron vectors,
-    by Newton's method from s (or 0.001 if log lambda_m(s) <= 0).  The
-    function is convex and decreasing, so the steps climb to the root and
-    never evaluate right of it, where a second eigenvalue may come close."""
-    m, n = col.m, 4 * col.m
+def _newton_root(at, n: int, s: float, r, l, where: str, site: str, maxiter: int):
+    """Root of log lambda, |log lambda| there, and the Perron vectors r, l of
+    the n x n operator A(s) whose products x -> A x, x A, A' x are at(s), by
+    Newton's method from s (or 0.001 if log lambda(s) <= 0).  The function
+    is convex and decreasing, so the steps climb to the root, passing it
+    only by a loose slope's error, short of where a second eigenvalue may
+    come close.  Errors name the solve by ``where`` and ``site`` ("at 16 nodes", "at depth 5")."""
     lo, hi = PRESSURE_BRACKET
     f_prev = None
     for _ in range(NEWTON_MAXITER):
         rtol = 1e-6 if f_prev is None else max(1e-13, min(1e-6, 1e-4 * abs(f_prev)))
-        a = col.matrix(s)
+        apply, rapply, dapply = at(s)
         try:
-            _, r = _perron(a.dot, n, r, rtol, COLLOCATION_MAXITER)
-            _, l = _perron(a.__rmatmul__, n, l, min(1e-3, math.sqrt(rtol)), COLLOCATION_MAXITER)
+            _, r = _perron(apply, n, r, rtol, maxiter)
+            _, l = _perron(rapply, n, l, min(1e-3, math.sqrt(rtol)), maxiter)
         except GeometryError as exc:
-            raise GeometryError(f"{where} at {m} nodes, s={s!r}: {exc}") from exc
-        # the two-sided quotient is accurate to the product of the vectors' errors, so
-        # l, which the slope d log lambda / ds = <l, (A o LW) r> / (lambda <l, r>) also
-        # uses, needs only the square root of r's tolerance; LW are the log weights
+            raise GeometryError(f"{where} {site}, s={s!r}: {exc}") from exc
+        # the two-sided quotient is accurate to the product of the vectors' errors, so l, which
+        # the slope <l, A' r> / (lambda <l, r>) also uses, needs only the root of r's tolerance
         lr = float(l @ r)
-        lam = float(l @ a.dot(r)) / lr
-        da_r = np.einsum("it,itk,tk->i", col.log_weight, a.reshape(n, 4, m), r.reshape(4, m))
-        slope = float(l @ da_r) / (lam * lr)
+        lam = float(l @ apply(r)) / lr
+        slope = float(l @ dapply(r)) / (lam * lr)
         if not (0.0 < lam < math.inf and math.isfinite(lr) and math.isfinite(slope)):
             raise GeometryError(
-                f"{where} at {m} nodes, s={s!r}: two-sided quotient <l, A r> / <l, r> = "
+                f"{where} {site}, s={s!r}: two-sided quotient <l, A r> / <l, r> = "
                 f"{lam!r} is not a positive finite eigenvalue (<l, r> = {lr!r}, slope {slope!r})"
             )
         f = math.log(lam)
@@ -350,7 +361,7 @@ def _newton_root(col: Collocation, s: float, r, l, where: str):
             continue
         if f_prev is None and f <= 0.0:
             raise _NoBracket(
-                f"log eigenvalue has its root below {lo} at {m} nodes for {where}: "
+                f"log eigenvalue has its root below {lo} {site} for {where}: "
                 f"{f:.4g} at s={s!r}"
             )
         step = -f / slope
@@ -358,16 +369,16 @@ def _newton_root(col: Collocation, s: float, r, l, where: str):
             return s, abs(f), r, l
         if s + step < lo:
             raise GeometryError(
-                f"{where} at {m} nodes, s={s!r}: Newton step {step:.4g} leaves the bracket "
+                f"{where} {site}, s={s!r}: Newton step {step:.4g} leaves the bracket "
                 f"below {lo} at s={s + step:.4g}"
             )
         if s + step >= hi:
             raise _NoBracket(
-                f"log eigenvalue has its root above {hi} at {m} nodes for {where}: "
+                f"log eigenvalue has its root above {hi} {site} for {where}: "
                 f"{f:.4g} at s={s!r}, Newton step {step:.4g} predicts s={s + step:.4g}"
             )
         s, f_prev = s + step, f
-    raise GeometryError(f"{where} at {m} nodes: Newton took {NEWTON_MAXITER} steps")
+    raise GeometryError(f"{where} {site}: Newton took {NEWTON_MAXITER} steps")
 
 
 def hausdorff_delta(
@@ -404,7 +415,8 @@ def hausdorff_delta(
         s = max(lo, roots[-1][1] - 0.01) if roots else lo
         try:
             root, residual, r, l = _newton_root(
-                collocation(p, m), s, r, l, f"cuffs {p.cuffs.as_tuple()}"
+                collocation(p, m).products, 4 * m, s, r, l, f"cuffs {p.cuffs.as_tuple()}",
+                f"at {m} nodes", COLLOCATION_MAXITER,
             )
         except _NoBracket:
             if k == len(depths) - 1:
@@ -571,6 +583,21 @@ LOCUS_A_RANGE = (0.2, 12.0)  # a = b = c range solve_locus_symmetric scans
 LOCUS_SCAN_POINTS = 8  # geometric scan points before the root refinement
 
 
+def _illinois(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign, within
+    xtol, by the Illinois method (Dowell & Jarratt, BIT 11, 1971): regula falsi that
+    halves the kept end's value when two points in a row fall on one side."""
+    while abs(b - a) > xtol:
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        # b moves to c; a takes the old b if c crossed the root, else a's value halves
+        a, fa = (b, fb) if (fc < 0.0) != (fb < 0.0) else (a, 0.5 * fa)
+        b, fb = c, fc
+    return b
+
+
 @functools.lru_cache(maxsize=64)
 def _delta_at(cuffs, depths, tol) -> DeltaResult:
     """delta at a locus point; cached so a caller can read back the root's."""
@@ -579,12 +606,12 @@ def _delta_at(cuffs, depths, tol) -> DeltaResult:
 
 def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str) -> float:
     """Coarse scan for a sign change of delta(cuffs_at(x)) - target, then
-    hybrid root refinement.
+    Illinois root refinement.
 
     Scan points where the dimension itself is not computable (degenerate
     geometry, power-iteration failure) are skipped; with no bracket the
     error names each distinct failure.  delta is solved at most once per
-    point, so the rechecks reuse the solve Brent's method made at the
+    point, so the rechecks reuse the solve the Illinois method made at the
     root.  The bracket may rest on unconverged scan values, but delta at
     the returned root must be converged.
     """
@@ -621,7 +648,7 @@ def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str)
         if v0 == 0.0:
             return accept(x0)
         if v0 * v1 < 0:
-            root = _brentq(g, x0, x1, xtol=1e-10, rtol=8.9e-16, fa=v0, fb=v1)
+            root = _illinois(g, x0, x1, v0, v1, 1e-10)
             err = abs(g(root))
             if err > tol:
                 raise GeometryError(f"{what} converged but |delta-target|={err:.2e} > {tol}")
@@ -640,8 +667,8 @@ def solve_locus(
     """Third cuff length c in LOCUS_C_RANGE with delta(a, b, c) = target.
 
     Monotonicity of delta in c is not assumed: a geometric scan of
-    LOCUS_SCAN_POINTS brackets a sign change first, then hybrid
-    root-finding refines it.  Raises ``GeometryError`` when delta at the
+    LOCUS_SCAN_POINTS brackets a sign change first, then the Illinois
+    method refines it.  Raises ``GeometryError`` when delta at the
     root is unconverged.
     """
     cs = np.geomspace(*LOCUS_C_RANGE, LOCUS_SCAN_POINTS)

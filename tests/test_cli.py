@@ -247,8 +247,8 @@ def test_locus_reads_delta_at_root_from_the_solve(workdir, capsys, monkeypatch):
     )
     assert status == 0
     assert abs(summary["results"]["delta"] - 0.5) < 1e-9
-    # 14 scan and Brent points; the reported delta is the root's, not a 15th solve
-    assert len(calls) == len(set(calls)) == 14
+    # 15 scan and Illinois points; the reported delta is the root's, not a 16th solve
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_ledger_corrupt_line_skipped(workdir, capsys):

@@ -5,9 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from cuffdim import thermo
-from cuffdim.hyperbolic import GeometryError, _brentq
+from cuffdim.hyperbolic import GeometryError
 from cuffdim.pants import build_pants
 from cuffdim.thermo import (
     barycentric_rows,
@@ -78,7 +79,7 @@ def _eigvals_root(p, m, guess):
     lo, hi = max(0.001, guess - 0.01), min(0.999, guess + 0.01)
     if not f(lo) > 0.0 > f(hi):
         lo, hi = 0.001, 0.999
-    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def _eigenfunction(p, s, m):

@@ -1,8 +1,9 @@
-"""In-house ports checked bit for bit against scipy, used here as an oracle.
+"""In-house numerics checked against scipy, used here as an oracle.
 
-The package itself imports no scipy module; these tests hold the root
-finder, the KS statistic and the depth-n transfer products to the scipy
-results they replace.
+The package itself imports no scipy module; these tests hold the Markov
+pressure root and the locus's Illinois refinement to ``brentq``, and the
+KS statistic and the depth-n transfer products to the scipy results they
+replace, bit for bit.
 """
 
 import math
@@ -14,25 +15,36 @@ from scipy.sparse import csr_matrix
 from scipy.stats import kstest
 
 from cuffdim import thermo
-from cuffdim.hyperbolic import GeometryError, _brentq
 from cuffdim.pants import build_pants
 from cuffdim.projlab import ks_uniform_statistic
-from cuffdim.thermo import pressure, transfer_matrix
+from cuffdim.thermo import pressure, pressure_root, transfer_matrix
 
 
-def assert_same_root(f, lo, hi, fa=None, fb=None, **kw):
-    """Same root and the same sequence of evaluation points as scipy.
+@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("depth", [4, 6])
+def test_pressure_root_matches_scipy_on_pressure(cuffs, depth):
+    p = build_pants(cuffs)
+    ref = brentq(lambda s: pressure(p, s, depth), 0.001, 0.999, xtol=1e-12, rtol=8.9e-16)
+    assert abs(pressure_root(p, depth) - ref) < 1e-10
 
-    Bracket-end values passed in as ``fa``/``fb`` spare those evaluations,
-    so the sequence is then scipy's without them.
-    """
-    ours_x, theirs_x = [], []
-    ours = _brentq(lambda x: ours_x.append(x) or f(x), lo, hi, fa=fa, fb=fb, **kw)
-    theirs = brentq(lambda x: theirs_x.append(x) or f(x), lo, hi, **kw)
-    assert ours == theirs, (ours, theirs)
-    assert theirs_x[:2] == [lo, hi]
-    skipped = [x for x, fx in ((lo, fa), (hi, fb)) if fx is not None]
-    assert ours_x == [x for x in theirs_x[:2] if x not in skipped] + theirs_x[2:]
+
+def test_pressure_root_stays_left_of_the_root(monkeypatch):
+    # Brent's method evaluated s = 0.999, where the spectral gap may close.  Newton
+    # from the left overshoots only by its slope's error: the left Perron vector is
+    # solved to the square root of the right one's tolerance, loose on the first
+    # steps, and the overshoot was 8.5e-9 at (2, 2, 2)
+    seen = []
+    orig = thermo.transfer_matrix
+
+    def spy(p_, s, n):
+        seen.append(s)
+        return orig(p_, s, n)
+
+    monkeypatch.setattr(thermo, "transfer_matrix", spy)
+    for cuffs in [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0), (0.2, 1.0, 12.0), (20.0, 20.0, 20.0)]:
+        seen.clear()
+        root = pressure_root(build_pants(cuffs), 6)
+        assert seen[0] == 0.001 and max(seen) <= root + 1e-7, (cuffs, root, max(seen))
 
 
 def cubic(x):
@@ -40,87 +52,22 @@ def cubic(x):
 
 
 @pytest.mark.parametrize(
-    "f,lo,hi,xtol,rtol",
+    "f,lo,hi,xtol",
     [
-        (cubic, 2.0, 3.0, 1e-12, 8.9e-16),
-        (cubic, -1.0, 5.0, 1e-14, 8.9e-16),
-        (cubic, 1.5, 100.0, 1e-3, 1e-6),
-        (lambda x: math.exp(x) - 2.0, -50.0, 50.0, 1e-12, 8.9e-16),
-        (lambda x: math.atan(x - 0.3), -10.0, 20.0, 1e-12, 8.9e-16),
+        (cubic, 2.0, 3.0, 1e-12),
+        (cubic, -1.0, 5.0, 1e-14),
+        (cubic, 1.5, 100.0, 1e-3),
+        (lambda x: math.exp(x) - 2.0, -50.0, 50.0, 1e-12),
+        (lambda x: math.atan(x - 0.3), -10.0, 20.0, 1e-12),
     ],
     ids=["cubic", "cubic-wide", "cubic-loose", "exp", "atan"],
 )
-def test_brentq_bit_equal_on_closed_forms(f, lo, hi, xtol, rtol):
-    assert_same_root(f, lo, hi, xtol=xtol, rtol=rtol)
-
-
-@pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0)])
-@pytest.mark.parametrize("depth", [4, 6])
-def test_brentq_bit_equal_on_pressure(cuffs, depth):
-    p = build_pants(cuffs)
-    assert_same_root(
-        lambda s: pressure(p, s, depth), 0.001, 0.999, xtol=1e-12, rtol=8.9e-16
-    )
-
-
-@pytest.mark.parametrize(
-    "f,lo,hi",
-    [(cubic, 2.0, 3.0), (lambda x: math.exp(x) - 2.0, -50.0, 50.0)],
-    ids=["cubic", "exp"],
-)
-def test_brentq_with_end_values_skips_the_bracket_points(f, lo, hi):
-    assert_same_root(f, lo, hi, fa=f(lo), fb=f(hi), xtol=1e-12, rtol=8.9e-16)
-    p = build_pants((2.0, 2.0, 2.0))
-
-    def g(s):
-        return pressure(p, s, 4)
-
-    assert_same_root(g, 0.001, 0.999, fa=g(0.001), fb=g(0.999), xtol=1e-12, rtol=8.9e-16)
-    assert_same_root(g, 0.001, 0.999, fb=g(0.999), xtol=1e-12, rtol=8.9e-16)
-
-
-def test_pressure_root_evaluates_each_point_once(monkeypatch):
-    p = build_pants((1.0, 2.0, 3.0))
+def test_illinois_matches_scipy_on_closed_forms(f, lo, hi, xtol):
     seen = []
-
-    def spy(p_, s, n):
-        seen.append(s)
-        return pressure(p_, s, n)
-
-    monkeypatch.setattr(thermo, "pressure", spy)
-    root = thermo.pressure_root(p, 6)
-    scipy_x = []
-    assert root == brentq(
-        lambda s: scipy_x.append(s) or pressure(p, s, 6), 0.001, 0.999, xtol=1e-12, rtol=8.9e-16
-    )
-    assert seen == scipy_x
-    assert len(set(seen)) == len(seen)
-
-
-def test_brentq_returns_an_endpoint_root():
-    assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12, 8.9e-16) == 1.0
-    assert _brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12, 8.9e-16) == 1.0
-
-
-def test_brentq_rejects_a_same_sign_bracket():
-    with pytest.raises(GeometryError, match="no sign change"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
-
-
-def test_brentq_raises_when_iterations_run_out():
-    with pytest.raises(GeometryError, match="did not converge in 2"):
-        _brentq(lambda x: math.exp(x) - 2.0, -50.0, 50.0, 1e-12, 8.9e-16, maxiter=2)
-    assert issubclass(GeometryError, ValueError)
-
-
-def test_brentq_raises_on_nan():
-    with pytest.raises(GeometryError, match="NaN"):
-        _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 8.9e-16)
-
-
-def test_brentq_raises_on_a_nan_end_value():
-    with pytest.raises(GeometryError, match="NaN"):
-        _brentq(lambda x: x - 0.7, 0.0, 1.0, 1e-12, 8.9e-16, fb=math.nan)
+    root = thermo._illinois(lambda x: seen.append(x) or f(x), lo, hi, f(lo), f(hi), xtol)
+    assert abs(root - brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)) <= xtol
+    # the locus reads delta at the root back from this last evaluation
+    assert root == seen[-1]
 
 
 @pytest.mark.parametrize(
@@ -141,7 +88,7 @@ def test_ks_statistic_matches_scipy(values):
 
 @pytest.mark.parametrize("cuffs", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0)])
 def test_transfer_products_match_csr(cuffs):
-    """M x and x M equal scipy's CSR products of the same matrix, bit for bit."""
+    """M x, x M and M' x equal scipy's CSR products of the same matrices, bit for bit."""
     p = build_pants(cuffs)
     rng = np.random.default_rng(11)
     for n in range(1, 9):
@@ -155,3 +102,6 @@ def test_transfer_products_match_csr(cuffs):
             x = rng.uniform(0.1, 1.0, nwords)
             assert np.array_equal(tm.matvec(x), csr @ x)
             assert np.array_equal(tm.rmatvec(x), csr.T.tocsr() @ x)
+            csr.data = (tm.weights * tm.skeleton.log_deriv).ravel()  # the s-derivative M'
+            assert np.array_equal(tm.dmatvec(x), csr @ x)
+

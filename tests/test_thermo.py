@@ -1,6 +1,7 @@
 """Pressure, dimension root, Gibbs weights, entropy identity, locus."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,43 @@ def test_pressure_failure_names_cuffs_depth_and_s():
     named = r"cuffs \(0\.2, 1\.0, 12\.0\) at depth 5, s=0\.999: power iteration"
     with pytest.raises(GeometryError, match=named):
         pressure(p, 0.999, 5)
+
+
+@pytest.mark.parametrize(
+    "cuffs",
+    [(0.01, 1.0, 12.0), (0.05, 1.0, 12.0), (0.05, 1.0, 20.0), (0.05, 5.0, 20.0),
+     (0.2, 1.0, 12.0), (0.2, 5.0, 20.0), (1.0, 5.0, 20.0), (20.0, 20.0, 20.0)],
+)
+def test_pressure_root_returns_fast_where_the_right_end_stalls(cuffs):
+    # each stalled for 1.0-1.6 s in power iteration at s = 0.999, which
+    # Newton from the left never evaluates
+    p = build_pants(cuffs)
+    t0 = time.perf_counter()
+    root = pressure_root(p, 5)
+    assert time.perf_counter() - t0 < 2.0
+    assert 0.001 < root < 0.999
+    assert abs(pressure(p, root, 5)) < 1e-12
+
+
+def test_pressure_root_failures_name_the_end_and_the_depth(monkeypatch):
+    p = build_pants((2.0, 2.0, 2.0))  # depth-5 root 0.570
+    monkeypatch.setattr(thermo, "PRESSURE_BRACKET", (0.6, 0.999))
+    with pytest.raises(GeometryError, match=r"root below 0\.6 at depth 5 for cuffs \(2\.0, "):
+        pressure_root(p, 5)
+    monkeypatch.setattr(thermo, "PRESSURE_BRACKET", (0.001, 0.5))
+    with pytest.raises(GeometryError, match=r"root above 0\.5 at depth 5 for cuffs \(2\.0, "):
+        pressure_root(p, 5)
+
+
+def test_perron_raises_at_the_first_step_on_a_negative_sum():
+    # the residual |y - lambda x| of -x is 0 at once, but lambda = -1 never
+    # passed the stop test, so all 100,000 steps ran before the error
+    t0 = time.perf_counter()
+    with pytest.raises(GeometryError, match=r"^power sum -1\.0 at step 1 is not positive$"):
+        thermo._perron(lambda x: -x, 8)
+    assert time.perf_counter() - t0 < 1e-3
+    with pytest.raises(GeometryError, match=r"^power sum nan at step 1 is not positive$"):
+        thermo._perron(lambda x: x * math.nan, 8)
 
 
 def test_root_refinement_gaps_shrink(pants222):
@@ -255,7 +293,8 @@ def test_locus_solves_each_point_once(monkeypatch):
     monkeypatch.setattr(thermo, "_delta_at", spy)
     a = solve_locus_symmetric(0.5, depths=(4, 6))
     assert (a, a, a) in calls
-    assert len(calls) == len(set(calls)) == 14
+    # 8 scan points and 7 Illinois points (Brent's method took 6)
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_locus_root_needs_a_converged_delta(monkeypatch):
