@@ -16,7 +16,6 @@ from cuffdim import (
     build_pants,
     cutting_sequence_trace,
     cylinder_cover,
-    geodesic_from_pair,
     periodic_suspension_sum,
     word_from_string,
     word_to_element,
@@ -47,12 +46,8 @@ for _ in range(40):
     prev = s ^ 1
 xi = tuple(symbols)
 eta_first = [s for s in range(4) if s != xi[0]][0]
-eta = (eta_first,) + xi[:39] if xi[0] != (eta_first ^ 1) else (eta_first,)
 pair = GeodesicPair(Ray(xi), Ray((eta_first,)))
-geo = geodesic_from_pair(pants, pair, depth=40)
-traced = cutting_sequence_trace(pants, geo, 12)
-print(f"  intended: {word_to_string(xi[:12])}")
-print(f"  traced:   {word_to_string(traced)}   (double precision, 12 symbols)")
-traced_deep = cutting_sequence_trace(pants, pair, 30, prec=80)
-print(f"  deep:     {word_to_string(traced_deep)}   (shift-renormalized, 30 symbols)")
-print(f"  match:    {traced_deep == xi[:30]}")
+traced = cutting_sequence_trace(pants, pair, 30)
+print(f"  intended: {word_to_string(xi[:30])}")
+print(f"  deep:     {word_to_string(traced)}   (shift-renormalized, 30 symbols)")
+print(f"  match:    {traced == xi[:30]}")

@@ -620,6 +620,8 @@ def sample_complete_geodesic_points(
     """
     if not 1 <= count <= 10**7:
         raise GeometryError(f"sample count {count} outside [1, 1e7]")
+    if not 0 <= seed < 2**128:
+        raise GeometryError(f"seed {seed} outside [0, 2^128)")
     from .thermo import CylinderMeasure  # the projection path never loads thermo
 
     chain = mu.chain if isinstance(mu, CylinderMeasure) else mu

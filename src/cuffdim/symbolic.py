@@ -9,12 +9,12 @@ tracked multiplicatively through the exact chordal contraction factor of
 each Moebius branch, so they stay accurate at depths where the naive
 endpoint difference would lose all precision.
 
-Geodesics are realized from symbolic endpoint data and traced through the
-octagon by repeated clipping: after each crossing the geodesic is pulled
-back into the fundamental octagon.  A symbolic pair is pulled back on its
-endpoint words: each endpoint keeps the stack of partial images of its
-word, and a crossing pops or pushes one contracting branch, so no
-precision is lost however long the traced word is.
+A complete geodesic is coded by its pair of endpoint words and traced
+through the octagon tiling on those words: after each crossing both words
+are pulled back into the fundamental octagon symbolically.  Each endpoint
+keeps the stack of partial images of its word, and a crossing pops or
+pushes one contracting branch, so no precision is lost however long the
+traced word is.
 """
 
 from __future__ import annotations
@@ -241,20 +241,20 @@ class GeodesicPair:
         return cls(Ray((), word), Ray((), bar_reverse(word)))
 
 
-def realize_ray(p: PantsGeometry, ray: Ray, depth: int = 12) -> BoundaryPoint:
+def realize_ray(p: PantsGeometry, ray: Ray) -> BoundaryPoint:
     """Boundary point whose expansion starts with the ray's word.
 
     Rays with a period are realized exactly as the repelling fixed point of
     the return composition, pushed through the inverse branches of the
-    prefix.  Prefix-only rays use the midpoint of the prefix cylinder
-    (truncated to ``depth`` symbols if longer).
+    prefix.  Prefix-only rays use the midpoint of the whole prefix's
+    cylinder, which stays exact because only contracting branches run.
     """
-    return BoundaryPoint.from_complex(_realize(p, ray.prefix, ray.period, depth))
+    return BoundaryPoint.from_complex(_realize(p, ray.prefix, ray.period))
 
 
-def _realize(p: PantsGeometry, prefix: Word, period: Word | None, depth: int) -> complex:
+def _realize(p: PantsGeometry, prefix: Word, period: Word | None) -> complex:
     """Unit complex point of the word prefix + period^inf (see realize_ray)."""
-    return _point(_images(p, prefix if period is not None else prefix[: max(1, depth)], period)[-1])
+    return _point(_images(p, prefix, period)[-1])
 
 
 def _images(p: PantsGeometry, prefix: Word, period: Word | None) -> list:
@@ -265,9 +265,8 @@ def _images(p: PantsGeometry, prefix: Word, period: Word | None) -> list:
     applies the contracting branch of one more prefix symbol, from the end
     inwards, so the top entry realizes the whole word.  An entry is
     (zp, zq, s), s the leading symbol of the word it realizes, so the stack
-    also holds the prefix.  Only
-    contracting branches are applied, so every entry carries full double
-    precision however long the word is.
+    also holds the prefix.  Only contracting branches are applied, so every
+    entry carries full double precision however long the word is.
     """
     if period is not None:
         z = _attracting_fixed_point(p, period)
@@ -314,14 +313,12 @@ def _point(entry) -> complex:
     return m / abs(m)
 
 
-def geodesic_from_pair(p: PantsGeometry, pair: GeodesicPair, depth: int = 12) -> Geodesic:
+def geodesic_from_pair(p: PantsGeometry, pair: GeodesicPair) -> Geodesic:
     """Geodesic with forward endpoint from xi and backward endpoint from eta.
 
     The returned geodesic stores the xi endpoint first.
     """
-    xi = realize_ray(p, pair.xi, depth)
-    eta = realize_ray(p, pair.eta, depth)
-    return Geodesic(xi, eta)
+    return Geodesic(realize_ray(p, pair.xi), realize_ray(p, pair.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -371,71 +368,43 @@ def octagon_crossing(p: PantsGeometry, g: Geodesic):
 
 
 def cutting_sequence_trace(
-    p: PantsGeometry,
-    g: Geodesic | GeodesicPair,
-    n: int,
-    prec: int | None = None,
+    p: PantsGeometry, pair: GeodesicPair, n: int, prec: int | None = None
 ) -> Word:
-    """Forward crossing itinerary of a geodesic through the octagon tiling.
+    """Forward crossing itinerary of a symbolic geodesic through the octagon tiling.
 
-    Records the interior label of each seam side crossed, pulling the
-    geodesic back into the fundamental octagon after every crossing; the
-    output over n crossings equals the boundary expansion of the forward
-    endpoint.  Output shorter than n signals escape through a cuff side.
+    Records the interior label of each seam side crossed; over n crossings
+    it equals the boundary expansion of the forward endpoint.  Output
+    shorter than n signals escape through a cuff side, or a prefix-only
+    forward ray whose symbols ran out.
 
-    A realized Geodesic is traced by pushing its endpoints forward, which
-    loses about one digit per crossing (reliable to roughly 15 symbols).
-    A GeodesicPair is traced to any length by shift renormalization: the
-    state is the two endpoint words, not the two points.  Each endpoint is
-    realized once, in full, as a stack of partial images of its word (see
-    _images), at a cost of O(len xi + len eta).  After a crossing through
-    the side of sym, both words are updated for z -> g_sym(z) symbolically
-    and exactly, and each stack follows in O(1): a dropped leading symbol
-    pops the top entry, a pushed bar(sym) applies one contracting branch
-    to it, and a rotated bare period rebuilds the base from the period.
-    So no digit is lost however many crossings are traced.  A geometrically
-    wrong crossing still shows as a wrong symbol or an escape.  A
-    prefix-only ray carries no symbols past its prefix, so the trace stops
-    when the forward word runs out.  ``prec`` no longer changes the result:
-    every trace runs in double precision.
+    The state is the two endpoint words, not two points (shift
+    renormalization).  Each endpoint is realized once, in full, as a stack
+    of partial images of its word (see _images).  After a crossing through
+    the side of sym, both words are updated for z -> g_sym(z) exactly, and
+    each stack follows in O(1) (see _shift), so no digit is lost however
+    many crossings are traced.  ``prec`` changes nothing: every trace runs
+    in doubles.
     """
+    if not isinstance(pair, GeodesicPair):
+        raise GeometryError(f"trace takes a GeodesicPair, not {type(pair).__name__}")
     if not 0 <= n <= MAX_TRACE_LEN:
         raise GeometryError(f"trace length {n} outside [0, {MAX_TRACE_LEN}]")
-    if isinstance(g, GeodesicPair):
-        ends = tuple((r.period, _images(p, r.prefix, r.period)) for r in (g.xi, g.eta))
-
-        def point(end):
-            return _point(end[1][-1]) if end[1] else None
-
-        def push(end, sym):
-            return _shift(p, *end, sym)
-
-    else:
-        ends = (g.p.point, g.q.point)
-
-        def point(z):
-            return z
-
-        def push(z, sym):
-            z = p.gens[sym](z)
-            return z / abs(z)
-
+    xi_period, xi_stack = pair.xi.period, _images(p, pair.xi.prefix, pair.xi.period)
+    eta_period, eta_stack = pair.eta.period, _images(p, pair.eta.prefix, pair.eta.period)
     normals = p._normal_rows
     out = []
     for step in range(n):
-        z_fwd, z_back = point(ends[0]), point(ends[1])
-        if z_fwd is None or z_back is None:
+        if not (xi_stack and eta_stack):
             break
-        side = _exit_side(normals, z_fwd, z_back)
-        if side is None:
-            if step == 0:
-                raise GeometryError("geodesic misses the octagon")
-            break
-        if side in CUFF_SIDE_INDICES:
+        side = _exit_side(normals, _point(xi_stack[-1]), _point(eta_stack[-1]))
+        if side is None and step == 0:
+            raise GeometryError("geodesic misses the octagon")
+        if side is None or side in CUFF_SIDE_INDICES:
             break
         sym = SEAM_SIDE_SYMBOL[side]
         out.append(sym)
-        ends = (push(ends[0], sym), push(ends[1], sym))
+        xi_period, xi_stack = _shift(p, xi_period, xi_stack, sym)
+        eta_period, eta_stack = _shift(p, eta_period, eta_stack, sym)
     return tuple(out)
 
 

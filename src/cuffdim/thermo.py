@@ -586,15 +586,24 @@ LOCUS_SCAN_POINTS = 8  # geometric scan points before the root refinement
 def _illinois(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign, within
     xtol, by the Illinois method (Dowell & Jarratt, BIT 11, 1971): regula falsi that
-    halves the kept end's value when two points in a row fall on one side."""
-    while abs(b - a) > xtol:
+    halves the kept end's value when two points in a row fall on one side.  A step onto
+    or past an end bisects, as do the last n of 3n steps, n the bisections that reach
+    xtol; so no point is evaluated twice, and a bracket left wider than xtol is refused."""
+    n = math.ceil(math.log2(max(abs(b - a) / xtol, 1.0)))
+    for step in range(3 * n):
+        if abs(b - a) <= xtol:
+            return b
         c = b - fb * (b - a) / (fb - fa)
+        if step >= 2 * n or not min(a, b) < c < max(a, b):
+            c = a + 0.5 * (b - a)
         fc = f(c)
         if fc == 0.0:
             return c
         # b moves to c; a takes the old b if c crossed the root, else a's value halves
         a, fa = (b, fb) if (fc < 0.0) != (fb < 0.0) else (a, 0.5 * fa)
         b, fb = c, fc
+    if abs(b - a) > xtol:
+        raise GeometryError(f"Illinois bracket [{a!r}, {b!r}] wider than {xtol} in {3 * n} steps")
     return b
 
 

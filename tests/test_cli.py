@@ -275,6 +275,9 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         # below the box-dimension fit's floor; test_sample_cs_command runs 20000
         (["sample-cs", "--cuffs", "2,2,2", "--count", "5", "--out", "c.bin"], "20000"),
         (["sample-cs", "--cuffs", "2,2,2", "--count", "19999", "--out", "c.bin"], "20000"),
+        # numpy's Philox refused the key with a traceback and exit 1
+        (["sample-cs", "--cuffs", "2,2,2", "--seed", "-1", "--count", "20000", "--out", "c.bin"],
+         "seed -1 outside [0, 2^128)"),
         (["favard", "--fixture", "segment", "--depths", "2:2", "--grid", "0", "--out", "f.csv"],
          "grid 0 below 16"),
         (["favard", "--fixture", "segment", "--depths", "2:2", "--grid", "-4", "--out", "f.csv"],

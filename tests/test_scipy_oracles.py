@@ -68,6 +68,8 @@ def test_illinois_matches_scipy_on_closed_forms(f, lo, hi, xtol):
     assert abs(root - brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)) <= xtol
     # the locus reads delta at the root back from this last evaluation
     assert root == seen[-1]
+    # a secant step that rounds onto an end bisects instead of repeating it
+    assert len(seen) == len(set(seen))
 
 
 @pytest.mark.parametrize(

@@ -335,6 +335,28 @@ def test_locus_scan_names_each_failure():
     assert "failed: cuff length a=25.0 outside (0, 20]" in msg
 
 
+def counted(f):
+    """f and the list of points it was evaluated at."""
+    seen = []
+    return (lambda x: seen.append(x) or f(x)), seen
+
+
+def test_illinois_refuses_a_bracket_finer_than_the_floats():
+    # floats near 1e8 are 1.5e-8 apart, so the bracket can never narrow to xtol
+    f, seen = counted(lambda x: (x - 1e8) ** 3 - 0.3)
+    with pytest.raises(GeometryError, match="wider than 1e-10 in 102 steps"):
+        thermo._illinois(f, 1e8, 1e8 + 1.0, f(1e8), f(1e8 + 1.0), 1e-10)
+    assert len(seen) == 2 + 102  # 3 * ceil(log2(1 / 1e-10)) steps
+
+
+def test_illinois_finishes_a_flat_root_by_bisection():
+    # Illinois alone converges linearly on a ninefold root
+    f, seen = counted(lambda x: (x - 0.3) ** 9)
+    root = thermo._illinois(f, -1.0, 10.0, f(-1.0), f(10.0), 1e-10)
+    assert abs(root - 0.3) <= 1e-10 and root == seen[-1]
+    assert len(seen) == len(set(seen)) <= 2 + 3 * math.ceil(math.log2(11.0 / 1e-10))
+
+
 def test_locus_target_range_checked():
     with pytest.raises(GeometryError):
         solve_locus(1.0, 1.0, 0.99)

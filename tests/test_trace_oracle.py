@@ -98,7 +98,7 @@ def rerealizing_trace(p, pair, n):
     for step in range(n):
         if not all(prefix or period for prefix, period in ends):
             break
-        z_fwd, z_back = (_realize(p, prefix, period, n + 18) for prefix, period in ends)
+        z_fwd, z_back = (_realize(p, prefix[: n + 18], period) for prefix, period in ends)
         side = _exit_side(p._normal_rows, z_fwd, z_back)
         if side is None and step == 0:
             raise GeometryError("geodesic misses the octagon")
