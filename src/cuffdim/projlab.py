@@ -49,6 +49,9 @@ CONSISTENCY_PROBES = 5
 CONSISTENCY_STEP = 1e-6
 
 SAMPLER_MAX_ATTEMPT_FACTOR = 10  # sampler draws at most this many geodesics per point
+# points per sampler chunk, and per pass of box_dimension and write_point_cloud;
+# chunk c draws from the Philox counter substream c << 192
+SAMPLER_CHUNK = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -606,29 +609,35 @@ def sample_complete_geodesic_points(
     chain (backward word conditioned to start with a different symbol),
     realizes the geodesic from cylinder midpoints, clips it against the
     octagon and emits the point at a uniform arclength along the chord.
-    Non-crossing realizations are resampled and counted, and more than
-    SAMPLER_MAX_ATTEMPT_FACTOR draws per point are refused.  Deterministic
+    Non-crossing realizations are resampled and counted.  Deterministic
     for a fixed seed.
+
+    Points are drawn in chunks of SAMPLER_CHUNK: chunk c draws from the
+    Philox stream of key ``seed`` and counter c << 192, so chunk 0 is the
+    stream of ``Philox(key=seed)`` and a call's first chunk is the whole of
+    a call of at most SAMPLER_CHUNK points.  A chunk that draws more than
+    SAMPLER_MAX_ATTEMPT_FACTOR geodesics per point is refused.
 
     Each word is realized from its last symbol's arc midpoint by one
     normalized inverse branch per preceding symbol.  The branches through
     its last n + j symbols (n the depth) are tabulated once per call over
     the n_states * 3^j (n + j)-words, j the largest j <= steps with
-    n_states * 3^j <= 2 * count.  Each round draws its randoms up front
-    and runs in ``clip_chord``'s blocks; the output does not depend on j
-    or the blocks.
+    n_states * 3^j <= 2 * min(count, 2 * SAMPLER_CHUNK).  Each round draws
+    its randoms up front and runs in ``clip_chord``'s blocks; the output
+    does not depend on j or the blocks.
     """
     if not 1 <= count <= 10**7:
         raise GeometryError(f"sample count {count} outside [1, 1e7]")
     if not 0 <= seed < 2**128:
         raise GeometryError(f"seed {seed} outside [0, 2^128)")
+    if not 1 <= word_len <= 64:
+        raise GeometryError(f"word length {word_len} outside [1, 64]")
     from .thermo import CylinderMeasure  # the projection path never loads thermo
 
     chain = mu.chain if isinstance(mu, CylinderMeasure) else mu
     if chain.depth < 4:
         raise GeometryError("sampling needs a chain of depth >= 4")
     steps = max(word_len, chain.depth) - chain.depth
-    rng = np.random.Generator(np.random.Philox(key=seed))
     pi_cum = np.cumsum(chain.stationary)
     pi_cum[-1] = 1.0
     draw = _stationary_draw(pi_cum)
@@ -637,8 +646,8 @@ def sample_complete_geodesic_points(
     first = words[:, 0].copy()
     # intp symbols keep the coefficient gathers fast
     heads = words.T.astype(np.intp)
-    j = 0  # the table holds at most two entries per point
-    while j < steps and len(first) * 3 ** (j + 1) <= 2 * count:
+    j = 0  # the table holds at most two entries per point of two chunks
+    while j < steps and len(first) * 3 ** (j + 1) <= 2 * min(count, 2 * SAMPLER_CHUNK):
         j += 1
     # table[s * 3^i + key]: the (n + i)-word of state s and the choices key,
     # realized as its first symbol's branch at its successor's entry
@@ -656,41 +665,44 @@ def sample_complete_geodesic_points(
     pts = np.empty(count, dtype=complex)
     lens = np.empty(count)
     fracs = np.empty(count)
-    need = np.arange(count)
     resampled = attempts = 0
-    while len(need):
-        m = len(need)
-        attempts += m
-        if attempts > SAMPLER_MAX_ATTEMPT_FACTOR * count:
-            raise GeometryError(
-                f"geodesic sampler exceeded {SAMPLER_MAX_ATTEMPT_FACTOR}x attempt budget"
-            )
-        xi_idx = draw(rng.random(m))
-        eta_idx = draw(rng.random(m))
-        clash = np.flatnonzero(first[xi_idx] == first[eta_idx])
-        while len(clash):
-            eta_idx[clash] = draw(rng.random(len(clash)))
-            clash = clash[first[xi_idx[clash]] == first[eta_idx[clash]]]
-        xi_draws = rng.random((steps, m))
-        eta_draws = rng.random((steps, m))
-        u = rng.random(m)
-        rejected = []
-        n_blocks = -(-m // CLIP_BLOCK)
-        for b in range(n_blocks):
-            blk = slice(b * m // n_blocks, (b + 1) * m // n_blocks)
-            l_fwd = lift_light(realize(xi_idx[blk], xi_draws[:, blk]))
-            l_back = lift_light(realize(eta_idx[blk], eta_draws[:, blk]))
-            lower, upper = _clip_block(normals, l_back, l_fwd)
-            t_in, t_out = lower.max(axis=0), upper.min(axis=0)
-            good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)
-            rows = need[blk][good]
-            ell = (t_out - t_in)[good]
-            ub = u[blk][good]
-            pts[rows] = chord_point(l_back[good], l_fwd[good], t_in[good] + ub * ell)
-            lens[rows], fracs[rows] = ell, ub
-            rejected.append(need[blk][~good])
-        need = np.concatenate(rejected)
-        resampled += len(need)
+    for c, start in enumerate(range(0, count, SAMPLER_CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=c << 192))
+        need = np.arange(start, min(start + SAMPLER_CHUNK, count))
+        budget = attempts + SAMPLER_MAX_ATTEMPT_FACTOR * len(need)
+        while len(need):
+            m = len(need)
+            attempts += m
+            if attempts > budget:
+                raise GeometryError(
+                    f"geodesic sampler exceeded {SAMPLER_MAX_ATTEMPT_FACTOR}x attempt budget"
+                )
+            xi_idx = draw(rng.random(m))
+            eta_idx = draw(rng.random(m))
+            clash = np.flatnonzero(first[xi_idx] == first[eta_idx])
+            while len(clash):
+                eta_idx[clash] = draw(rng.random(len(clash)))
+                clash = clash[first[xi_idx[clash]] == first[eta_idx[clash]]]
+            xi_draws = rng.random((steps, m))
+            eta_draws = rng.random((steps, m))
+            u = rng.random(m)
+            rejected = []
+            n_blocks = -(-m // CLIP_BLOCK)
+            for b in range(n_blocks):
+                blk = slice(b * m // n_blocks, (b + 1) * m // n_blocks)
+                l_fwd = lift_light(realize(xi_idx[blk], xi_draws[:, blk]))
+                l_back = lift_light(realize(eta_idx[blk], eta_draws[:, blk]))
+                lower, upper = _clip_block(normals, l_back, l_fwd)
+                t_in, t_out = lower.max(axis=0), upper.min(axis=0)
+                good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)
+                rows = need[blk][good]
+                ell = (t_out - t_in)[good]
+                ub = u[blk][good]
+                pts[rows] = chord_point(l_back[good], l_fwd[good], t_in[good] + ub * ell)
+                lens[rows], fracs[rows] = ell, ub
+                rejected.append(need[blk][~good])
+            need = np.concatenate(rejected)
+            resampled += len(need)
     return GeodesicPointSample(
         points=pts,
         lengths=lens,
@@ -731,24 +743,27 @@ def box_dimension(points: np.ndarray, min_points: int = 100_000) -> BoxDimension
     Counts occupied boxes of each scale of BOX_SCALES and fits the log-log
     slope, dropping the coarsest and finest scale from the fit.
     ``points`` is complex or real (N, 2), all finite.  Boxes are anchored
-    at the coordinate minima, and the boxes of scale s are counted in a
-    bitmap of nx * ny cells, nx = floor(x_max / s) + 1 (likewise ny); one
-    of more than ``BOX_COUNT_MAX_CELLS`` cells is refused.
+    at the coordinate minima (x0, y0), and the boxes of scale s are counted
+    in a bitmap of nx * ny cells, nx = floor((x_max - x0) / s) + 1 (likewise
+    ny); one of more than ``BOX_COUNT_MAX_CELLS`` cells is refused.  The
+    bitmaps are marked SAMPLER_CHUNK points at a time.
     """
     pts = np.asarray(points)
     if pts.shape[1:] != (() if np.iscomplexobj(pts) else (2,)):
         raise GeometryError(f"box dimension needs complex (N,) or real (N, 2) points, not {pts.shape}")
-    x, y = (pts.real, pts.imag) if np.iscomplexobj(pts) else pts.astype(float).T
+    x, y = (pts.real, pts.imag) if np.iscomplexobj(pts) else np.asarray(pts, dtype=float).T
     if x.shape[0] < min_points:
         raise GeometryError(f"box dimension needs at least {min_points} points")
-    bad = int(np.count_nonzero(~(np.isfinite(x) & np.isfinite(y))))
-    if bad:
+    # min and max carry any NaN or infinity, so all four are finite iff every point is
+    x0, y0 = x.min(), y.min()
+    x_max, y_max = x.max(), y.max()
+    if not np.isfinite([x0, y0, x_max, y_max]).all():
+        bad = int(np.count_nonzero(~(np.isfinite(x) & np.isfinite(y))))
         raise GeometryError(f"box dimension needs finite points; {bad} are not")
     scales = np.array(BOX_SCALES, dtype=float)  # the fit's own copy
-    # contiguous columns: axis reductions over an (N, 2) array are strided
-    x, y = x - x.min(), y - y.min()
-    x_max, y_max = x.max(), y.max()
-    counts = []
+    # rounding is monotone, so max(x - x0) is x_max - x0
+    x_max, y_max = x_max - x0, y_max - y0
+    bitmaps = []
     for s in scales.tolist():
         nx, ny = np.floor(x_max / s) + 1.0, np.floor(y_max / s) + 1.0
         if nx * ny > BOX_COUNT_MAX_CELLS:
@@ -756,10 +771,13 @@ def box_dimension(points: np.ndarray, min_points: int = 100_000) -> BoxDimension
                 f"box scale {s!r} needs a {nx:.0f} x {ny:.0f} grid, above "
                 f"BOX_COUNT_MAX_CELLS = {BOX_COUNT_MAX_CELLS}"
             )
-        occ = np.zeros(int(nx * ny), dtype=bool)
-        occ[np.floor(x / s).astype(np.intp) * int(ny) + np.floor(y / s).astype(np.intp)] = True
-        counts.append(np.count_nonzero(occ))
-    counts = np.asarray(counts)
+        bitmaps.append((s, int(ny), np.zeros(int(nx * ny), dtype=bool)))
+    for a in range(0, len(x), SAMPLER_CHUNK):
+        # x - x0 >= 0, so truncation toward zero is the floor
+        dx, dy = x[a : a + SAMPLER_CHUNK] - x0, y[a : a + SAMPLER_CHUNK] - y0
+        for s, ny, occ in bitmaps:
+            occ[(dx / s).astype(np.intp) * ny + (dy / s).astype(np.intp)] = True
+    counts = np.asarray([np.count_nonzero(occ) for _, _, occ in bitmaps])
     x = np.log(1.0 / scales)[1:-1]
     y = np.log(counts)[1:-1]
     slope, intercept = np.polyfit(x, y, 1)
@@ -772,15 +790,15 @@ def box_dimension(points: np.ndarray, min_points: int = 100_000) -> BoxDimension
 
 
 def write_point_cloud(path: str, points: np.ndarray) -> None:
-    """Binary little-endian float64 (x, y) pairs behind an 8-byte magic."""
+    """Binary little-endian float64 (x, y) pairs behind an 8-byte magic,
+    written SAMPLER_CHUNK points at a time."""
     pts = np.asarray(points)
-    if np.iscomplexobj(pts):
-        xy = np.stack([pts.real, pts.imag], axis=-1)
-    else:
-        xy = pts.astype(float)
     with open(path, "wb") as fh:
         fh.write(POINT_CLOUD_MAGIC)
-        fh.write(xy.astype("<f8").tobytes())
+        for a in range(0, len(pts), SAMPLER_CHUNK):
+            c = pts[a : a + SAMPLER_CHUNK]
+            xy = np.stack([c.real, c.imag], axis=-1) if np.iscomplexobj(c) else c
+            fh.write(np.ascontiguousarray(xy, dtype="<f8").tobytes())
 
 
 def read_point_cloud(path: str) -> np.ndarray:

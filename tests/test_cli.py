@@ -278,6 +278,9 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         # numpy's Philox refused the key with a traceback and exit 1
         (["sample-cs", "--cuffs", "2,2,2", "--seed", "-1", "--count", "20000", "--out", "c.bin"],
          "seed -1 outside [0, 2^128)"),
+        # an unbounded word length drew 16 bytes per point and step
+        (["sample-cs", "--cuffs", "2,2,2", "--word-len", "65", "--count", "20000", "--out", "c.bin"],
+         "word length 65 outside [1, 64]"),
         (["favard", "--fixture", "segment", "--depths", "2:2", "--grid", "0", "--out", "f.csv"],
          "grid 0 below 16"),
         (["favard", "--fixture", "segment", "--depths", "2:2", "--grid", "-4", "--out", "f.csv"],

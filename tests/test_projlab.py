@@ -6,6 +6,7 @@ import itertools
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import gibbs_measure
 
 from conftest import A_HALF
+
+CHUNK = projlab.SAMPLER_CHUNK
 
 LAM_HALF = math.atan(0.5)
 
@@ -456,6 +459,17 @@ def test_sampler_count_cap(pants222):
             sample_complete_geodesic_points(pants222, mu, count, seed=0)
 
 
+def test_sampler_refuses_a_word_length_outside_one_to_sixty_four(pants222):
+    mu = gibbs_measure(pants222, 0.57, 5)
+    # 0 and below were read as the chain depth; 10^5 would draw 1.6 MB per point
+    for word_len in (0, -3, 65, 10**5):
+        with pytest.raises(GeometryError, match=rf"word length {word_len} outside \[1, 64\]"):
+            sample_complete_geodesic_points(pants222, mu, 10**7, seed=0, word_len=word_len)
+    for word_len in (1, 64):
+        s = sample_complete_geodesic_points(pants222, mu, 10, seed=0, word_len=word_len)
+        assert np.all(np.abs(s.points) < 1.0)
+
+
 # SHA-256 of float32-rounded (points.real, points.imag, lengths,
 # time_fractions) of 20,000 points at seed 7 from a Gibbs chain at s = 0.5,
 # frozen while every word was still realised step by step.  The float32
@@ -613,6 +627,58 @@ def test_sampler_rejecting_every_chord_exhausts_the_budget(monkeypatch):
         sample_complete_geodesic_points(p, chain, 5_000, seed=7)
 
 
+@functools.cache
+def _two_chunk_sample(seed):
+    p, chain = _sampler_chain((2.0, 2.0, 2.0), 6)
+    return sample_complete_geodesic_points(p, chain, 2 * CHUNK + 1, seed)
+
+
+def test_sampler_first_chunk_is_the_one_chunk_call():
+    p, chain = _sampler_chain((2.0, 2.0, 2.0), 6)
+    one = sample_complete_geodesic_points(p, chain, CHUNK, seed=7)
+    s = _two_chunk_sample(7)
+    # chunk 0 draws Philox(key=seed) at counter 0, whatever the count
+    assert np.array_equal(s.lengths[:CHUNK], one.lengths)
+    assert np.array_equal(s.time_fractions[:CHUNK], one.time_fractions)
+    assert np.array_equal(s.points[:CHUNK], one.points)
+
+
+def test_sampler_chunks_draw_distinct_substreams():
+    s = _two_chunk_sample(7)
+    first, second = s.time_fractions[:CHUNK], s.time_fractions[CHUNK : 2 * CHUNK]
+    # a copy, or the first stream shifted by a few draws, would share most values
+    assert len(np.intersect1d(first, second)) == 0
+    assert not np.array_equal(s.points[:CHUNK], s.points[CHUNK : 2 * CHUNK])
+    assert s.attempts == 2 * CHUNK + 1 + s.resampled
+
+
+def test_sampler_multi_chunk_calls_are_deterministic():
+    p, chain = _sampler_chain((2.0, 2.0, 2.0), 6)
+    a = _two_chunk_sample(7)
+    b = sample_complete_geodesic_points(p, chain, 2 * CHUNK + 1, seed=7)
+    for f in ("points", "lengths", "time_fractions"):
+        assert np.array_equal(getattr(a, f), getattr(b, f))
+    assert (a.resampled, a.attempts) == (b.resampled, b.attempts)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of traced allocations while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_memory_is_bounded_by_a_chunk():
+    p, chain = _sampler_chain((2.0, 2.0, 2.0), 6)
+    s, peak = _traced_peak(lambda: sample_complete_geodesic_points(p, chain, 300_000, seed=5))
+    kept = s.points.nbytes + s.lengths.nbytes + s.time_fractions.nbytes
+    # whole-call draws held about 50 MiB beyond the output at this count
+    assert peak - kept < 16 * 2**20
+
+
 def _extend_words_oracle(chain, idx, rng, total_len):
     """_extend_words as first written: each step compares the draw with all
     three cumulative probabilities and derives the symbol from the last one."""
@@ -746,6 +812,26 @@ def test_box_counts_equal_the_unique_oracle(seed, monkeypatch):
             assert np.array_equal(fit.counts, want)
 
 
+def test_box_counts_over_several_chunks_equal_the_unique_oracle():
+    rng = np.random.default_rng(60)
+    n = 3 * CHUNK + 11
+    pts = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+    # both minima and both maxima in the last chunk, away from its start
+    pts[-3:] = [-0.97 - 0.2j, 0.1 - 0.98j, 0.99 + 0.95j]
+    xy = np.stack([pts.real, pts.imag], axis=-1)
+    for cloud in (pts, xy):
+        fit = box_dimension(cloud, min_points=1)
+        assert np.array_equal(fit.counts, _box_counts_oracle(xy, fit.scales))
+
+
+def test_box_dimension_memory_is_bounded_by_a_chunk():
+    rng = np.random.default_rng(61)
+    pts = rng.random(10**6) + 1j * rng.random(10**6)
+    _, peak = _traced_peak(lambda: box_dimension(pts))
+    # whole-cloud temporaries took 38 MiB
+    assert peak < 4 * 2**20
+
+
 def test_box_dimension_refuses_a_grid_above_the_cap(monkeypatch):
     pts = np.random.default_rng(57).random(1000) + 1j * np.random.default_rng(58).random(1000)
     pts[:2] = [0.0, 1.0 + 1.0j]  # the cloud spans [0, 1]^2
@@ -786,6 +872,29 @@ def test_point_cloud_round_trip(tmp_path):
     assert len(raw) == 8 + 1000 * 16
     back = read_point_cloud(str(path))
     assert np.array_equal(back, pts)
+
+
+def test_point_cloud_bytes_over_several_chunks(tmp_path):
+    rng = np.random.default_rng(62)
+    n = 3 * CHUNK + 7
+    pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    xy = np.stack([pts.real, pts.imag], axis=-1)
+    want = projlab.POINT_CLOUD_MAGIC + xy.astype("<f8").tobytes()
+    path = tmp_path / "cloud.bin"
+    for cloud in (pts, xy):  # complex, and real (N, 2)
+        write_point_cloud(str(path), cloud)
+        assert path.read_bytes() == want
+        assert np.array_equal(read_point_cloud(str(path)), pts)
+
+
+def test_point_cloud_write_memory_is_bounded_by_a_chunk(tmp_path):
+    rng = np.random.default_rng(63)
+    pts = rng.random(10**6) + 1j * rng.random(10**6)
+    path = tmp_path / "cloud.bin"
+    _, peak = _traced_peak(lambda: write_point_cloud(str(path), pts))
+    # a stack, its little-endian copy and the bytes took about 48 MiB
+    assert peak < 4 * 2**20
+    assert path.stat().st_size == 8 + 16 * 10**6
 
 
 def test_point_cloud_magic_checked(tmp_path):
