@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +42,8 @@ DELTA_SOLVER = "chebyshev-collocation-newton"
 # fewest points sample-cs fits a box dimension to; the fit's finest scale,
 # 2^-7, has about 11,000 occupied boxes at cuffs (2,2,2) for fewer to fill
 SAMPLE_CS_MIN_COUNT = 20_000
+# most rows of one delta-scan; each row is one delta solve of a few milliseconds
+DELTA_SCAN_MAX_ROWS = 10_000
 
 
 def fmt17(x: float) -> str:
@@ -152,16 +156,16 @@ def parse_levels(text: str) -> tuple[int, ...]:
     return check_ladder(parse_depths(text))
 
 
-def parse_range(text: str) -> list[float]:
-    """lo:hi:count range specification."""
+def parse_range(text: str) -> tuple[float, float, int]:
+    """lo:hi:count range specification, for np.linspace."""
     try:
         lo, hi, count = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count)).tolist()
+        spec = float(lo), float(hi), int(count)
     except ValueError:
-        grid = ()
-    if not len(grid):
+        spec = (0.0, 0.0, 0)
+    if spec[2] < 1:
         raise GeometryError(f"range spec {text!r} is not lo:hi:count with count >= 1")
-    return grid
+    return spec
 
 
 def parse_depth_span(text: str) -> tuple[int, ...]:
@@ -204,16 +208,16 @@ def _cmd_delta(args) -> tuple[dict, dict, int]:
 
 def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
     if args.symmetric:
-        grid = [(a, a, a) for a in parse_range(args.symmetric)]
+        specs = [parse_range(args.symmetric)]
+    elif args.a and args.b and args.c:
+        specs = [parse_range(args.a), parse_range(args.b), parse_range(args.c)]
     else:
-        if not (args.a and args.b and args.c):
-            raise GeometryError("delta-scan wants --symmetric or all of --a/--b/--c")
-        grid = [
-            (a, b, c)
-            for a in parse_range(args.a)
-            for b in parse_range(args.b)
-            for c in parse_range(args.c)
-        ]
+        raise GeometryError("delta-scan wants --symmetric or all of --a/--b/--c")
+    n_rows = math.prod(count for _, _, count in specs)
+    if n_rows > DELTA_SCAN_MAX_ROWS:
+        raise GeometryError(f"delta-scan of {n_rows} rows above DELTA_SCAN_MAX_ROWS = {DELTA_SCAN_MAX_ROWS}")
+    axes = [np.linspace(*spec).tolist() for spec in specs]
+    grid = [(a, a, a) for a in axes[0]] if args.symmetric else list(itertools.product(*axes))
     depth = args.depth
     ladder = check_ladder((max(4, depth - 2), depth))
     rows = [["a", "b", "c", "depth", "delta", "pressure_residual", "converged",

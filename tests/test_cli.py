@@ -270,6 +270,12 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         (["delta", "--cuffs", "2,2,2", "--depths", "4,x"], "'4,x'"),
         (["delta-scan", "--symmetric", "1:2:x", "--out", "s.csv"], "'1:2:x'"),
         (["delta-scan", "--symmetric", "1:2:0", "--out", "s.csv"], "'1:2:0'"),
+        # numpy's linspace raised its _ArrayMemoryError with a traceback and exit 1
+        (["delta-scan", "--symmetric", "1:2:1000000000000", "--out", "s.csv"],
+         "delta-scan of 1000000000000 rows above DELTA_SCAN_MAX_ROWS = 10000"),
+        (["delta-scan", "--a", "1:2:100", "--b", "1:2:10", "--c", "1:2:11", "--out", "s.csv"],
+         "delta-scan of 11000 rows"),
+        (["certify", "--grid", "16385", "--out", "cert.json"], "lambda grid 16385 outside [32, 16384]"),
         (["favard", "--depths", "5:2", "--out", "f.csv"], "'5:2'"),
         (["sample-cs", "--cuffs", "2,2,2", "--count", "0", "--out", "c.bin"], "1e7"),
         # below the box-dimension fit's floor; test_sample_cs_command runs 20000

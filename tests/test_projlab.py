@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import hashlib
+import json
 import math
 import time
 import tracemalloc
@@ -381,7 +382,7 @@ def test_inconsistent_evaluators_rejected():
 def test_separation_floor_excludes_close_pairs(monkeypatch):
     fam = direction_family()
     pts = np.array([[0.1, 0.1], [0.1 + 1e-9, 0.1], [0.8, 0.8]])
-    monkeypatch.setattr(projlab, "default_point_sample", lambda n_space: pts)
+    monkeypatch.setattr(projlab, "default_point_sample", lambda: pts)
     rep = transversality_certify(fam, lam_grid=32)
     assert rep.excluded_pairs == 1
     assert rep.n_pairs == 2
@@ -390,6 +391,50 @@ def test_separation_floor_excludes_close_pairs(monkeypatch):
 def test_lambda_grid_minimum():
     with pytest.raises(GeometryError):
         transversality_certify(direction_family(), lam_grid=16)
+
+
+# sha256 of each certificate's sorted JSON: the certifier's running
+# reductions give the bytes of keeping every (lambda, pair) value
+CERTIFICATE_DIGESTS = {
+    ("directions", 32): "b5b67cd398a5fd6553ca26afe3f2eea82848011f2e77963e050dc64508127b03",
+    ("directions", 256): "7cbf6664b95aebffac6b051bd7a150f5e934cf4063341894000aaa63f5eaa3eb",
+    ("constant", 32): "d8a0408a6df5f624eb0cd342e5b930e488b90dd299d817088ebc290ed64b453d",
+    ("constant", 256): "c28ec787c813b06b516e982e205f5472866aba81d6866476acd4e2332d6b1bc8",
+}
+
+
+@pytest.mark.parametrize("name, grid", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_bytes_are_pinned(name, grid):
+    rep = transversality_certify(projlab.FAMILIES[name](), lam_grid=grid)
+    text = json.dumps(rep.as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[name, grid]
+
+
+def test_certification_memory_does_not_grow_with_the_grid():
+    rep, peak = _traced_peak(lambda: transversality_certify(direction_family(), lam_grid=2048))
+    assert rep.certified
+    # every (lambda, pair) value kept until the end traced 127 MiB
+    assert peak < 4 * 2**20
+
+
+def test_non_finite_family_is_refused():
+    fam = direction_family()
+
+    def p_nan_at_one_point(lam, x):
+        out = fam.P(lam, x)
+        if len(x) == 64:
+            out[1] = np.nan  # a point the evaluator check does not probe
+        return out
+
+    def dp_nan(lam, x):
+        return np.full(len(x), np.nan)
+
+    # both were certified at C_T = 0.7 with evaluator consistency 0.0
+    broken = dataclasses.replace(fam, P=p_nan_at_one_point)
+    with pytest.raises(GeometryError, match=r"'directions' has a non-finite value at lambda = 0\.0490873852"):
+        transversality_certify(broken, lam_grid=32)
+    with pytest.raises(GeometryError, match="'directions' evaluators are inconsistent.*nan"):
+        transversality_certify(dataclasses.replace(fam, DP=dp_nan), lam_grid=32)
 
 
 # ---------------------------------------------------------------------------
@@ -902,3 +947,34 @@ def test_point_cloud_magic_checked(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
     with pytest.raises(GeometryError):
         read_point_cloud(str(path))
+
+
+def test_point_cloud_round_trip_is_bitwise(tmp_path):
+    parts = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1.0, -2.5]
+    pts = np.array([complex(x, y) for x in parts for y in parts])
+    path = tmp_path / "cloud.bin"
+    write_point_cloud(str(path), pts)
+    back = read_point_cloud(str(path))
+    # 1 + inf i read back as nan + inf i, and an imaginary -0.0 as +0.0
+    assert back.dtype == complex
+    assert np.array_equal(back.real.view(np.uint64), pts.real.view(np.uint64))
+    assert np.array_equal(back.imag.view(np.uint64), pts.imag.view(np.uint64))
+
+
+def test_point_cloud_partial_payload_is_refused(tmp_path):
+    path = tmp_path / "cloud.bin"
+    write_point_cloud(str(path), np.arange(10) + 1j)
+    whole = path.read_bytes()
+    for cut in (3, 8):  # a partial double, and half of a point
+        path.write_bytes(whole[:-cut])
+        with pytest.raises(GeometryError, match=f"payload of {160 - cut} bytes"):
+            read_point_cloud(str(path))
+
+
+def test_point_cloud_read_memory_is_the_result(tmp_path):
+    rng = np.random.default_rng(64)
+    path = tmp_path / "cloud.bin"
+    write_point_cloud(str(path), rng.random(10**6) + 1j * rng.random(10**6))
+    back, peak = _traced_peak(lambda: read_point_cloud(str(path)))
+    # the file's bytes, their float view and a complex temporary traced 2x
+    assert peak < 1.2 * back.nbytes
