@@ -29,8 +29,8 @@ _EXPORTS = {
     ),
     "symbolic": (
         "CylinderCover GeodesicPair Ray cutting_sequence_trace cylinder_cover"
-        " geodesic_from_pair is_reduced periodic_suspension_sum word_from_string"
-        " word_to_element word_to_string"
+        " is_reduced periodic_suspension_sum word_from_string word_to_element"
+        " word_to_string"
     ),
     "thermo": (
         "CylinderMeasure DeltaResult TransferMatrix cover_scaling_delta"

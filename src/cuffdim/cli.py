@@ -9,10 +9,10 @@ the same seed can be compared directly; wall times never enter artifact
 files except the delta-scan CSV, whose schema carries a wall_ms column.
 
 Computed dimensions are cached in an append-only JSON-lines ledger keyed
-by canonicalized parameters (rounded to 1e-9) and the name of the delta
-solver; entries at higher depth supersede lower ones.  The ledger path
-comes from the CUFFDIM_LEDGER environment variable, defaulting to
-./cuffdim-ledger.jsonl.
+by the whole request: canonicalized parameters (rounded to 1e-9), the
+depth ladder and the name of the delta solver, so only the same request
+is served.  The ledger path comes from the CUFFDIM_LEDGER environment
+variable, defaulting to ./cuffdim-ledger.jsonl.
 """
 
 from __future__ import annotations
@@ -89,21 +89,8 @@ def ledger_entries(path: str):
     return entries
 
 
-def ledger_lookup(path: str, key: str):
-    best = None
-    for e in ledger_entries(path):
-        if e.get("key") != key:
-            continue
-        if best is None or e.get("depth", 0) > best.get("depth", 0):
-            best = e
-    return best
-
-
-def ledger_append(path: str, key: str, depth: int, value: dict) -> None:
-    line = json.dumps(
-        {"key": key, "depth": depth, "value": value, "version": __version__},
-        sort_keys=True,
-    )
+def ledger_append(path: str, key: str, value: dict) -> None:
+    line = json.dumps({"key": key, "value": value, "version": __version__}, sort_keys=True)
     with open(path, "a", encoding="utf-8") as fh:
         try:
             import fcntl
@@ -114,19 +101,15 @@ def ledger_append(path: str, key: str, depth: int, value: dict) -> None:
         fh.write(line + "\n")
 
 
-def ledger_lookup_or_compute(command: str, params: dict, depth: int, compute):
-    """Cached value for the canonical key, computing and appending on miss.
-
-    The best stored entry serves the request when its value converged or
-    it was computed at ``depth`` or deeper.
-    """
+def ledger_lookup_or_compute(command: str, params: dict, compute):
+    """The first stored value for the canonical key, computing and appending on miss."""
     path = ledger_path()
     key = _canonical_key(command, params)
-    hit = ledger_lookup(path, key)
-    if hit is not None and (hit["value"].get("converged", False) or hit.get("depth", 0) >= depth):
+    hit = next((e for e in ledger_entries(path) if e.get("key") == key), None)
+    if hit is not None:
         return hit["value"], True
     value = compute()
-    ledger_append(path, key, depth, value)
+    ledger_append(path, key, value)
     return value, False
 
 
@@ -163,8 +146,8 @@ def parse_range(text: str) -> tuple[float, float, int]:
         spec = float(lo), float(hi), int(count)
     except ValueError:
         spec = (0.0, 0.0, 0)
-    if spec[2] < 1:
-        raise GeometryError(f"range spec {text!r} is not lo:hi:count with count >= 1")
+    if spec[2] < 1 or not (math.isfinite(spec[0]) and math.isfinite(spec[1])):
+        raise GeometryError(f"range spec {text!r} is not lo:hi:count with finite ends and count >= 1")
     return spec
 
 
@@ -196,9 +179,8 @@ def _cmd_delta(args) -> tuple[dict, dict, int]:
         del value["last_gap"]  # infinite after a single level, and not JSON
         return {**value, "validator_passed": report.passed}
 
-    # the key excludes the depth ladder: entries are superseded by depth
-    params = {"cuffs": list(cuffs), "tol": args.tol, "solver": DELTA_SOLVER}
-    value, cached = ledger_lookup_or_compute("delta", params, max(depths), compute)
+    params = {"cuffs": list(cuffs), "tol": args.tol, "depths": list(depths), "solver": DELTA_SOLVER}
+    value, cached = ledger_lookup_or_compute("delta", params, compute)
     value = dict(value)
     value["cached"] = cached
     ok = value.get("validator_passed", True) and value.get("converged", True)

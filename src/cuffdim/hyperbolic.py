@@ -7,7 +7,8 @@ pair (u, v) acting on the closed disk by
 
 The pair is renormalized after every construction and composition, and the
 overall sign is fixed (Re u >= 0, breaking ties by Im u > 0) so equal maps
-compare equal.
+compare equal.  Word products (``symbolic.word_to_element``) are never
+renormalized: the measured |u|^2 - |v|^2 of a long product cancels.
 
 Incidence computations run in the hyperboloid model of the hyperbolic
 plane: a geodesic is the trace of a plane through the origin of R^{2,1}
@@ -62,8 +63,14 @@ class MoebiusTransform:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls) -> "MoebiusTransform":
-        return cls(1.0 + 0.0j, 0.0j)
+    def _raw(cls, u: complex, v: complex) -> "MoebiusTransform":
+        """The pair as given, with the sign convention but no check or renormalization."""
+        if u.real < 0.0 or (u.real == 0.0 and u.imag < 0.0):
+            u, v = -u, -v
+        m = object.__new__(cls)
+        object.__setattr__(m, "u", u)
+        object.__setattr__(m, "v", v)
+        return m
 
     @classmethod
     def real_translation(cls, length: float) -> "MoebiusTransform":
@@ -253,8 +260,11 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
     (k, ...), side first, so that every reduction runs over whole rows.
     More chords than ``CLIP_BLOCK`` run in equal blocks that keep the
     (k, block) temporaries in cache; none is a single chord, whose product
-    numpy rounds differently (by gemv).  The geodesic sampler reduces the
-    same blocks' bounds without the sides.
+    numpy rounds differently (by gemv).
+
+    This is the vector reference of the rule: the geodesic sampler reduces
+    the same blocks' bounds without the sides, and ``symbolic._exit_side``
+    runs it on one chord in scalars, which the tests hold to this form.
     """
     n = math.prod(l_back.shape[:-1])
     if n <= CLIP_BLOCK:

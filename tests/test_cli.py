@@ -68,12 +68,15 @@ def test_ledger_supersede_and_recompute_determinism(workdir, capsys):
     )
     assert high["results"]["cached"] is False
     assert high["results"]["depth_used"] == 6
-    # now the deep entry serves the shallow request too
-    _, again = run_json(
+    # the shallow request is served its own entry: the key holds the ladder,
+    # so the deep entry supersedes nothing
+    status, again = run_json(
         capsys, ["delta", "--cuffs", "1,1,1", "--tol", "1e-4", "--depths", "4"]
     )
+    assert status == 1
     assert again["results"]["cached"] is True
-    assert again["results"]["delta"] == high["results"]["delta"]
+    assert again["results"]["delta"] == low["results"]["delta"]
+    assert again["results"]["depth_used"] == 4
     # deleting the ledger forces a bit-identical recomputation
     os.remove(os.environ["CUFFDIM_LEDGER"])
     _, fresh = run_json(
@@ -218,6 +221,27 @@ def test_runtime_needs_no_scipy(workdir):
     assert len(read_point_cloud(str(workdir / "cloud.bin"))) == 20000
 
 
+def test_ledger_serves_only_the_same_ladder(workdir, capsys):
+    # a converged depth-10 entry was served to --depths 4,6 with exit 0,
+    # where that ladder's own delta, 0.9428538016, is unconverged
+    deep = ["delta", "--cuffs", "0.3,0.3,0.3", "--depths", "8,10"]
+    shallow = ["delta", "--cuffs", "0.3,0.3,0.3", "--depths", "4,6"]
+    status, first = run_json(capsys, deep)
+    assert status == 0 and first["results"]["converged"] is True
+    status, summary = run_json(capsys, shallow)
+    assert status == 1
+    assert summary["results"]["cached"] is False
+    assert summary["results"]["converged"] is False
+    assert abs(summary["results"]["delta"] - 0.9428538016) < 1e-9
+    # each request hits its own entry, and entries carry no depth field
+    assert run_json(capsys, deep)[1]["results"]["cached"] is True
+    assert run_json(capsys, shallow)[1]["results"]["cached"] is True
+    with open(os.environ["CUFFDIM_LEDGER"]) as fh:
+        entries = [json.loads(line) for line in fh]
+    assert len(entries) == 2
+    assert all(set(e) == {"key", "value", "version"} for e in entries)
+
+
 def test_ledger_ignores_depth_ladder_entries(workdir, capsys):
     # an entry keyed without the solver was written by the depth ladder
     old_key = _canonical_key("delta", {"cuffs": [2.0, 2.0, 2.0], "tol": 1e-4})
@@ -270,6 +294,11 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         (["delta", "--cuffs", "2,2,2", "--depths", "4,x"], "'4,x'"),
         (["delta-scan", "--symmetric", "1:2:x", "--out", "s.csv"], "'1:2:x'"),
         (["delta-scan", "--symmetric", "1:2:0", "--out", "s.csv"], "'1:2:0'"),
+        # a non-finite end wrote a row whose error named a=nan, and exited 1
+        (["delta-scan", "--symmetric", "nan:1:2", "--out", "s.csv"], "'nan:1:2' is not lo:hi:count with finite ends"),
+        (["delta-scan", "--symmetric", "1:inf:2", "--out", "s.csv"], "'1:inf:2'"),
+        (["delta-scan", "--symmetric=-inf:1:1", "--out", "s.csv"], "'-inf:1:1'"),
+        (["delta-scan", "--a", "1:2:2", "--b", "1:2:2", "--c", "1:nan:2", "--out", "s.csv"], "'1:nan:2'"),
         # numpy's linspace raised its _ArrayMemoryError with a traceback and exit 1
         (["delta-scan", "--symmetric", "1:2:1000000000000", "--out", "s.csv"],
          "delta-scan of 1000000000000 rows above DELTA_SCAN_MAX_ROWS = 10000"),
@@ -335,7 +364,7 @@ def test_delta_refuses_levels_outside_one_to_ten_before_the_ledger(workdir, caps
         err = json.loads(captured.err.strip())["error"]
         assert err == {"type": "GeometryError", "message": f"collocation level {bad} outside [1, 10]"}
     assert not ledger.exists()
-    # a converged entry would serve any depth: the levels are checked first
+    # the levels are checked before the ledger is read
     assert run(["delta", "--cuffs", "2,2,2", "--depths", "4,6"]) == 0
     capsys.readouterr()
     assert run(["delta", "--cuffs", "2,2,2", "--depths", "99"]) == 2

@@ -27,7 +27,7 @@ def test_compose_with_inverse_is_identity():
 
 def test_identity_is_neutral():
     rng = np.random.default_rng(2)
-    e = MoebiusTransform.identity()
+    e = MoebiusTransform(1.0, 0.0)
     for _ in range(20):
         n = random_mobius(rng)
         # the sign is canonical (Re u >= 0), so equal maps have close (u, v)
@@ -47,7 +47,7 @@ def test_compose_matches_pointwise_application():
 
 def test_inverse_involution():
     rng = np.random.default_rng(4)
-    assert is_identity(MoebiusTransform.identity().inverse())
+    assert is_identity(MoebiusTransform(1.0, 0.0).inverse())
     for _ in range(30):
         m = random_mobius(rng)
         mm = m.inverse().inverse()
@@ -90,7 +90,7 @@ def test_sign_canonicalization():
 
 
 def test_classify_identity():
-    info = classify_isometry(MoebiusTransform.identity())
+    info = classify_isometry(MoebiusTransform(1.0, 0.0))
     assert info.kind == "identity"
     assert info.translation_length == 0.0
     assert info.axis is None
@@ -161,6 +161,6 @@ def test_translation_length_property_matches_the_classification():
     for _ in range(200):
         m = random_mobius(rng, spread=6.0)
         assert m.translation_length == classify_isometry(m).translation_length
-    assert MoebiusTransform.identity().translation_length == 0.0
+    assert MoebiusTransform(1.0, 0.0).translation_length == 0.0
     assert MoebiusTransform(1.0 + 0.5j, -0.5j).translation_length == 0.0
     assert MoebiusTransform(cmath.exp(0.35j), 0).translation_length == 0.0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import TWO_PI, GeometryError, Geodesic, BoundaryPoint
+from cuffdim.hyperbolic import TWO_PI, GeometryError, BoundaryPoint
 from cuffdim import symbolic
 from cuffdim.pants import ABAR, ALPHA, BBAR, BETA, bar
 from cuffdim.symbolic import (
@@ -17,11 +17,8 @@ from cuffdim.symbolic import (
     cover_to_csv,
     cutting_sequence_trace,
     cylinder_cover,
-    geodesic_from_pair,
     is_reduced,
-    octagon_crossing,
     periodic_suspension_sum,
-    realize_ray,
     word_from_string,
     word_to_element,
     word_to_string,
@@ -64,6 +61,17 @@ def boundary_expansion(p, t, max_n):
         out.append(sym)
         theta = image.theta
     return tuple(out)
+
+
+def realized_angle(p, prefix) -> float:
+    """Angle in [0, 2 pi) of the point the tracer realizes for a prefix-only ray."""
+    return cmath.phase(symbolic._realize(p, prefix, None)) % TWO_PI
+
+
+def chord_length(p, z_fwd, z_back) -> float | None:
+    """Time the chord from z_back to z_fwd spends in the octagon, by the scalar rule."""
+    hit = symbolic._exit_side(p._normal_rows, z_fwd, z_back)
+    return None if hit is None else 0.5 * math.log(hit[1] / hit[0])
 
 
 def lex_rank(words: np.ndarray) -> np.ndarray:
@@ -174,15 +182,14 @@ def test_word_to_element_basics(pants222):
     assert abs(e.translation_length - 2.0) < 1e-8
 
 
-def test_geodesic_from_pair_periodic_words_give_axes(pants222):
-    g = geodesic_from_pair(pants222, GeodesicPair(Ray((), (ALPHA,)), Ray((), (ABAR,))))
+def test_periodic_rays_realize_the_generator_axes(pants222):
+    realize = symbolic._realize
     att, rep = classify_isometry(pants222.g_alpha).fixed_points
-    assert abs(g.p.point - rep) < 1e-12  # (alpha)^inf is the repelling end
-    assert abs(g.q.point - att) < 1e-12
-    g2 = geodesic_from_pair(pants222, GeodesicPair(Ray((), (BETA,)), Ray((), (BBAR,))))
+    assert abs(realize(pants222, (), (ALPHA,)) - rep) < 1e-12  # (alpha)^inf is the repelling end
+    assert abs(realize(pants222, (), (ABAR,)) - att) < 1e-12
     attb, repb = classify_isometry(pants222.g_beta).fixed_points
-    assert abs(g2.p.point - repb) < 1e-12
-    assert abs(g2.q.point - attb) < 1e-12
+    assert abs(realize(pants222, (), (BETA,)) - repb) < 1e-12
+    assert abs(realize(pants222, (), (BBAR,)) - attb) < 1e-12
 
 
 def test_pair_with_equal_first_symbols_rejected():
@@ -208,7 +215,7 @@ def test_realized_endpoints_lie_in_their_cylinders(pants222):
     cov = cylinder_cover(pants222, 6)
     for _ in range(100):
         word = random_reduced_word(rng, 6)
-        theta = realize_ray(pants222, Ray(word)).theta
+        theta = realized_angle(pants222, word)
         idx = lex_rank(np.array([word]))[0]
         rel = (theta - cov.lo[idx]) % (2.0 * math.pi)
         assert rel <= cov.lengths[idx]
@@ -234,10 +241,19 @@ def count_calls(monkeypatch, *names):
 
 
 def test_geodesic_trace_clips_each_crossing_once(pants222, monkeypatch):
-    calls = count_calls(monkeypatch, "_exit_side", "_clip_once")
+    # one scalar chord rule per crossing; the vector clip_chord is not
+    # reachable from symbolic
+    calls = count_calls(monkeypatch, "_exit_side")
     axis = GeodesicPair.periodic((ALPHA,))
     assert len(cutting_sequence_trace(pants222, axis, 10)) == 10
-    assert calls == {"_exit_side": 10, "_clip_once": 0}
+    assert calls == {"_exit_side": 10}
+    assert not hasattr(symbolic, "clip_chord")
+
+
+def test_suspension_sum_clips_each_rotation_once(pants222, monkeypatch):
+    calls = count_calls(monkeypatch, "_exit_side", "_realize", "_images")
+    periodic_suspension_sum(pants222, (ALPHA, BETA, BETA))
+    assert calls == {"_exit_side": 3, "_realize": 6, "_images": 6}
 
 
 def test_pair_trace_realizes_each_endpoint_once(pants222, monkeypatch):
@@ -292,8 +308,7 @@ def test_round_trip_expansion_of_forward_endpoint(pants222):
     for _ in range(20):
         xi = random_reduced_word(rng, 8)
         eta = random_reduced_word(rng, 8, first_not=xi[0])
-        g = geodesic_from_pair(pants222, GeodesicPair(Ray(xi), Ray(eta)))
-        assert boundary_expansion(pants222, g.p, 8) == xi
+        assert boundary_expansion(pants222, realized_angle(pants222, xi), 8) == xi
 
 
 def test_distinct_prefixes_give_disjoint_endpoint_arcs(pants222):
@@ -303,8 +318,8 @@ def test_distinct_prefixes_give_disjoint_endpoint_arcs(pants222):
     w2 = random_reduced_word(rng, 10)
     while w2 == w1:
         w2 = random_reduced_word(rng, 10)
-    t1 = realize_ray(pants222, Ray(w1)).theta
-    t2 = realize_ray(pants222, Ray(w2)).theta
+    t1 = realized_angle(pants222, w1)
+    t2 = realized_angle(pants222, w2)
     i1, i2 = lex_rank(np.array([w1, w2]))
     assert i1 != i2
     assert (t1 - cov.lo[i1]) % (2 * math.pi) <= cov.lengths[i1]
@@ -323,21 +338,15 @@ def test_suspension_time_positive_and_cuff_periods(pants222):
     for _ in range(10):
         xi = random_reduced_word(rng, 10)
         eta = random_reduced_word(rng, 10, first_not=xi[0])
-        t_in, t_out, _, _ = octagon_crossing(
-            pants222, geodesic_from_pair(pants222, GeodesicPair(Ray(xi), Ray(eta)))
-        )
-        assert t_out - t_in > 0.0
+        z_fwd, z_back = (symbolic._realize(pants222, w, None) for w in (xi, eta))
+        assert chord_length(pants222, z_fwd, z_back) > 0.0
 
 
-def test_octagon_crossing_none_for_gap_geodesic(pants222):
-    g = Geodesic(BoundaryPoint(4.5), BoundaryPoint(5.0))
-    assert octagon_crossing(pants222, g) is None
-    hit = octagon_crossing(
-        pants222, classify_isometry(pants222.g_alpha).axis
-    )
-    assert hit is not None
-    t_in, t_out, _, _ = hit
-    assert abs((t_out - t_in) - 2.0) < 1e-9  # the b cuff crossing
+def test_chord_rule_misses_a_gap_chord_and_times_the_b_cuff(pants222):
+    assert chord_length(pants222, cmath.exp(4.5j), cmath.exp(5.0j)) is None
+    att, rep = classify_isometry(pants222.g_alpha).fixed_points
+    t = chord_length(pants222, att / abs(att), rep / abs(rep))
+    assert abs(t - 2.0) < 1e-9  # the b cuff crossing
 
 
 def test_periodic_suspension_sums_match_translation_lengths(pants222, pants123):

@@ -99,12 +99,12 @@ def rerealizing_trace(p, pair, n):
         if not all(prefix or period for prefix, period in ends):
             break
         z_fwd, z_back = (_realize(p, prefix[: n + 18], period) for prefix, period in ends)
-        side = _exit_side(p._normal_rows, z_fwd, z_back)
-        if side is None and step == 0:
+        hit = _exit_side(p._normal_rows, z_fwd, z_back)
+        if hit is None and step == 0:
             raise GeometryError("geodesic misses the octagon")
-        if side is None or side in CUFF_SIDE_INDICES:
+        if hit is None or hit[2] in CUFF_SIDE_INDICES:
             break
-        out.append(SEAM_SIDE_SYMBOL[side])
+        out.append(SEAM_SIDE_SYMBOL[hit[2]])
         ends = [shift(prefix, period, out[-1]) for prefix, period in ends]
     return tuple(out)
 
@@ -218,6 +218,8 @@ def test_pair_trace_stops_where_the_forward_prefix_ends(pants222):
 
 
 def test_exit_side_agrees_with_clip_chord(pants222):
+    # the scalar rule works on x = exp(2t): its entry and exit are clip_chord's
+    # parameters, and its side is clip_chord's exit side
     rng = np.random.default_rng(12)
     normals = pants222.interior_normals
     hits = 0
@@ -226,10 +228,13 @@ def test_exit_side_agrees_with_clip_chord(pants222):
         t_in, t_out, _, s_out = clip_chord(
             lift_light(np.array([z_back]))[0], lift_light(np.array([z_fwd]))[0], normals
         )
-        side = _exit_side(pants222._normal_rows, complex(z_fwd), complex(z_back))
+        hit = _exit_side(pants222._normal_rows, complex(z_fwd), complex(z_back))
         if t_in < t_out:
             hits += 1
+            x_in, x_out, side = hit
             assert side == int(s_out)
+            assert 0.5 * math.log(x_in) == pytest.approx(t_in, rel=1e-12, abs=1e-12)
+            assert 0.5 * math.log(x_out) == pytest.approx(t_out, rel=1e-12, abs=1e-12)
         else:
-            assert side is None
+            assert hit is None
     assert hits > 100
