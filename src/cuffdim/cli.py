@@ -297,9 +297,10 @@ def _cmd_trace(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_favard(args) -> tuple[dict, dict, int]:
-    from .projlab import four_corner_cover, product_cover, projection_profile, segment_cover
+    from .projlab import _check_favard_grid, four_corner_cover, product_cover, projection_profile, segment_cover
 
     depths = parse_depth_span(args.depths)
+    _check_favard_grid(args.grid)  # refused before any cover is built
     if args.fixture == "omega":
         p = build_pants(parse_cuffs(args.cuffs))
         covers = {n: product_cover(p, n) for n in depths}

@@ -49,6 +49,7 @@ CERTIFY_DET_TOL = 1e-9
 CONSISTENCY_PROBES = 5
 CONSISTENCY_STEP = 1e-6
 CERTIFY_MAX_GRID = 16384  # largest lam_grid: 2.5 s and 32 MB peak RSS on a 2-core Xeon
+FAVARD_MAX_GRID = 3072  # largest Favard grid: 46 s and 46 MB peak RSS at depths 2:6 on a 2-core Xeon
 
 SAMPLER_MAX_ATTEMPT_FACTOR = 10  # sampler draws at most this many geodesics per point
 # points per sampler chunk, and per pass of box_dimension and write_point_cloud;
@@ -273,10 +274,16 @@ class ProjectionProfile:
         return out.getvalue()
 
 
+def _check_favard_grid(grid: int) -> None:
+    if not 16 <= grid <= FAVARD_MAX_GRID:
+        where = "below 16" if grid < 16 else f"above FAVARD_MAX_GRID = {FAVARD_MAX_GRID}"
+        raise GeometryError(f"direction grid {grid} {where}; grid must lie in [16, {FAVARD_MAX_GRID}]")
+
+
 def projection_profile(covers: dict[int, BoxCover], grid: int = 256) -> ProjectionProfile:
-    """Projected lengths of each cover on the grid, labelled by the shallowest cover."""
-    if grid < 16:
-        raise GeometryError(f"direction grid {grid} below 16")
+    """Projected lengths of each cover on a grid in [16, FAVARD_MAX_GRID],
+    labelled by the shallowest cover."""
+    _check_favard_grid(grid)
     depths = tuple(sorted(covers))
     lams = lambda_grid(grid)
     lengths = {d: project_lengths(covers[d], lams) for d in depths}
@@ -478,22 +485,26 @@ class GeodesicPointSample:
 
 
 def _chain_walk(chain: GibbsChain):
-    """Walk function (cur, draws, n_syms, n_keys=0) -> (syms, key): one chain
-    step per row of draws (steps, m) from the states cur.  syms holds the
-    symbols appended by the first n_syms steps; key is the state n_keys
-    steps before the end times 3^n_keys plus the base-3 number of the last
-    n_keys successor choices (the final state when n_keys = 0).  A choice
-    counts the first two cumulative probabilities below the draw, so the
-    third successor takes the remainder where a row's sum rounds below 1.
+    """Walk function (cur, rng, steps, n_syms, n_keys=0) -> (syms, key):
+    steps chain steps from the states cur, each comparing one fresh row
+    rng.random(len(cur)) with the transition law, so a walk holds one row
+    at a time and draws what rng.random((steps, len(cur))) would.  syms
+    holds the symbols appended by the first n_syms steps; key is the state
+    n_keys steps before the end times 3^n_keys plus the base-3 number of
+    the last n_keys successor choices (the final state when n_keys = 0).
+    A choice counts the first two cumulative probabilities below the draw,
+    so the third successor takes the remainder where a row's sum rounds
+    below 1.
     """
     c0, c1 = np.cumsum(chain.transition_probs, axis=1)[:, :2].T.copy()
     succ = chain.skeleton.cols.ravel()
     last = chain.skeleton.cover.words[:, -1].astype(np.intp)
 
-    def walk(cur, draws, n_syms, n_keys=0):
+    def walk(cur, rng, steps, n_syms, n_keys=0):
         syms = np.empty((n_syms, len(cur)), dtype=np.intp)
-        split = len(draws) - n_keys
-        for k, r in enumerate(draws):
+        split = steps - n_keys
+        for k in range(steps):
+            r = rng.random(len(cur))
             # an integer sum: the sum of two bool arrays would be their OR
             choice = (r > c0[cur]).view(np.int8) + (r > c1[cur]).view(np.int8)
             edge = 3 * cur + choice
@@ -508,12 +519,13 @@ def _chain_walk(chain: GibbsChain):
 
 
 def _extend_words(chain: GibbsChain, idx: np.ndarray, rng, total_len: int) -> np.ndarray:
-    """Word symbols for chain states extended to total_len by chain steps."""
+    """Word symbols for chain states extended to total_len by chain steps,
+    one draw row per step as the walk takes it."""
     words = chain.skeleton.cover.words[idx].astype(np.uint8)
     if total_len <= chain.depth:
         return words[:, :total_len]
     steps = total_len - chain.depth
-    syms, _ = _chain_walk(chain)(idx, rng.random((steps, len(idx))), steps)
+    syms, _ = _chain_walk(chain)(idx, rng, steps, steps)
     return np.concatenate([words, syms.T.astype(np.uint8)], axis=1)
 
 
@@ -552,6 +564,46 @@ def _prepend_symbols(p: PantsGeometry, z: np.ndarray, cols) -> np.ndarray:
     return z
 
 
+def _endpoint_table(p: PantsGeometry, chain: GibbsChain, j: int) -> np.ndarray:
+    """Read-only table[s * 3^j + key] of the (n + j)-word of depth-n state s
+    followed by the j successor choices key, realized from its last
+    symbol's arc midpoint; cached on p per depth n and j.
+
+    Cover words and successor columns are combinatorial, so the table
+    depends on the geometry, n and j alone.  It is built level by level,
+    each level once; only level j is kept.
+    """
+    key = ("endpoints", chain.depth, j)
+    if key not in p._cache:
+        table = None
+        for _ in range(j + 1):
+            table = _endpoint_level(p, chain, table)
+        table.flags.writeable = False
+        p._cache[key] = table
+    return p._cache[key]
+
+
+def _endpoint_level(p: PantsGeometry, chain: GibbsChain, prev) -> np.ndarray:
+    """The next level of _endpoint_table after prev, CLIP_BLOCK entries at a time.
+
+    Level 0 (prev None) pulls each state's last-symbol midpoint back
+    through its other symbols; level i + 1 is each entry's first symbol's
+    branch at the level-i entry of its successor's word.
+    """
+    heads = chain.skeleton.cover.words.T.astype(np.intp)  # intp symbols keep the gathers fast
+    succ = chain.skeleton.cols.ravel()
+    w = 1 if prev is None else len(prev) // heads.shape[1]  # 3^i at level i + 1
+    table = np.empty(heads.shape[1] * (1 if prev is None else 3 * w), dtype=complex)
+    for a in range(0, len(table), CLIP_BLOCK):
+        q = np.arange(a, min(a + CLIP_BLOCK, len(table)))
+        if prev is None:
+            z, cols = p.arc_point(np.arange(4), 0.0)[heads[-1, q]], heads[:-1, q]
+        else:
+            z, cols = prev[succ[q // w] * w + q % w], heads[:1, q // (3 * w)]
+        table[a : a + len(q)] = _prepend_symbols(p, z, cols)
+    return table
+
+
 def sample_complete_geodesic_points(
     p: PantsGeometry,
     mu: CylinderMeasure | GibbsChain,
@@ -576,11 +628,14 @@ def sample_complete_geodesic_points(
 
     Each word is realized from its last symbol's arc midpoint by one
     normalized inverse branch per preceding symbol.  The branches through
-    its last n + j symbols (n the depth) are tabulated once per call over
-    the n_states * 3^j (n + j)-words, j the largest j <= steps with
-    n_states * 3^j <= 2 * min(count, 2 * SAMPLER_CHUNK).  Each round draws
-    its randoms up front and runs in ``clip_chord``'s blocks; the output
-    does not depend on j or the blocks.
+    its last n + j symbols (n the depth) come from ``_endpoint_table``,
+    built once per geometry, n and j over the n_states * 3^j (n + j)-words,
+    j the largest j <= steps with n_states * 3^j <= 2 * min(count,
+    2 * SAMPLER_CHUNK).  Each round walks both endpoints over all its
+    points, drawing one row per step as the walk takes it (forward rows,
+    backward rows, then the chord times), and then looks up, pulls back
+    and clips in ``clip_chord``'s blocks; the output does not depend on j
+    or the blocks.
     """
     if not 1 <= count <= 10**7:
         raise GeometryError(f"sample count {count} outside [1, 1e7]")
@@ -605,18 +660,12 @@ def sample_complete_geodesic_points(
     j = 0  # the table holds at most two entries per point of two chunks
     while j < steps and len(first) * 3 ** (j + 1) <= 2 * min(count, 2 * SAMPLER_CHUNK):
         j += 1
-    # table[s * 3^i + key]: the (n + i)-word of state s and the choices key,
-    # realized as its first symbol's branch at its successor's entry
-    table = _prepend_symbols(p, p.arc_point(np.arange(4), 0.0)[heads[-1]], heads[:-1])
-    succ = chain.skeleton.cols.ravel()
-    for i in range(j):
-        src = (succ[:, None] * 3**i + np.arange(3**i)).ravel()
-        table = _prepend_symbols(p, table[src], [np.repeat(heads[0], 3 ** (i + 1))])
+    table = _endpoint_table(p, chain, j)
     walk = _chain_walk(chain)
+    n_syms = max(steps - j - chain.depth, 0)
 
-    def realize(idx, walk_draws):
-        syms, key = walk(idx, walk_draws, max(steps - j - chain.depth, 0), j)
-        return _prepend_symbols(p, table[key], list(heads[: steps - j, idx]) + list(syms))
+    def realize(idx, syms, key, blk):
+        return _prepend_symbols(p, table[key[blk]], list(heads[: steps - j, idx[blk]]) + list(syms[:, blk]))
 
     pts = np.empty(count, dtype=complex)
     lens = np.empty(count)
@@ -639,15 +688,15 @@ def sample_complete_geodesic_points(
             while len(clash):
                 eta_idx[clash] = draw(rng.random(len(clash)))
                 clash = clash[first[xi_idx[clash]] == first[eta_idx[clash]]]
-            xi_draws = rng.random((steps, m))
-            eta_draws = rng.random((steps, m))
+            xi_syms, xi_key = walk(xi_idx, rng, steps, n_syms, j)
+            eta_syms, eta_key = walk(eta_idx, rng, steps, n_syms, j)
             u = rng.random(m)
             rejected = []
             n_blocks = -(-m // CLIP_BLOCK)
             for b in range(n_blocks):
                 blk = slice(b * m // n_blocks, (b + 1) * m // n_blocks)
-                l_fwd = lift_light(realize(xi_idx[blk], xi_draws[:, blk]))
-                l_back = lift_light(realize(eta_idx[blk], eta_draws[:, blk]))
+                l_fwd = lift_light(realize(xi_idx, xi_syms, xi_key, blk))
+                l_back = lift_light(realize(eta_idx, eta_syms, eta_key, blk))
                 lower, upper = _clip_block(normals, l_back, l_fwd)
                 t_in, t_out = lower.max(axis=0), upper.min(axis=0)
                 good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)

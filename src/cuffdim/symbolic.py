@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,17 @@ MAX_TRACE_LEN = 200
 # Word utilities
 
 
+_SYMBOLS = frozenset(range(4))
+
+
 def is_reduced(word) -> bool:
-    return all(word[i + 1] != bar(word[i]) for i in range(len(word) - 1))
+    # bar(s) = s ^ 1, so a symbol followed by its bar xors to 1
+    return 1 not in map(operator.xor, word, word[1:])
 
 
 def check_reduced(word) -> Word:
-    word = tuple(int(s) for s in word)
-    if any(s not in (0, 1, 2, 3) for s in word):
+    word = tuple(map(int, word))
+    if not _SYMBOLS.issuperset(word):
         raise GeometryError(f"invalid symbols in word {word}")
     if not is_reduced(word):
         raise GeometryError(f"word {word} is not reduced")
@@ -264,12 +269,17 @@ def _images(p: PantsGeometry, prefix: Word, period: Word | None) -> list:
     entry carries full double precision however long the word is.
     """
     if period is not None:
-        z = _attracting_fixed_point(p, period)
-        stack, tail = [(z, z, period[0])], prefix
+        zp = zq = _attracting_fixed_point(p, period)
+        stack, tail = [(zp, zq, period[0])], prefix
     else:
-        stack, tail = [(*p._arc_ends[prefix[-1]], prefix[-1])], prefix[:-1]
+        zp, zq = p._arc_ends[prefix[-1]]
+        stack, tail = [(zp, zq, prefix[-1])], prefix[:-1]
+    # _branch's step inline: no call and no entry tuple to unpack per symbol
+    branches = p._branches
     for s in reversed(tail):
-        stack.append(_branch(p, s, stack[-1]))
+        u, v, cv, cu = branches[s]
+        zp, zq = (u * zp + v) / (cv * zp + cu), (u * zq + v) / (cv * zq + cu)
+        stack.append((zp, zq, s))
     return stack
 
 
@@ -321,19 +331,21 @@ def _exit_side(normals, z_fwd: complex, z_back: complex):
     chord spends 1/2 log(x_out / x_in) inside.  x_in is 0 when no side
     bounds the entry.
     """
+    xb, yb, xf, yf = z_back.real, z_back.imag, z_fwd.real, z_fwd.imag
+    eps, neg = CLIP_EPS, -CLIP_EPS
     x_in, x_out, side = 0.0, math.inf, None
     for i, (nx, ny, nt) in enumerate(normals):
-        a = nx * z_back.real + ny * z_back.imag - nt
-        b = nx * z_fwd.real + ny * z_fwd.imag - nt
-        if a < -CLIP_EPS:
-            if b > CLIP_EPS:
+        a = nx * xb + ny * yb - nt
+        b = nx * xf + ny * yf - nt
+        if a < neg:
+            if b > eps:
                 x_in = max(x_in, -a / b)
             else:
                 return None
-        elif a > CLIP_EPS:
-            if b < -CLIP_EPS and -a / b < x_out:
+        elif a > eps:
+            if b < neg and -a / b < x_out:
                 x_out, side = -a / b, i
-        elif b < -CLIP_EPS:
+        elif b < neg:
             return None
     return (x_in, x_out, side) if side is not None and x_in < x_out else None
 

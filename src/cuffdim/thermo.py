@@ -251,23 +251,31 @@ def check_ladder(levels) -> tuple[int, ...]:
     return levels
 
 
+@functools.lru_cache(maxsize=64)
 def chebyshev_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev nodes on [-1, 1] and their barycentric weights."""
+    """First-kind Chebyshev nodes on [-1, 1] and their barycentric weights,
+    computed once per m as read-only arrays."""
     angles = (2 * np.arange(m) + 1) * (math.pi / (2 * m))
     signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    return np.cos(angles), signs * np.sin(angles)
+    x, w = np.cos(angles), signs * np.sin(angles)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def barycentric_rows(t: np.ndarray, m: int) -> np.ndarray:
-    """Rows that interpolate values at the m Chebyshev nodes to points t."""
+    """Rows that interpolate values at the m Chebyshev nodes to points t.
+    A point on a node gets that node's unit row; the fix-up runs only when
+    some point hits a node."""
     x, w = chebyshev_nodes(m)
     diff = np.asarray(t, dtype=float)[:, None] - x[None, :]
-    exact = diff == 0.0
-    diff[exact] = 1.0
+    exact = None if diff.all() else diff == 0.0
+    if exact is not None:
+        diff[exact] = 1.0
     rows = w / diff
     rows /= rows.sum(axis=1, keepdims=True)
-    hit = exact.any(axis=1)
-    rows[hit] = exact[hit]
+    if exact is not None:
+        hit = exact.any(axis=1)
+        rows[hit] = exact[hit]
     return rows
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cuffdim
-from cuffdim import cli, thermo
+from cuffdim import cli, projlab, thermo
 from cuffdim.cli import _canonical_key, run
 from cuffdim.projlab import read_point_cloud
 
@@ -351,6 +351,23 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         assert err["error"]["type"] == "GeometryError"
         assert named in err["error"]["message"]
         assert not (workdir / argv[-1]).exists()
+
+
+def test_favard_refuses_a_grid_past_the_edge_before_any_cover(workdir, capsys):
+    # the grid was checked only below 16, after the covers were built: one
+    # past the edge at depth 8 would project 57 million boxes per direction
+    top = projlab.FAVARD_MAX_GRID
+    t0 = time.perf_counter()
+    status = run(["favard", "--depths", "8:8", "--grid", str(top + 1), "--out", "f.csv"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert status == 2
+    assert elapsed < 1.0
+    err = json.loads(captured.err.strip())
+    assert err["error"]["type"] == "GeometryError"
+    assert f"direction grid {top + 1} above FAVARD_MAX_GRID = {top}" in err["error"]["message"]
+    assert f"grid must lie in [16, {top}]" in err["error"]["message"]
+    assert not (workdir / "f.csv").exists()
 
 
 def test_delta_refuses_levels_outside_one_to_ten_before_the_ledger(workdir, capsys):

@@ -325,6 +325,15 @@ def test_favard_grid_minimum():
     assert prof.favard(2) == favard_estimate(covers[2], grid=16)
 
 
+def test_favard_grid_maximum():
+    covers = {2: segment_cover(2)}
+    top = projlab.FAVARD_MAX_GRID
+    assert projection_profile(covers, grid=top).lambdas.shape == (top,)
+    with pytest.raises(GeometryError, match=rf"direction grid {top + 1} above FAVARD_MAX_GRID = {top}; "
+                                            rf"grid must lie in \[16, {top}\]"):
+        projection_profile(covers, grid=top + 1)
+
+
 def test_favard_single_box_bounds():
     f = favard_estimate(unit_square_cover(), grid=64)
     assert 1.0 < f < math.sqrt(2.0)
@@ -722,6 +731,56 @@ def test_sampler_memory_is_bounded_by_a_chunk():
     kept = s.points.nbytes + s.lengths.nbytes + s.time_fractions.nbytes
     # whole-call draws held about 50 MiB beyond the output at this count
     assert peak - kept < 16 * 2**20
+
+
+def test_sampler_memory_of_a_repeat_call_holds_no_table_or_walk_draws():
+    p, chain = _sampler_chain((A_HALF,) * 3, 6)
+    sample_complete_geodesic_points(p, chain, 62_500, seed=5)
+    s, peak = _traced_peak(lambda: sample_complete_geodesic_points(p, chain, 62_500, seed=6))
+    assert len(s.points) == 62_500
+    # 1.9 MiB of it is the output; rebuilding the endpoint table and holding
+    # both walks' (steps, m) draw blocks traced 11.4 MiB
+    assert peak <= 6.5 * 2**20
+
+
+def test_sampler_builds_the_endpoint_table_once_per_geometry(monkeypatch):
+    built = []
+    level = projlab._endpoint_level
+    monkeypatch.setattr(projlab, "_endpoint_level", lambda *a: built.append(1) or level(*a))
+    p = build_pants((A_HALF,) * 3)
+    chain = thermo.gibbs_chain(p, 0.5, 6)
+    sample_complete_geodesic_points(p, chain, 20_000, seed=7)
+    assert len(built) == 4  # levels 0 to 3: 972 * 3^3 entries for 40,000 endpoints
+    again = sample_complete_geodesic_points(p, chain, 20_000, seed=8)
+    assert len(built) == 4
+    fresh_p = build_pants((A_HALF,) * 3)
+    fresh = sample_complete_geodesic_points(fresh_p, thermo.gibbs_chain(fresh_p, 0.5, 6), 20_000, seed=8)
+    for f in ("points", "lengths", "time_fractions"):
+        assert np.array_equal(getattr(again, f), getattr(fresh, f))
+    assert (again.resampled, again.attempts) == (fresh.resampled, fresh.attempts)
+    with pytest.raises(ValueError, match="read-only"):
+        p._cache[("endpoints", 6, 3)][0] = 0.0
+
+
+def _extend_words_stepwise(chain, idx, rng, total_len):
+    """_extend_words with its draw rows taken up front, as one (steps, n) block."""
+    words = chain.skeleton.cover.words
+    cum = np.cumsum(chain.transition_probs, axis=1)[:, :2]
+    cur, out = idx, [words[idx]]
+    for r in rng.random((total_len - chain.depth, len(idx))):
+        cur = chain.skeleton.cols[cur, (r[:, None] > cum[cur]).sum(axis=1)]
+        out.append(words[cur, -1:])
+    return np.hstack(out).astype(np.uint8)
+
+
+@pytest.mark.parametrize("total_len", [6, 14, 48])
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_extend_words_draws_what_a_block_of_rows_draws(pants_half, seed, total_len):
+    chain = thermo.gibbs_chain(pants_half, 0.5, 6)
+    idx = np.random.default_rng(seed).integers(0, len(chain.stationary), 2_000)
+    got = projlab._extend_words(chain, idx, np.random.Generator(np.random.Philox(key=seed)), total_len)
+    want = _extend_words_stepwise(chain, idx, np.random.Generator(np.random.Philox(key=seed)), total_len)
+    assert np.array_equal(got, want)
 
 
 def _extend_words_oracle(chain, idx, rng, total_len):
