@@ -20,8 +20,8 @@ for cuffs in [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.6, 1.7, 3.1), (5.0, 2.0, 0.8)
     report = validate_pants(pants)
     print(f"\ncuffs {cuffs}: axis separation {pants.axis_gap:.6f}")
     print(report.summary())
-    for name, arc in zip(SYMBOL_NAMES, pants.arcs):
-        print(f"  arc {name}: [{arc.lo:.4f}, {arc.hi:.4f}] length {arc.length:.4f}")
+    for name, (lo, hi), length in zip(SYMBOL_NAMES, pants.arcs, pants.arc_len):
+        print(f"  arc {name}: [{lo:.4f}, {hi:.4f}] length {length:.4f}")
     name = "octagon_" + "_".join(f"{c:g}" for c in cuffs) + ".svg"
     path = os.path.join(OUT, name)
     with open(path, "w") as fh:

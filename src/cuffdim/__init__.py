@@ -20,12 +20,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "hyperbolic": (
-        "BoundaryPoint DiskPoint Geodesic GeometryError MoebiusTransform hyp_distance"
-    ),
+    "hyperbolic": "GeometryError MoebiusTransform",
     "pants": (
-        "ALPHA ABAR BETA BBAR Arc CuffLengths OctagonSide PantsGeometry PantsReport"
-        " bar build_pants octagon_svg validate_pants"
+        "ALPHA ABAR BETA BBAR CuffLengths PantsGeometry PantsReport bar build_pants"
+        " octagon_svg validate_pants"
     ),
     "symbolic": (
         "CylinderCover GeodesicPair Ray cutting_sequence_trace cylinder_cover"

@@ -151,6 +151,12 @@ def parse_range(text: str) -> tuple[float, float, int]:
     return spec
 
 
+def _check_range(option: str, value: int, lo: int, hi: int) -> None:
+    """Refuse an integer option outside [lo, hi], naming the option and the range."""
+    if not lo <= value <= hi:
+        raise GeometryError(f"{option} {value} outside [{lo}, {hi}]")
+
+
 def parse_depth_span(text: str) -> tuple[int, ...]:
     if ":" not in text:
         return parse_depths(text)
@@ -189,6 +195,8 @@ def _cmd_delta(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
+    # the ladder (max(4, depth - 2), depth) needs depth >= 5; levels stop at 10
+    _check_range("--depth", args.depth, 5, 10)
     if args.symmetric:
         specs = [parse_range(args.symmetric)]
     elif args.a and args.b and args.c:
@@ -341,6 +349,8 @@ def _cmd_sample_cs(args) -> tuple[dict, dict, int]:
             f"sample-cs count {args.count} outside [{SAMPLE_CS_MIN_COUNT}, 1e7]: "
             f"the box-dimension fit needs {SAMPLE_CS_MIN_COUNT} points"
         )
+    # the sampler needs depth >= 4; the chain's transfer depth stops at 10
+    _check_range("--chain-depth", args.chain_depth, 4, 10)
     p = build_pants(parse_cuffs(args.cuffs))
     if args.s is None:
         s = hausdorff_delta(p, tol=1e-5, depths=(args.chain_depth - 2, args.chain_depth)).delta

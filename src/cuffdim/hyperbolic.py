@@ -12,23 +12,21 @@ renormalized: the measured |u|^2 - |v|^2 of a long product cancels.
 
 Incidence computations run in the hyperboloid model of the hyperbolic
 plane: a geodesic is the trace of a plane through the origin of R^{2,1}
-with unit spacelike normal, points lift to unit timelike vectors, and all
-predicates (sides, crossings, clipping) become Minkowski inner
-products.  The disk model is kept for storage and for the boundary circle,
-where arcs are finite angular intervals.
+with unit spacelike normal, boundary points lift to light vectors, and
+chord clipping (``clip_chord``) becomes Minkowski inner products.  Points,
+geodesics and arcs have no classes here: the one octagon is held as
+arrays on ``pants.PantsGeometry`` (vertices in the disk, side and arc
+endpoints as angles on the circle).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-ENDPOINT_GAP = 1e-12  # minimal angular separation of geodesic endpoints
 
 
 class GeometryError(ValueError):
@@ -105,126 +103,6 @@ class MoebiusTransform:
     def translation_length(self) -> float:
         """2 arccosh(|tr| / 2), tr = 2 Re u; 0 for elliptic maps and the identity."""
         return 2.0 * math.acosh(max(1.0, abs(self.u.real)))
-
-
-# ---------------------------------------------------------------------------
-# Points
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point of the circle at infinity, stored as an angle in [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        t = float(self.theta) % TWO_PI
-        if t == TWO_PI:  # guard the representable 2*pi rounding case
-            t = 0.0
-        object.__setattr__(self, "theta", t)
-
-    @classmethod
-    def from_complex(cls, w: complex) -> "BoundaryPoint":
-        return cls(math.atan2(w.imag, w.real))
-
-    @property
-    def point(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """Point of the open unit disk."""
-
-    z: complex
-
-    def __post_init__(self):
-        z = complex(self.z)
-        if abs(z) >= 1.0 - 1e-12:
-            raise GeometryError(f"point is not strictly inside the disk: |z| = {abs(z)}")
-        object.__setattr__(self, "z", z)
-
-
-def _zval(p) -> complex:
-    if isinstance(p, DiskPoint):
-        return p.z
-    z = complex(p)
-    if abs(z) >= 1.0 - 1e-12:
-        raise GeometryError(f"point is not strictly inside the disk: |z| = {abs(z)}")
-    return z
-
-
-# ---------------------------------------------------------------------------
-# Hyperboloid helpers (model R^{2,1}, form x^2 + y^2 - t^2)
-
-
-def _mink(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[0] + a[1] * b[1] - a[2] * b[2])
-
-
-def _lift(z: complex) -> np.ndarray:
-    s = 1.0 - abs(z) ** 2
-    return np.array([2.0 * z.real / s, 2.0 * z.imag / s, (1.0 + abs(z) ** 2) / s])
-
-
-def _light(theta: float) -> np.ndarray:
-    return np.array([math.cos(theta), math.sin(theta), 1.0])
-
-
-# ---------------------------------------------------------------------------
-# Geodesics
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """Complete geodesic with ideal endpoints p and q.
-
-    The realized arc is the circle orthogonal to the unit circle through
-    the endpoints (a diameter when they are antipodal).  ``normal`` is the
-    unit spacelike normal of the corresponding plane in the hyperboloid
-    model, oriented by the (p, q) order.
-    """
-
-    p: BoundaryPoint
-    q: BoundaryPoint
-    is_diameter: bool = field(init=False)
-    center: complex | None = field(init=False)
-    radius: float | None = field(init=False)
-    normal: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        tp, tq = self.p.theta, self.q.theta
-        gap = min((tp - tq) % TWO_PI, (tq - tp) % TWO_PI)
-        if gap <= ENDPOINT_GAP:
-            raise GeometryError("geodesic endpoints coincide")
-        # phi the midpoint and h the half-length of the arc from p to q; unlike
-        # the cross product of the endpoints' light vectors, nothing cancels
-        h = 0.5 * ((tq - tp) % TWO_PI)
-        phi = tp + h
-        n = np.array([math.cos(phi), math.sin(phi), math.cos(h)]) / -math.sin(h)
-        object.__setattr__(self, "normal", n)
-
-        zp, zq = self.p.point, self.q.point
-        den = zp.real * zq.imag - zp.imag * zq.real
-        if abs(den) < 1e-12:
-            object.__setattr__(self, "is_diameter", True)
-            object.__setattr__(self, "center", None)
-            object.__setattr__(self, "radius", None)
-        else:
-            cx = (zq.imag - zp.imag) / den
-            cy = (zp.real - zq.real) / den
-            c = complex(cx, cy)
-            object.__setattr__(self, "is_diameter", False)
-            object.__setattr__(self, "center", c)
-            object.__setattr__(self, "radius", math.sqrt(max(abs(c) ** 2 - 1.0, 0.0)))
-
-
-def hyp_distance(z1, z2) -> float:
-    """Poincare distance between two disk points."""
-    a, b = _zval(z1), _zval(z2)
-    num = abs(a - b)
-    den = math.sqrt((1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2))
-    return 2.0 * math.asinh(num / den)
 
 
 # ---------------------------------------------------------------------------

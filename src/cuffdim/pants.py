@@ -20,6 +20,14 @@ composed into one frame per vertex, carry the origin to the vertex and
 the diameters to the two sides that meet there; the left half uses the
 mirror frames, with a and b negated.
 
+The octagon is held once, as arrays on ``PantsGeometry``: ``vertices``
+(side i runs from vertex i to vertex i + 1), ``side_ends`` (each side's
+ideal endpoint angles, in SIDE_ORDER) and ``arcs`` (the Schottky arcs'
+(lo, hi) angles, in symbol order).  The oriented side normals, the arc
+lengths and the arc endpoints are derived from them once, when the
+geometry is made; the dynamical modules read those, and
+``validate_pants`` and ``octagon_svg`` read the same arrays.
+
 Symbols are the integers ALPHA=0, ABAR=1, BETA=2, BBAR=3 with the bar
 involution s -> s ^ 1.  The boundary map on the arc of symbol s applies
 ``gens[s]``, i.e. g_alpha on arc A, its inverse on arc Abar, and so on.
@@ -33,18 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperbolic import (
-    TWO_PI,
-    BoundaryPoint,
-    DiskPoint,
-    Geodesic,
-    GeometryError,
-    MoebiusTransform,
-    _lift,
-    _light,
-    _mink,
-    hyp_distance,
-)
+from .hyperbolic import TWO_PI, GeometryError, MoebiusTransform
 
 ALPHA, ABAR, BETA, BBAR = 0, 1, 2, 3
 SYMBOL_NAMES = ("alpha", "abar", "beta", "bbar")
@@ -52,6 +49,7 @@ SYMBOL_CHARS = "aAbB"  # cover export alphabet: a=alpha, A=abar, b=beta, B=bbar
 SIDE_ORDER = ("alpha", "b", "abar", "c1", "bbar", "a", "beta", "c2")
 SEAM_SIDE_SYMBOL = {0: ALPHA, 2: ABAR, 4: BBAR, 6: BETA}  # side index -> symbol
 CUFF_SIDE_INDICES = (1, 3, 5, 7)
+ENDPOINT_GAP = 1e-12  # minimal angular separation of a side's ideal endpoints
 
 
 def bar(symbol: int) -> int:
@@ -80,54 +78,49 @@ class CuffLengths:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Counterclockwise boundary-circle interval from lo to hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        lo = float(self.lo) % TWO_PI
-        hi = float(self.hi) % TWO_PI
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not 0.0 < self.length < TWO_PI:
-            raise GeometryError(f"degenerate arc [{lo}, {hi}]")
-
-    @property
-    def length(self) -> float:
-        return (self.hi - self.lo) % TWO_PI
-
-    @property
-    def midpoint(self) -> float:
-        return (self.lo + 0.5 * self.length) % TWO_PI
+# ---------------------------------------------------------------------------
+# Hyperboloid helpers (model R^{2,1}, form x^2 + y^2 - t^2) for the side normals
 
 
-@dataclass(frozen=True)
-class OctagonSide:
-    label: str
-    geodesic: Geodesic
-    start: DiskPoint
-    end: DiskPoint
+def _mink(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
 
-    @property
-    def length(self) -> float:
-        return hyp_distance(self.start, self.end)
+
+def _lift(z: complex) -> np.ndarray:
+    s = 1.0 - abs(z) ** 2
+    return np.array([2.0 * z.real / s, 2.0 * z.imag / s, (1.0 + abs(z) ** 2) / s])
+
+
+def _side_normal(tp: float, tq: float) -> tuple[float, float, float]:
+    """Unit spacelike normal of the geodesic from angle tp to angle tq.
+
+    Built from phi, the midpoint, and h, the half-length of the boundary
+    arc from tp to tq; unlike the cross product of the endpoints' light
+    vectors, nothing cancels.
+    """
+    h = 0.5 * ((tq - tp) % TWO_PI)
+    phi = tp + h
+    d = -math.sin(h)
+    return (math.cos(phi) / d, math.sin(phi) / d, math.cos(h) / d)
 
 
 @dataclass(frozen=True, eq=False)
 class PantsGeometry:
+    """The octagon as arrays: side i runs from vertices[i] to vertices[i + 1],
+    and each arc counterclockwise from lo to hi; all angles lie in [0, 2*pi)."""
+
     cuffs: CuffLengths
     g_alpha: MoebiusTransform
     g_beta: MoebiusTransform
     axis_gap: float  # distance between the axes of g_alpha and g_beta
-    sides: tuple[OctagonSide, ...]
-    arcs: tuple[Arc, Arc, Arc, Arc]  # symbol order ALPHA, ABAR, BETA, BBAR
-    vertices: tuple[DiskPoint, ...]
+    side_ends: np.ndarray  # (8, 2)
+    arcs: np.ndarray  # (4, 2), symbol order ALPHA, ABAR, BETA, BBAR
+    vertices: np.ndarray  # (8,) complex
 
     gens: tuple[MoebiusTransform, ...] = field(init=False, repr=False)
     interior_ref: complex = field(init=False, repr=False)
+    interior_normals: np.ndarray = field(init=False, repr=False)  # (8, 3), <x, n> > 0 inside
+    arc_len: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ga, gb = self.g_alpha, self.g_beta
@@ -141,42 +134,33 @@ class PantsGeometry:
         object.__setattr__(self, "_branches", branches)
         object.__setattr__(self, "_branch_table", tuple(np.array(c) for c in zip(*branches)))
         object.__setattr__(self, "interior_ref", 1j * math.tanh(0.25 * self.axis_gap))
-        object.__setattr__(self, "_arc_lo", np.array([a.lo for a in self.arcs]))
-        object.__setattr__(self, "_arc_len", np.array([a.length for a in self.arcs]))
-        ends = tuple((cmath.exp(1j * a.lo), cmath.exp(1j * a.hi)) for a in self.arcs)
+        arcs = self.arcs.tolist()
+        object.__setattr__(self, "arc_len", np.array([(hi - lo) % TWO_PI for lo, hi in arcs]))
+        ends = tuple((cmath.exp(1j * lo), cmath.exp(1j * hi)) for lo, hi in arcs)
         object.__setattr__(self, "_arc_ends", ends)
-        ref = _lift(self.interior_ref)
-        normals = np.empty((8, 3))
-        for i, side in enumerate(self.sides):
-            n = side.geodesic.normal
+        # each side's normal, computed once and oriented towards the interior
+        ref = _lift(self.interior_ref).tolist()
+        rows = []
+        for tp, tq in self.side_ends.tolist():
+            n = _side_normal(tp, tq)
             s = _mink(ref, n)
             if s == 0.0:
                 raise GeometryError("interior reference point lies on an octagon side")
-            normals[i] = n if s > 0 else -n
-        object.__setattr__(self, "_normals", normals)
-        object.__setattr__(self, "_normal_rows", tuple(tuple(map(float, n)) for n in normals))
+            rows.append(n if s > 0 else (-n[0], -n[1], -n[2]))
+        object.__setattr__(self, "_normal_rows", tuple(rows))
+        object.__setattr__(self, "interior_normals", np.array(rows))
         object.__setattr__(self, "_cache", {})
-
-    # -- convenience lookups -------------------------------------------------
-
-    def side(self, label: str) -> OctagonSide:
-        return self.sides[SIDE_ORDER.index(label)]
-
-    @property
-    def interior_normals(self) -> np.ndarray:
-        """Octagon side normals oriented so interior points have <x, n> > 0."""
-        return self._normals
 
     # -- Schottky arcs and inverse branches, vectorised over symbols ---------
 
     def arc_point(self, sym, t):
         """Unit complex point at Chebyshev coordinate t (-1 lo, 0 midpoint, 1 hi) on arc sym."""
-        return np.exp(1j * (self._arc_lo[sym] + 0.5 * self._arc_len[sym] * (1.0 + t)))
+        return np.exp(1j * (self.arcs[sym, 0] + 0.5 * self.arc_len[sym] * (1.0 + t)))
 
     def arc_coordinate(self, sym, theta):
         """Angles on arc sym as the Chebyshev coordinate in [-1, 1]."""
-        half = 0.5 * self._arc_len[sym]
-        return ((theta - self._arc_lo[sym] - half + math.pi) % TWO_PI - math.pi) / half
+        half = 0.5 * self.arc_len[sym]
+        return ((theta - self.arcs[sym, 0] - half + math.pi) % TWO_PI - math.pi) / half
 
     def inverse_branch(self, sym, z):
         """phi_sym(z) and its denominator conj(v) z + conj(u); |phi_sym'(z)| = |den|^-2."""
@@ -211,29 +195,33 @@ def _hexagon_side(x: float, y: float, z: float) -> float:
     )
 
 
-def _side(frame: MoebiusTransform, ends: tuple[complex, complex]) -> Geodesic:
-    """Image under ``frame`` of the diameter with the given ends."""
-    return Geodesic(*(BoundaryPoint.from_complex(frame(w)) for w in ends))
+def _angle(w: complex) -> float:
+    """Angle of a boundary point in [0, 2*pi)."""
+    t = math.atan2(w.imag, w.real) % TWO_PI
+    return 0.0 if t == TWO_PI else t  # guard the representable 2*pi rounding case
 
 
-def _far_arc(g: Geodesic, interior_ref: complex) -> Arc:
-    """Ideal interval cut off by ``g`` on the side away from the octagon."""
-    ref = _lift(interior_ref)
-    orient = _mink(ref, g.normal)
-    tp, tq = g.p.theta, g.q.theta
-    mid = (tp + 0.5 * ((tq - tp) % TWO_PI)) % TWO_PI
-    far_side = _mink(_light(mid), g.normal) * orient < 0
-    if far_side:
-        return Arc(tp, tq)
-    return Arc(tq, tp)
+def _disk_point(z) -> complex:
+    """``z`` as a complex, refused unless strictly inside the disk."""
+    z = complex(z)
+    if abs(z) >= 1.0 - 1e-12:
+        raise GeometryError(f"point is not strictly inside the disk: |z| = {abs(z)}")
+    return z
 
 
-def _arcs_disjoint(arcs) -> tuple[bool, float]:
-    order = sorted(arcs, key=lambda a: a.lo)
-    gaps = []
-    for cur, nxt in zip(order, order[1:] + order[:1]):
-        gaps.append((nxt.lo - cur.hi) % TWO_PI)
-    total = sum(a.length for a in arcs) + sum(gaps)
+def _side_ends(frame: MoebiusTransform, ends: tuple[complex, complex]) -> tuple[float, float]:
+    """Endpoint angles of the image under ``frame`` of the diameter with the given ends."""
+    tp, tq = (_angle(frame(w)) for w in ends)
+    if min((tp - tq) % TWO_PI, (tq - tp) % TWO_PI) <= ENDPOINT_GAP:
+        raise GeometryError("geodesic endpoints coincide")
+    return tp, tq
+
+
+def _arcs_disjoint(arcs: np.ndarray) -> tuple[bool, float]:
+    arcs = arcs.tolist()
+    order = sorted(arcs, key=lambda a: a[0])
+    gaps = [(nxt[0] - cur[1]) % TWO_PI for cur, nxt in zip(order, order[1:] + order[:1])]
+    total = sum((hi - lo) % TWO_PI for lo, hi in arcs) + sum(gaps)
     if abs(total - TWO_PI) > 1e-6:  # an arc swallowed another
         return False, 0.0
     return min(gaps) > 0.0, min(gaps)
@@ -246,9 +234,14 @@ def build_pants(cuffs) -> PantsGeometry:
     right-angled hexagons with alternate sides a/2, b/2, c/2.  The hexagon
     law gives the seams, and four frames per half (translations along the
     axes and seams) carry the origin to the vertices and the diameters to
-    the sides.  g_beta enters the gluing inverted: the two cuff-c lifts are
-    the axes of g_alpha g_beta^-1 and g_beta^-1 g_alpha.  Any failure,
-    arithmetic ones included (tiny cuffs underflow sinh to 0), raises one
+    the sides: the seam sides are images of the vertical diameter, the
+    cuff sides of the horizontal one.  Each Schottky arc is the ideal
+    interval its seam side cuts off away from the octagon, which the
+    frames place counterclockwise from the image of i on the alpha and
+    beta sides and from the image of -i on the abar and bbar sides.
+    g_beta enters the gluing inverted: the two cuff-c lifts are the axes
+    of g_alpha g_beta^-1 and g_beta^-1 g_alpha.  Any failure, arithmetic
+    ones included (tiny cuffs underflow sinh to 0), raises one
     GeometryError naming the cuffs.
     """
     cuffs = CuffLengths.coerce(cuffs)
@@ -267,38 +260,21 @@ def build_pants(cuffs) -> PantsGeometry:
             return f_u, f_u @ _vertical_translation(e_bc), f_y, f_y @ _vertical_translation(-e_ac)
 
         right, left = frames(1.0), frames(-1.0)
-        u2, w2, y1, x1 = (DiskPoint(f(0.0)) for f in right)
-        u1, w1, y2, x2 = (DiskPoint(f(0.0)) for f in left)
-        horizontal, vertical = (1.0, -1.0), (1j, -1j)
-        s_alpha, s_abar = _side(left[0], vertical), _side(right[0], vertical)
-        s_bbar, s_beta = _side(right[2], vertical), _side(left[2], vertical)
-
-        verts = (w1, u1, u2, w2, x1, y1, y2, x2)
-        sides = (
-            OctagonSide("alpha", s_alpha, w1, u1),
-            OctagonSide("b", _side(right[0], horizontal), u1, u2),
-            OctagonSide("abar", s_abar, u2, w2),
-            OctagonSide("c1", _side(right[1], horizontal), w2, x1),
-            OctagonSide("bbar", s_bbar, x1, y1),
-            OctagonSide("a", _side(right[2], horizontal), y1, y2),
-            OctagonSide("beta", s_beta, y2, x2),
-            OctagonSide("c2", _side(left[1], horizontal), x2, w1),
-        )
-
-        interior_ref = 1j * math.tanh(0.25 * d)
-        arcs = tuple(_far_arc(s, interior_ref) for s in (s_alpha, s_abar, s_beta, s_bbar))
+        u2, w2, y1, x1 = (_disk_point(f(0.0)) for f in right)
+        u1, w1, y2, x2 = (_disk_point(f(0.0)) for f in left)
+        vertical, horizontal = (1j, -1j), (1.0, -1.0)
+        # SIDE_ORDER: alpha, b, abar, c1, bbar, a, beta, c2
+        side_frames = (left[0], right[0], right[0], right[1], right[2], right[2], left[2], left[1])
+        side_ends = np.array([
+            _side_ends(f, horizontal if i % 2 else vertical) for i, f in enumerate(side_frames)
+        ])
+        s_alpha, s_abar, s_bbar, s_beta = side_ends[[0, 2, 4, 6]]
+        arcs = np.array([s_alpha, s_abar[::-1], s_beta, s_bbar[::-1]])
         if not _arcs_disjoint(arcs)[0]:
             raise GeometryError("Schottky arcs are not pairwise disjoint")
 
-        return PantsGeometry(
-            cuffs=cuffs,
-            g_alpha=g_alpha,
-            g_beta=g_beta,
-            axis_gap=d,
-            sides=sides,
-            arcs=arcs,
-            vertices=verts,
-        )
+        verts = np.array([w1, u1, u2, w2, x1, y1, y2, x2])
+        return PantsGeometry(cuffs, g_alpha, g_beta, d, side_ends=side_ends, arcs=arcs, vertices=verts)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:  # GeometryError is a ValueError
         raise GeometryError(f"pants construction failed for cuffs {cuffs.as_tuple()}: {exc}") from exc
 
@@ -308,7 +284,6 @@ def build_pants(cuffs) -> PantsGeometry:
 
 
 # validate_pants bounds
-VERTEX_MATCH_TOL = 1e-10
 RIGHT_ANGLE_TOL = 1e-8
 SIDE_LENGTH_TOL = 1e-8
 CUFF_RECOVERY_TOL = 1e-8
@@ -340,73 +315,69 @@ class PantsReport:
         return "\n".join(lines)
 
 
+def _distance(z: complex, w: complex) -> float:
+    """Poincare distance between two disk points."""
+    den = math.sqrt((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2))
+    return 2.0 * math.asinh(abs(z - w) / den)
+
+
 def validate_pants(p: PantsGeometry) -> PantsReport:
     """Recheck every structural property of a built octagon."""
     checks = []
+    verts = p.vertices.tolist()
 
-    labels_ok = tuple(s.label for s in p.sides) == SIDE_ORDER
+    # the seam sides, in SIDE_ORDER, bound the arcs of their symbols
+    labels_ok = p.side_ends.shape == (len(SIDE_ORDER), 2) and all(
+        {*p.arcs[s].tolist()} == {*p.side_ends[i].tolist()} for i, s in SEAM_SIDE_SYMBOL.items()
+    )
     checks.append(ValidationCheck("side_labels", labels_ok, 0.0 if labels_ok else 1.0))
 
-    vres = max(
-        abs(p.sides[i].end.z - p.sides[(i + 1) % 8].start.z) for i in range(8)
-    )
-    checks.append(ValidationCheck("vertex_closure", vres <= VERTEX_MATCH_TOL, vres))
+    # side i ends where side i + 1 starts: one vertex per side closes the ring
+    closed = p.vertices.shape == (len(p.side_ends),)
+    checks.append(ValidationCheck("vertex_closure", closed, 0.0 if closed else 1.0))
 
+    rows = p._normal_rows
     ares = 0.0
     for i in range(8):
-        n1 = p.sides[i].geodesic.normal
-        n2 = p.sides[(i + 1) % 8].geodesic.normal
-        ares = max(ares, abs(_mink(n1, n2)))
+        ares = max(ares, abs(_mink(rows[i], rows[(i + 1) % 8])))
     checks.append(ValidationCheck("right_angles", ares <= RIGHT_ANGLE_TOL, ares))
 
     a, b, c = p.cuffs.as_tuple()
-    expected = {"b": b, "a": a, "c1": 0.5 * c, "c2": 0.5 * c}
-    sres = max(abs(p.side(k).length - v) for k, v in expected.items())
+    expected = {1: b, 5: a, 3: 0.5 * c, 7: 0.5 * c}  # sides b, a, c1, c2
+    sres = max(abs(_distance(verts[i], verts[(i + 1) % 8]) - v) for i, v in expected.items())
     checks.append(ValidationCheck("side_lengths", sres <= SIDE_LENGTH_TOL, sres))
 
-    recovered = (
-        abs(p.g_alpha.translation_length - b),
-        abs(p.g_beta.translation_length - a),
-        abs((p.g_alpha @ p.g_beta.inverse()).translation_length - c),
+    ga, gb = p.g_alpha, p.g_beta
+    cres = max(
+        abs(ga.translation_length - b),
+        abs(gb.translation_length - a),
+        abs((ga @ gb.inverse()).translation_length - c),
     )
-    cres = max(recovered)
-    checks.append(
-        ValidationCheck(
-            "cuff_recovery",
-            cres <= CUFF_RECOVERY_TOL,
-            cres,
-            "lengths of g_alpha, g_beta, g_alpha*g_beta^-1 vs (b, a, c)",
-        )
-    )
+    note = "lengths of g_alpha, g_beta, g_alpha*g_beta^-1 vs (b, a, c)"
+    checks.append(ValidationCheck("cuff_recovery", cres <= CUFF_RECOVERY_TOL, cres, note))
 
     ok, gap = _arcs_disjoint(p.arcs)
-    checks.append(
-        ValidationCheck("arcs_disjoint", ok and gap > 0.0, -gap, f"min gap {gap:.3e}")
-    )
+    checks.append(ValidationCheck("arcs_disjoint", ok and gap > 0.0, -gap, f"min gap {gap:.3e}"))
 
-    gres = _gluing_residual(p)
+    gres = _gluing_residual(p, verts)
     checks.append(ValidationCheck("gluing", gres <= GLUING_TOL, gres))
 
     return PantsReport(checks=tuple(checks))
 
 
-def _gluing_residual(p: PantsGeometry) -> float:
+def _gluing_residual(p: PantsGeometry, verts: list[complex]) -> float:
+    # g_alpha carries side alpha (vertices 0 -> 1) onto side abar (2 -> 3)
+    # reversed, and g_beta side beta (6 -> 7) onto side bbar (4 -> 5)
     ga, gb = p.g_alpha, p.g_beta
-    s_alpha, s_abar = p.side("alpha"), p.side("abar")
-    s_beta, s_bbar = p.side("beta"), p.side("bbar")
-    res = [
-        abs(ga(s_alpha.start.z) - s_abar.end.z),
-        abs(ga(s_alpha.end.z) - s_abar.start.z),
-        abs(gb(s_beta.start.z) - s_bbar.end.z),
-        abs(gb(s_beta.end.z) - s_bbar.start.z),
-    ]
+    res = [abs(g(verts[i]) - verts[j]) for g, i, j in ((ga, 0, 3), (ga, 1, 2), (gb, 6, 5), (gb, 7, 4))]
     # phi_tau maps the arc of tau onto the complement of the bar(tau) arc,
     # sending the lo endpoint to the other arc's hi endpoint.
+    arcs = p.arcs.tolist()
     for sym in range(4):
-        arc_t, arc_b = p.arcs[sym], p.arcs[bar(sym)]
+        (lo_t, hi_t), (lo_b, hi_b) = arcs[sym], arcs[bar(sym)]
         g = p.gens[sym]
-        res.append(abs(g(np.exp(1j * arc_t.lo)) - np.exp(1j * arc_b.hi)))
-        res.append(abs(g(np.exp(1j * arc_t.hi)) - np.exp(1j * arc_b.lo)))
+        res.append(abs(g(np.exp(1j * lo_t)) - np.exp(1j * hi_b)))
+        res.append(abs(g(np.exp(1j * hi_t)) - np.exp(1j * lo_b)))
     return max(res)
 
 
@@ -421,15 +392,26 @@ def _svg_xy(z: complex) -> tuple[float, float]:
     return half + 0.46 * SVG_SIZE * z.real, half - 0.46 * SVG_SIZE * z.imag
 
 
-def _svg_arc_path(g: Geodesic, z0: complex, z1: complex) -> str:
+def _svg_circle(tp: float, tq: float) -> tuple[complex, float] | None:
+    """Centre and radius of the circle orthogonal to the unit circle through
+    the ideal points at angles tp and tq; None when they are antipodal (a diameter)."""
+    zp, zq = cmath.exp(1j * tp), cmath.exp(1j * tq)
+    den = zp.real * zq.imag - zp.imag * zq.real
+    if abs(den) < 1e-12:
+        return None
+    centre = complex((zq.imag - zp.imag) / den, (zp.real - zq.real) / den)
+    return centre, math.sqrt(max(abs(centre) ** 2 - 1.0, 0.0))
+
+
+def _svg_arc_path(ends: tuple[float, float], z0: complex, z1: complex) -> str:
     x0, y0 = _svg_xy(z0)
     x1, y1 = _svg_xy(z1)
-    if g.is_diameter:
+    circle = _svg_circle(*ends)
+    if circle is None:
         return f"M {x0:.3f} {y0:.3f} L {x1:.3f} {y1:.3f}"
-    r = g.radius * 0.46 * SVG_SIZE
-    cross = (z0 - g.center).real * (z1 - g.center).imag - (z0 - g.center).imag * (
-        z1 - g.center
-    ).real
+    centre, radius = circle
+    r = radius * 0.46 * SVG_SIZE
+    cross = (z0 - centre).real * (z1 - centre).imag - (z0 - centre).imag * (z1 - centre).real
     sweep = 0 if cross > 0 else 1  # svg y-axis points down
     return f"M {x0:.3f} {y0:.3f} A {r:.3f} {r:.3f} 0 0 {sweep} {x1:.3f} {y1:.3f}"
 
@@ -452,31 +434,28 @@ def octagon_svg(p: PantsGeometry, report: PantsReport) -> str:
         f'<circle cx="{half:.3f}" cy="{half:.3f}" r="{0.46 * size:.3f}" '
         'fill="none" stroke="#999" stroke-width="1"/>'
     )
-    for side in p.sides:
-        path = _svg_arc_path(side.geodesic, side.start.z, side.end.z)
+    verts = p.vertices.tolist()
+    for i, (label, ends) in enumerate(zip(SIDE_ORDER, p.side_ends.tolist())):
+        start, end = verts[i], verts[(i + 1) % 8]
+        path = _svg_arc_path(ends, start, end)
         out.append(f'<path d="{path}" fill="none" stroke="#114" stroke-width="1.6"/>')
-        mid = 0.55 * (side.start.z + side.end.z)
-        x, y = _svg_xy(mid)
+        x, y = _svg_xy(0.55 * (start + end))
         out.append(
             f'<text x="{x:.3f}" y="{y:.3f}" font-size="14" fill="#114" '
-            f'text-anchor="middle">{side.label}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
-    for sym in range(4):
-        arc = p.arcs[sym]
-        steps = max(2, int(arc.length / 0.05))
-        pts = [
-            _svg_xy(np.exp(1j * (arc.lo + arc.length * k / steps)))
-            for k in range(steps + 1)
-        ]
+    for sym, ((lo, _), length) in enumerate(zip(p.arcs.tolist(), p.arc_len.tolist())):
+        steps = max(2, int(length / 0.05))
+        pts = [_svg_xy(np.exp(1j * (lo + length * k / steps))) for k in range(steps + 1)]
         d = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in pts)
         out.append(f'<path d="{d}" fill="none" stroke="#b22" stroke-width="4"/>')
-        x, y = _svg_xy(1.08 * np.exp(1j * arc.midpoint))
+        x, y = _svg_xy(1.08 * np.exp(1j * ((lo + 0.5 * length) % TWO_PI)))
         out.append(
             f'<text x="{x:.3f}" y="{y:.3f}" font-size="13" fill="#b22" '
             f'text-anchor="middle">{SYMBOL_NAMES[sym]}</text>'
         )
-    for v in p.vertices:
-        x, y = _svg_xy(v.z)
+    for v in verts:
+        x, y = _svg_xy(v)
         out.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="#114"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

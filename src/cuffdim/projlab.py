@@ -169,7 +169,12 @@ def four_corner_cover(n: int) -> BoxCover:
 
 
 def segment_cover(n: int) -> BoxCover:
-    """Rectifiable control: 2^n boxes of side 2^-n along the main diagonal."""
+    """Rectifiable control: 2^n boxes of side 2^-n along the main diagonal.
+
+    Depths run in [1, 20]: 2^20 boxes, the four-corner cover's 4^10.
+    """
+    if not 1 <= n <= 20:
+        raise GeometryError(f"segment depth {n} outside [1, 20]")
     k = np.arange(2**n) / 2.0**n
     side = 2.0 ** -n
     return BoxCover(label=f"segment-{n}", depth=n, blocks=((k, k + side, k, k + side),))

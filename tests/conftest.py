@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cuffdim import build_pants
-from cuffdim.hyperbolic import BoundaryPoint, Geodesic, MoebiusTransform
+from cuffdim.hyperbolic import MoebiusTransform
 
 # cuff length of the symmetric pants whose limit set has dimension 1/2,
 # solved once by the locus routine and frozen for reuse across tests
@@ -37,7 +37,7 @@ def trace(m: MoebiusTransform) -> float:
 class IsometryInfo:
     kind: str  # identity | elliptic | parabolic | hyperbolic
     translation_length: float
-    axis: Geodesic | None
+    axis: tuple[complex, complex] | None  # ideal endpoints (attracting, repelling)
     fixed_points: tuple[complex, ...]
 
 
@@ -59,8 +59,7 @@ def classify_isometry(m: MoebiusTransform) -> IsometryInfo:
     s = math.sqrt(m.u.real ** 2 - 1.0)
     att = (1j * m.u.imag + s) / m.v.conjugate()
     rep = (1j * m.u.imag - s) / m.v.conjugate()
-    axis = Geodesic(BoundaryPoint.from_complex(att), BoundaryPoint.from_complex(rep))
-    return IsometryInfo("hyperbolic", 2.0 * math.acosh(0.5 * tr), axis, (att, rep))
+    return IsometryInfo("hyperbolic", 2.0 * math.acosh(0.5 * tr), (att, rep), (att, rep))
 
 
 def random_disk_point(rng: np.random.Generator, rmax: float = 0.93) -> complex:

@@ -332,15 +332,31 @@ def test_invalid_config_gives_json_error_on_stderr(workdir, capsys):
         (["delta", "--cuffs", "0.0003,0.001,20", "--depths", "4,6"],
          "cuffs (0.0003, 0.001, 20.0) at 16 nodes"),
         # a ladder that repeats or descends reported converged with gap 0 or a
-        # coarser root; delta-scan --depth 4 builds (4, 4)
+        # coarser root
         (["delta", "--cuffs", "0.2,1,12", "--depths", "4,4"],
          "collocation levels (4, 4) do not strictly increase"),
         (["delta", "--cuffs", "2,2,2", "--depths", "8,4"], "levels (8, 4)"),
         (["locus", "--symmetric", "--target", "0.5", "--depths", "6,6"], "levels (6, 6)"),
+        # delta-scan --depth 4 built the ladder (4, 4) and 11 a level past 10,
+        # and the errors named levels rather than the option
         (["delta-scan", "--symmetric", "2:2:1", "--depth", "4", "--out", "s.csv"],
-         "levels (4, 4)"),
+         "--depth 4 outside [5, 10]"),
         (["delta-scan", "--symmetric", "2:2:1", "--depth", "3", "--out", "s.csv"],
-         "levels (4, 3)"),
+         "--depth 3 outside [5, 10]"),
+        (["delta-scan", "--symmetric", "2:2:1", "--depth", "11", "--out", "s.csv"],
+         "--depth 11 outside [5, 10]"),
+        # --chain-depth 3 ran a delta solve and built a chain before it failed
+        (["sample-cs", "--cuffs", "2,2,2", "--chain-depth", "3", "--count", "20000", "--out", "c.bin"],
+         "--chain-depth 3 outside [4, 10]"),
+        (["sample-cs", "--cuffs", "2,2,2", "--chain-depth", "11", "--count", "20000", "--out", "c.bin"],
+         "--chain-depth 11 outside [4, 10]"),
+        # numpy's _ArrayMemoryError asked for 8 TiB, with a traceback and exit 1
+        (["favard", "--fixture", "segment", "--depths", "40:40", "--grid", "16", "--out", "f.csv"],
+         "segment depth 40 outside [1, 20]"),
+        (["favard", "--fixture", "segment", "--depths", "21:21", "--grid", "16", "--out", "f.csv"],
+         "segment depth 21 outside [1, 20]"),
+        (["favard", "--fixture", "segment", "--depths", "0:0", "--grid", "16", "--out", "f.csv"],
+         "segment depth 0 outside [1, 20]"),
     ]
     for argv, named in cases:
         status = run(argv)

@@ -106,7 +106,7 @@ def _ratio_range(p, s, m, grid=4000):
 
     lo, hi = math.inf, -math.inf
     for j in range(4):
-        theta = p._arc_lo[j] + p._arc_len[j] * np.linspace(0.0, 1.0, grid)
+        theta = p.arcs[j, 0] + p.arc_len[j] * np.linspace(0.0, 1.0, grid)
         z = np.exp(1j * theta)
         lh = np.zeros(grid)
         for tau in range(4):
@@ -165,7 +165,7 @@ def test_barycentric_rows_reproduce_polynomials():
 def test_branch_images_land_in_their_arc(pants123):
     x, _ = thermo.chebyshev_nodes(16)
     for j in range(4):
-        z = np.exp(1j * (pants123._arc_lo[j] + 0.5 * pants123._arc_len[j] * (1.0 + x)))
+        z = np.exp(1j * (pants123.arcs[j, 0] + 0.5 * pants123.arc_len[j] * (1.0 + x)))
         assert np.all(np.abs(pants123.arc_coordinate(j, np.angle(z))) < 1.0)
         for tau in range(4):
             if tau == j ^ 1:

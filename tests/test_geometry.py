@@ -1,5 +1,6 @@
-"""Geodesics, normals, distances and chord clipping."""
+"""Side circles, normals, distances and chord clipping."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -10,31 +11,28 @@ from cuffdim import build_pants
 from cuffdim.hyperbolic import (
     CLIP_BLOCK,
     CLIP_EPS,
-    BoundaryPoint,
-    DiskPoint,
-    Geodesic,
     GeometryError,
+    MoebiusTransform,
     clip_chord,
-    hyp_distance,
     lift_light,
 )
+from cuffdim.pants import _angle, _disk_point, _distance, _side_ends, _side_normal, _svg_circle
 
 from conftest import A_HALF, random_disk_point, random_mobius
 
 
 def test_diameters_from_antipodal_endpoints():
-    g = Geodesic(BoundaryPoint(0.0), BoundaryPoint(math.pi))
-    assert g.is_diameter
-    v = Geodesic(BoundaryPoint(math.pi / 2), BoundaryPoint(3 * math.pi / 2))
-    assert v.is_diameter
+    assert _svg_circle(0.0, math.pi) is None
+    assert _svg_circle(math.pi / 2, 3 * math.pi / 2) is None
 
 
 def test_quarter_arc_center_and_orthogonality():
-    g = Geodesic(BoundaryPoint(0.0), BoundaryPoint(math.pi / 2))
-    assert not g.is_diameter
-    assert abs(g.center - (1.0 + 1.0j)) < 1e-12
+    circle = _svg_circle(0.0, math.pi / 2)
+    assert circle is not None
+    center, radius = circle
+    assert abs(center - (1.0 + 1.0j)) < 1e-12
     # orthogonal circles satisfy |center|^2 = 1 + radius^2
-    assert abs(abs(g.center) ** 2 - 1.0 - g.radius**2) < 1e-10
+    assert abs(abs(center) ** 2 - 1.0 - radius**2) < 1e-10
 
 
 def test_random_arcs_meet_circle_orthogonally():
@@ -42,39 +40,43 @@ def test_random_arcs_meet_circle_orthogonally():
     for _ in range(50):
         a = rng.uniform(0.0, 2.0 * math.pi)
         b = a + rng.uniform(0.1, math.pi - 0.1)
-        g = Geodesic(BoundaryPoint(a), BoundaryPoint(b))
-        if g.is_diameter:
+        circle = _svg_circle(a, b)
+        if circle is None:
             continue
-        assert abs(abs(g.center) ** 2 - 1.0 - g.radius**2) < 1e-10
+        center, radius = circle
+        assert abs(abs(center) ** 2 - 1.0 - radius**2) < 1e-10
 
 
 def test_coincident_endpoints_rejected():
-    with pytest.raises(GeometryError):
-        Geodesic(BoundaryPoint(1.0), BoundaryPoint(1.0))
+    w = cmath.exp(1j)
+    with pytest.raises(GeometryError, match="geodesic endpoints coincide"):
+        _side_ends(MoebiusTransform(1.0, 0.0), (w, w))
 
 
 def test_boundary_point_normalization():
-    assert BoundaryPoint(2.0 * math.pi + 0.5).theta == pytest.approx(0.5)
-    assert 0.0 <= BoundaryPoint(-1.0).theta < 2.0 * math.pi
+    assert _angle(cmath.exp(1j * (2.0 * math.pi + 0.5))) == pytest.approx(0.5)
+    assert 0.0 <= _angle(cmath.exp(-1j)) < 2.0 * math.pi
+    # atan2 of -1e-300 reduces to exactly 2*pi, which the guard maps to 0
+    assert _angle(complex(1.0, -1e-300)) == 0.0
 
 
 def test_disk_point_rejects_boundary():
     with pytest.raises(GeometryError):
-        DiskPoint(1.0 + 0.0j)
+        _disk_point(1.0 + 0.0j)
     with pytest.raises(GeometryError):
-        DiskPoint(0.9999999999999j * 1.0000000001)
+        _disk_point(0.9999999999999j * 1.0000000001)
 
 
 def test_hyp_distance_closed_form_and_axioms():
-    assert hyp_distance(0.3 + 0.1j, 0.3 + 0.1j) == 0.0
+    assert _distance(0.3 + 0.1j, 0.3 + 0.1j) == 0.0
     r = 0.5
-    assert abs(hyp_distance(0.0j, r + 0.0j) - math.log((1 + r) / (1 - r))) < 1e-14
+    assert abs(_distance(0.0j, r + 0.0j) - math.log((1 + r) / (1 - r))) < 1e-14
     rng = np.random.default_rng(22)
     for _ in range(30):
         z1, z2, z3 = (random_disk_point(rng) for _ in range(3))
-        d12 = hyp_distance(z1, z2)
-        assert abs(d12 - hyp_distance(z2, z1)) < 1e-13
-        assert d12 <= hyp_distance(z1, z3) + hyp_distance(z3, z2) + 1e-12
+        d12 = _distance(z1, z2)
+        assert abs(d12 - _distance(z2, z1)) < 1e-13
+        assert d12 <= _distance(z1, z3) + _distance(z3, z2) + 1e-12
 
 
 def test_hyp_distance_mobius_invariant():
@@ -82,7 +84,7 @@ def test_hyp_distance_mobius_invariant():
     for _ in range(30):
         m = random_mobius(rng)
         z1, z2 = random_disk_point(rng), random_disk_point(rng)
-        assert abs(hyp_distance(m(z1), m(z2)) - hyp_distance(z1, z2)) < 1e-10
+        assert abs(_distance(m(z1), m(z2)) - _distance(z1, z2)) < 1e-10
 
 
 @pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3, 1.0, math.pi, 6.0])
@@ -90,13 +92,14 @@ def test_normal_matches_extended_precision(gap):
     # the cross product of the endpoints' light vectors can lose the sign of
     # <n, n> at gaps near 1e-6; the arc's midpoint and half-length lose nothing
     for t in np.random.default_rng(21).uniform(0.0, 2.0 * math.pi, 20):
-        g = Geodesic(BoundaryPoint(t), BoundaryPoint(t + gap))
+        tp, tq = t % (2.0 * math.pi), (t + gap) % (2.0 * math.pi)
+        normal = np.array(_side_normal(tp, tq))
         with mp.workdps(50):
-            tp, tq = mp.mpf(g.p.theta), mp.mpf(g.q.theta)
+            tp, tq = mp.mpf(tp), mp.mpf(tq)
             n = [mp.sin(tp) - mp.sin(tq), mp.cos(tq) - mp.cos(tp), -mp.sin(tq - tp)]
             scale = mp.sqrt(n[0] ** 2 + n[1] ** 2 - n[2] ** 2)
             want = np.array([float(x / scale) for x in n])
-        assert np.max(np.abs(g.normal - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(normal - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _clip_chord_oracle(l_back, l_fwd, normals):

@@ -105,7 +105,8 @@ def test_classify_halfplane_translation_standard_form():
     info = classify_isometry(m)
     assert info.kind == "hyperbolic"
     assert abs(info.translation_length - t) < 1e-12
-    assert info.axis is not None and info.axis.is_diameter
+    # a diameter: the axis's ideal endpoints are antipodal
+    assert info.axis is not None and abs(info.axis[0] + info.axis[1]) < 1e-12
 
 
 def test_classify_parabolic_and_elliptic():

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from cuffdim import pants as pants_mod
-from cuffdim.hyperbolic import TWO_PI, GeometryError, MoebiusTransform, _lift
+from cuffdim.hyperbolic import TWO_PI, GeometryError, MoebiusTransform
 from cuffdim.pants import (
     ABAR,
     ALPHA,
@@ -19,6 +20,7 @@ from cuffdim.pants import (
     SIDE_ORDER,
     SYMBOL_NAMES,
     CuffLengths,
+    _lift,
     bar,
     build_pants,
     octagon_svg,
@@ -77,9 +79,9 @@ def test_build_symmetric_pants_validates(pants222):
     report = validate_pants(pants222)
     assert report.passed, report.summary()
     # reflection across the vertical diameter pairs each arc with its bar
-    arcs = pants222.arcs
-    assert abs(arcs[ALPHA].length - arcs[ABAR].length) < 1e-12
-    assert abs(arcs[BETA].length - arcs[BBAR].length) < 1e-12
+    arc_len = pants222.arc_len
+    assert abs(arc_len[ALPHA] - arc_len[ABAR]) < 1e-12
+    assert abs(arc_len[BETA] - arc_len[BBAR]) < 1e-12
 
 
 def mp_hexagon_vertices(a, b, c):
@@ -115,8 +117,8 @@ def vertex_error(p) -> float:
     with mp.workdps(50):
         assert abs(p.axis_gap - d) <= 1e-14 * d
         return float(max(
-            2 * mp.asinh(abs(v.z - w) / mp.sqrt((1 - abs(mp.mpc(v.z)) ** 2) * (1 - abs(w) ** 2)))
-            for v, w in zip(p.vertices, want)
+            2 * mp.asinh(abs(v - w) / mp.sqrt((1 - abs(mp.mpc(v)) ** 2) * (1 - abs(w) ** 2)))
+            for v, w in zip(p.vertices.tolist(), want)
         ))
 
 
@@ -138,8 +140,8 @@ def test_canonical_placement(pants222):
     assert abs(att - 1.0) < 1e-12
     assert abs(rep + 1.0) < 1e-12
     # the octagon side on that axis is centered at the origin
-    side_b = p.side("b")
-    assert abs(side_b.start.z + side_b.end.z) < 1e-12
+    b_start, b_end = p.vertices[1], p.vertices[2]
+    assert abs(b_start + b_end) < 1e-12
     # interior reference point on the vertical diameter is inside
     assert np.all(p.interior_normals @ (_lift(p.interior_ref) * [1.0, 1.0, -1.0]) > 0.0)
 
@@ -153,30 +155,42 @@ def test_validate_many_random_triples():
 
 
 def test_octagon_labels_and_vertex_sharing(pants123):
-    sides = pants123.sides
-    assert tuple(s.label for s in sides) == SIDE_ORDER
+    # side i runs from vertex i to vertex i + 1; the seam sides, in
+    # SIDE_ORDER, bound the arcs of their symbols
+    p = pants123
+    assert p.side_ends.shape == (len(SIDE_ORDER), 2) and p.vertices.shape == (8,)
+    for i, sym in pants_mod.SEAM_SIDE_SYMBOL.items():
+        assert {*p.side_ends[i]} == {*p.arcs[sym]}
+    # each vertex lies on the two sides that meet there
     for i in range(8):
-        gap = abs(sides[i].end.z - sides[(i + 1) % 8].start.z)
-        assert gap < 1e-10
+        lift = _lift(p.vertices[(i + 1) % 8]) * [1.0, 1.0, -1.0]
+        for side in (i, (i + 1) % 8):
+            assert abs(p.interior_normals[side] @ lift) < 1e-10 * np.linalg.norm(lift)
+
+
+def side_length(p, label) -> float:
+    """Poincare distance between the two vertices of a side."""
+    i = SIDE_ORDER.index(label)
+    return pants_mod._distance(p.vertices[i], p.vertices[(i + 1) % 8])
 
 
 def test_cuff_c_is_split_into_equal_halves(pants123):
     a, b, c = pants123.cuffs.as_tuple()
-    assert abs(pants123.side("c1").length - c / 2) < 1e-8
-    assert abs(pants123.side("c2").length - c / 2) < 1e-8
-    assert abs(pants123.side("a").length - a) < 1e-8
-    assert abs(pants123.side("b").length - b) < 1e-8
+    assert abs(side_length(pants123, "c1") - c / 2) < 1e-8
+    assert abs(side_length(pants123, "c2") - c / 2) < 1e-8
+    assert abs(side_length(pants123, "a") - a) < 1e-8
+    assert abs(side_length(pants123, "b") - b) < 1e-8
 
 
 def test_gluing_maps_sides_endpoint_to_endpoint(pants123):
     p = pants123
-    s_alpha, s_abar = p.side("alpha"), p.side("abar")
+    # side i runs from vertex i to vertex i + 1: alpha 0, abar 2, bbar 4, beta 6
+    v = p.vertices
     # g_alpha carries the alpha side onto the abar side
-    assert abs(p.g_alpha(s_alpha.start.z) - s_abar.end.z) < 1e-9
-    assert abs(p.g_alpha(s_alpha.end.z) - s_abar.start.z) < 1e-9
-    s_beta, s_bbar = p.side("beta"), p.side("bbar")
-    assert abs(p.g_beta(s_beta.start.z) - s_bbar.end.z) < 1e-9
-    assert abs(p.g_beta(s_beta.end.z) - s_bbar.start.z) < 1e-9
+    assert abs(p.g_alpha(v[0]) - v[3]) < 1e-9
+    assert abs(p.g_alpha(v[1]) - v[2]) < 1e-9
+    assert abs(p.g_beta(v[6]) - v[5]) < 1e-9
+    assert abs(p.g_beta(v[7]) - v[4]) < 1e-9
 
 
 def min_arc_gap(report) -> float:
@@ -188,7 +202,7 @@ def min_arc_gap(report) -> float:
 
 def test_schottky_arcs_disjoint_with_positive_gaps(pants222):
     assert len(pants222.arcs) == 4
-    total = sum(a.length for a in pants222.arcs)
+    total = sum(pants222.arc_len)
     assert total < 2.0 * math.pi
     assert min_arc_gap(validate_pants(pants222)) > 0.0
 
@@ -204,10 +218,10 @@ def test_arc_image_endpoints(pants222):
     # lo endpoint to the other arc's hi endpoint and vice versa
     p = pants222
     for sym in range(4):
-        arc_t, arc_b = p.arcs[sym], p.arcs[bar(sym)]
+        (lo_t, hi_t), (lo_b, hi_b) = p.arcs[sym], p.arcs[bar(sym)]
         g = p.gens[sym]
-        assert abs(g(np.exp(1j * arc_t.lo)) - np.exp(1j * arc_b.hi)) < 1e-9
-        assert abs(g(np.exp(1j * arc_t.hi)) - np.exp(1j * arc_b.lo)) < 1e-9
+        assert abs(g(np.exp(1j * lo_t)) - np.exp(1j * hi_b)) < 1e-9
+        assert abs(g(np.exp(1j * hi_t)) - np.exp(1j * lo_b)) < 1e-9
 
 
 def test_fixed_points_sit_in_the_arcs(pants222):
@@ -218,14 +232,14 @@ def test_fixed_points_sit_in_the_arcs(pants222):
         att, rep = classify_isometry(g).fixed_points
         t_att = math.atan2(att.imag, att.real)
         t_rep = math.atan2(rep.imag, rep.real)
-        for arc, t in ((p.arcs[sym], t_rep), (p.arcs[bar(sym)], t_att)):
-            assert (t - arc.lo) % TWO_PI < arc.length
+        for s, t in ((sym, t_rep), (bar(sym), t_att)):
+            assert (t - p.arcs[s, 0]) % TWO_PI < p.arc_len[s]
 
 
 def test_expansion_step_outside_arcs_is_identity(pants222):
     sym, image, deriv = expansion_map_step(pants222, 1.5 * math.pi)
     assert sym is None
-    assert image.theta == pytest.approx(1.5 * math.pi)
+    assert image == pytest.approx(1.5 * math.pi)
     assert deriv == 1.0
 
 
@@ -234,7 +248,7 @@ def test_expansion_step_at_repelling_fixed_point(pants222):
     t = math.atan2(rep.imag, rep.real) % (2.0 * math.pi)
     sym, image, deriv = expansion_map_step(pants222, t)
     assert sym == ALPHA
-    assert abs(image.theta - t) < 1e-12 or abs(image.theta - t) > 2 * math.pi - 1e-12
+    assert abs(image - t) < 1e-12 or abs(image - t) > 2 * math.pi - 1e-12
     assert deriv > 1.0
     # the multiplier at the repelling point equals e^(translation length)
     assert abs(deriv - math.exp(2.0)) < 1e-9
@@ -243,8 +257,7 @@ def test_expansion_step_at_repelling_fixed_point(pants222):
 def test_expansion_derivative_exceeds_one_inside_arcs(pants222):
     margins = []
     for sym in range(4):
-        arc = pants222.arcs[sym]
-        ts = arc.lo + arc.length * np.linspace(0.005, 0.995, 100)
+        ts = pants222.arcs[sym, 0] + pants222.arc_len[sym] * np.linspace(0.005, 0.995, 100)
         derivs = np.array([expansion_map_step(pants222, t)[2] for t in ts])
         assert np.all(derivs > 1.0)
         margins.append(derivs.min() - 1.0)
@@ -284,8 +297,8 @@ def test_ping_pong_nesting_exhaustive_to_depth_four(pants222):
         assert np.all(lo_rel + cov.lengths <= parent.lengths[pidx] + 1e-12)
         # word arcs stay inside the arc of their first symbol
         first = cov.words[:, 0].astype(np.int64)
-        arc_lo = np.array([pants222.arcs[s].lo for s in range(4)])[first]
-        arc_len = np.array([pants222.arcs[s].length for s in range(4)])[first]
+        arc_lo = pants222.arcs[first, 0]
+        arc_len = pants222.arc_len[first]
         rel = (cov.lo - arc_lo) % (2.0 * math.pi)
         assert np.all(rel + cov.lengths <= arc_len + 1e-12)
 
@@ -311,9 +324,9 @@ def test_construction_is_bit_deterministic():
     assert p1.g_beta.u == p2.g_beta.u and p1.g_beta.v == p2.g_beta.v
     assert p1.axis_gap == p2.axis_gap
     for v1, v2 in zip(p1.vertices, p2.vertices):
-        assert v1.z == v2.z
-    for a1, a2 in zip(p1.arcs, p2.arcs):
-        assert a1.lo == a2.lo and a1.hi == a2.hi
+        assert v1 == v2
+    for (lo1, hi1), (lo2, hi2) in zip(p1.arcs, p2.arcs):
+        assert lo1 == lo2 and hi1 == hi2
 
 
 def test_tampered_generator_fails_validation(pants222):
@@ -361,6 +374,49 @@ def test_svg_emission(pants111):
     assert "validation:" in svg
     p = build_pants((1.0, 1.0, 1.0))
     assert svg == octagon_svg(p, validate_pants(p))
+
+
+# SHA-256 of (float.hex of the vertices, interior normals and arc ends;
+# the validator's names, flags, residuals and notes; the octagon_svg text),
+# taken before the octagon was held as arrays.  (5, 12, 20) and
+# (20, 0.01, 0.05) fail the validator.
+OCTAGON_DIGESTS = {
+    (2.0, 2.0, 2.0): (
+        "efdfbfbc5cee3e0dff5665aa38b7b4dc35dbad7c2096806444676c31a7752631",
+        "1c84832a4af4c77eb28e32a1b3ac26febf4ba0fd506dcb3e76f28182b9fcacd2",
+        "ae47fbbb7ab228df0d2cd6e165d934c8a84f02bd472b662a5f2526e70e0459bb",
+    ),
+    (0.2, 1.0, 12.0): (
+        "d26f5d8f886713b8092e653fa9086e4dba993a71f19fe39ff78e43928b3a983c",
+        "d5e5cf901f3f491d2be514c4f169796ae2d187c6dbf29cfd1f4551155c972049",
+        "422727afd74dc43b60b08dc890ad0ec90c352a1fd709ef79093667034f07529e",
+    ),
+    (5.0, 12.0, 20.0): (
+        "aa5219f49366305658dcdedb845307e0ff3e58b3d388c88496dcc6503e0b9f77",
+        "ae92a471daf96fc2d2fe439b3918da4d021048d48ebe0891da511455364a0972",
+        "1595266d89a9e549bd38b2d319137ca1e4f52babcd212cb76d9aa3d77a163eea",
+    ),
+    (20.0, 0.01, 0.05): (
+        "041f738ccad22ab28488d6ed9a160b4abb6a0fde059bc748df8e40f8b661dac9",
+        "2426b9c20f01cb404c848dd8af555a085bbe3705b12017f095ff5b8b486af08b",
+        "2105f0ce6731e42619a2847c5ac896cdee4d8592b889a8208fb2d959607d0296",
+    ),
+}
+
+
+@pytest.mark.parametrize("cuffs", list(OCTAGON_DIGESTS))
+def test_octagon_bytes_are_pinned(cuffs):
+    p = build_pants(cuffs)
+    report = validate_pants(p)
+    geometry = [x.hex() for z in p.vertices.tolist() for x in (z.real, z.imag)]
+    geometry += [x.hex() for row in p.interior_normals.tolist() for x in row]
+    geometry += [x.hex() for ends in p._arc_ends for z in ends for x in (z.real, z.imag)]
+    checks = [f"{c.name} {bool(c.passed)} {float(c.residual).hex()} {c.note}" for c in report.checks]
+    got = tuple(
+        hashlib.sha256("\n".join(text).encode()).hexdigest()
+        for text in (geometry, checks, [octagon_svg(p, report)])
+    )
+    assert got == OCTAGON_DIGESTS[cuffs]
 
 
 def test_svg_size_is_the_module_constant(pants111, monkeypatch):

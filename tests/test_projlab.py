@@ -120,6 +120,15 @@ def test_segment_control_favard_stable():
     assert min(favs) > 0.5  # positivity floor for a rectifiable set
 
 
+def test_segment_depth_is_bounded():
+    # depth 40 asked numpy for 8 TiB; 2^20 boxes equal the four-corner maximum 4^10
+    for n in (0, 21, 40):
+        with pytest.raises(GeometryError, match=rf"segment depth {n} outside \[1, 20\]"):
+            segment_cover(n)
+    assert segment_cover(1).n_boxes == 2
+    assert segment_cover(20).n_boxes == 2**20
+
+
 def test_projection_refinement_monotone(pants222):
     lams = lambda_grid(32)
     l3 = project_lengths(product_cover(pants222, 3), lams)

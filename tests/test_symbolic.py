@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from cuffdim.hyperbolic import TWO_PI, GeometryError, BoundaryPoint
+from cuffdim.hyperbolic import TWO_PI, GeometryError
 from cuffdim import symbolic
-from cuffdim.pants import ABAR, ALPHA, BBAR, BETA, bar
+from cuffdim.pants import ABAR, ALPHA, BBAR, BETA, _angle, bar
 from cuffdim.symbolic import (
     CylinderCover,
     GeodesicPair,
@@ -39,27 +39,27 @@ def expansion_map_step(p, t):
     Points outside the four arcs are fixed with derivative 1 and symbol
     None; arc membership uses the half-open convention [lo, hi).
     """
-    theta = t.theta if isinstance(t, BoundaryPoint) else float(t) % TWO_PI
+    theta = float(t) % TWO_PI
     for sym in range(4):
-        arc, g = p.arcs[sym], p.gens[sym]
-        if (theta - arc.lo) % TWO_PI < arc.length:
+        g = p.gens[sym]
+        if (theta - p.arcs[sym, 0]) % TWO_PI < p.arc_len[sym]:
             z = cmath.exp(1j * theta)
             w = g(z)
             deriv = 1.0 / abs(g.v.conjugate() * z + g.u.conjugate()) ** 2
-            return sym, BoundaryPoint(math.atan2(w.imag, w.real)), deriv
-    return None, BoundaryPoint(theta), 1.0
+            return sym, _angle(w), deriv
+    return None, theta, 1.0
 
 
 def boundary_expansion(p, t, max_n):
     """Itinerary of a circle point under the boundary map, up to max_n symbols."""
-    theta = t.theta if isinstance(t, BoundaryPoint) else float(t) % TWO_PI
+    theta = float(t) % TWO_PI
     out = []
     for _ in range(max_n):
         sym, image, _ = expansion_map_step(p, theta)
         if sym is None:
             break
         out.append(sym)
-        theta = image.theta
+        theta = image
     return tuple(out)
 
 
@@ -121,8 +121,8 @@ def test_cover_depth_one_is_the_arc_system(pants222):
     cov = cylinder_cover(pants222, 1)
     assert cov.n_words == 4
     for sym in range(4):
-        assert cov.lo[sym] == pytest.approx(pants222.arcs[sym].lo, abs=1e-14)
-        assert cov.lengths[sym] == pytest.approx(pants222.arcs[sym].length, rel=1e-12)
+        assert cov.lo[sym] == pytest.approx(pants222.arcs[sym, 0], abs=1e-14)
+        assert cov.lengths[sym] == pytest.approx(pants222.arc_len[sym], rel=1e-12)
 
 
 def test_cover_counts_and_nesting(pants222):
@@ -277,7 +277,7 @@ def test_trace_reproduces_forward_prefix_extended_precision(pants222):
 def test_trace_refuses_a_realized_geodesic(pants222):
     # pushing realized points through the expanding generators gives wrong words
     axis = classify_isometry(pants222.g_alpha).axis
-    with pytest.raises(GeometryError, match="GeodesicPair, not Geodesic"):
+    with pytest.raises(GeometryError, match="GeodesicPair, not tuple"):
         cutting_sequence_trace(pants222, axis, 10)
 
 

@@ -54,8 +54,8 @@ def mp_trace(p, pair, n, depth, dps=80):
                 z, tail = z / abs(z), ray.prefix
             else:
                 word = ray.prefix[:depth]
-                arc = p.arcs[word[-1]]
-                m = mp.expj(mp.mpf(arc.lo)) + mp.expj(mp.mpf(arc.lo) + mp.mpf(arc.length))
+                lo, length = p.arcs[word[-1], 0], p.arc_len[word[-1]]
+                m = mp.expj(mp.mpf(lo)) + mp.expj(mp.mpf(lo) + mp.mpf(length))
                 z, tail = m / abs(m), word[:-1]
             for s in reversed(tail):
                 u, v = gens[s]
