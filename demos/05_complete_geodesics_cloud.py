@@ -11,7 +11,7 @@ thinner, matching 1 + 2*delta.
 
 import os
 
-from cuffdim import build_pants, gibbs_measure, hausdorff_delta, sample_complete_geodesic_points
+from cuffdim import build_pants, gibbs_chain, hausdorff_delta, sample_complete_geodesic_points
 from cuffdim.projlab import box_dimension, ks_uniform_statistic, write_point_cloud
 from cuffdim.thermo import solve_locus_symmetric
 
@@ -22,8 +22,8 @@ for target in (0.5, 0.3):
     a = solve_locus_symmetric(target, tol=1e-3)
     pants = build_pants((a, a, a))
     delta = hausdorff_delta(pants, tol=1e-5, depths=(6, 8)).delta
-    mu = gibbs_measure(pants, delta, 6)
-    sample = sample_complete_geodesic_points(pants, mu, 400_000, seed=17)
+    chain = gibbs_chain(pants, delta, 6)
+    sample = sample_complete_geodesic_points(pants, chain, 400_000, seed=17)
     fit = box_dimension(sample.points)
     ks = ks_uniform_statistic(sample.time_fractions)
     print(f"delta = {delta:.4f} (a = {a:.4f}):")

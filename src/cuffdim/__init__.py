@@ -3,7 +3,7 @@
 The package builds the right-angled octagon of a pair of pants from its
 three cuff lengths, exposes the expanding boundary map on the four
 Schottky arcs, computes the limit-set dimension as the root of a
-transfer-operator pressure, samples the Gibbs measure, and runs planar
+transfer-operator pressure, samples the Gibbs chain, and runs planar
 projection experiments (Favard decay, transversality certification,
 box-counting dimension of complete-geodesic point clouds).
 
@@ -31,8 +31,8 @@ _EXPORTS = {
         " word_to_string"
     ),
     "thermo": (
-        "CylinderMeasure DeltaResult TransferMatrix cover_scaling_delta"
-        " entropy_identity_check gibbs_chain gibbs_measure hausdorff_delta pressure"
+        "DeltaResult GibbsChain TransferMatrix cover_scaling_delta"
+        " entropy_identity_check gibbs_chain hausdorff_delta pressure"
         " pressure_root solve_locus solve_locus_symmetric transfer_matrix"
     ),
     "projlab": (

@@ -2,11 +2,13 @@
 
 Every command prints a single JSON summary line to standard output with
 the fixed top-level shape {command, params, results, residuals, wall_ms,
-version}; invalid inputs produce a machine-readable JSON error on
-standard error and a nonzero exit.  File artifacts (CSV, SVG, JSON,
-point clouds) are written with deterministic bytes so repeated runs with
-the same seed can be compared directly; wall times never enter artifact
-files except the delta-scan CSV, whose schema carries a wall_ms column.
+version}.  ``run`` exits 1, with the artifact written, when a results key
+in FAILED_IF_FALSE is false or ``failed_rows`` is above 0; invalid inputs
+exit 2 with a JSON error on standard error and nothing written.  File
+artifacts (CSV, SVG, JSON, point clouds) are written with deterministic
+bytes so repeated runs with the same seed can be compared directly; wall
+times never enter artifact files except the delta-scan CSV, whose schema
+carries a wall_ms column.
 
 Computed dimensions are cached in an append-only JSON-lines ledger keyed
 by the whole request: canonicalized parameters (rounded to 1e-9), the
@@ -33,8 +35,8 @@ from . import __version__
 # import symbolic and projlab inside their handlers
 from .hyperbolic import GeometryError
 from .pants import build_pants, octagon_svg, validate_pants
-from .thermo import (LOCUS_DELTA_TOL, _delta_at, check_ladder, gibbs_measure, hausdorff_delta,
-                     solve_locus, solve_locus_symmetric)
+from .thermo import (LOCUS_DELTA_TOL, _delta_at, check_ladder, check_tol, gibbs_chain,
+                     hausdorff_delta, solve_locus, solve_locus_symmetric)
 
 LEDGER_FILE = "cuffdim-ledger.jsonl"
 # named in every delta ledger key, so values from another solver are misses
@@ -90,7 +92,7 @@ def ledger_entries(path: str):
 
 
 def ledger_append(path: str, key: str, value: dict) -> None:
-    line = json.dumps({"key": key, "value": value, "version": __version__}, sort_keys=True)
+    line = json.dumps({"key": key, "value": value, "version": __version__}, sort_keys=True, allow_nan=False)
     with open(path, "a", encoding="utf-8") as fh:
         try:
             import fcntl
@@ -174,29 +176,32 @@ def parse_depth_span(text: str) -> tuple[int, ...]:
 # Commands
 
 
-def _cmd_delta(args) -> tuple[dict, dict, int]:
+def _pants(cuffs):
+    """The pants of a cuff triple and its validator report."""
+    p = build_pants(cuffs)
+    return p, validate_pants(p)
+
+
+def _cmd_delta(args) -> tuple[dict, dict]:
     cuffs = parse_cuffs(args.cuffs)
     depths = parse_levels(args.depths)
+    check_tol(args.tol)  # before the ledger, as the levels are
 
     def compute():
-        p = build_pants(cuffs)
-        report = validate_pants(p)
+        p, report = _pants(cuffs)
         value = hausdorff_delta(p, tol=args.tol, depths=depths).as_dict()
         del value["last_gap"]  # infinite after a single level, and not JSON
         return {**value, "validator_passed": report.passed}
 
     params = {"cuffs": list(cuffs), "tol": args.tol, "depths": list(depths), "solver": DELTA_SOLVER}
     value, cached = ledger_lookup_or_compute("delta", params, compute)
-    value = dict(value)
-    value["cached"] = cached
-    ok = value.get("validator_passed", True) and value.get("converged", True)
-    status = 0 if ok else 1
-    return value, {"pressure_residual": value["pressure_residual"]}, status
+    return {**value, "cached": cached}, {"pressure_residual": value["pressure_residual"]}
 
 
-def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
+def _cmd_delta_scan(args) -> tuple[dict, dict]:
     # the ladder (max(4, depth - 2), depth) needs depth >= 5; levels stop at 10
     _check_range("--depth", args.depth, 5, 10)
+    check_tol(args.tol)
     if args.symmetric:
         specs = [parse_range(args.symmetric)]
     elif args.a and args.b and args.c:
@@ -217,8 +222,8 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
         t0 = time.perf_counter()
         valid = False
         try:
-            p = build_pants((a, b, c))
-            valid = validate_pants(p).passed
+            p, report = _pants((a, b, c))
+            valid = report.passed
             res = hausdorff_delta(p, tol=args.tol, depths=ladder)
         except GeometryError as exc:
             fields, converged, error = ["", ""], False, str(exc)
@@ -233,10 +238,10 @@ def _cmd_delta_scan(args) -> tuple[dict, dict, int]:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     results = {"rows": len(grid), "out": args.out, "failed_rows": failed}
-    return results, {"max_pressure_residual": worst}, 1 if failed else 0
+    return results, {"max_pressure_residual": worst}
 
 
-def _cmd_locus(args) -> tuple[dict, dict, int]:
+def _cmd_locus(args) -> tuple[dict, dict]:
     # delta at the root is read back from the cache of the locus solve's _delta_at
     depths = parse_levels(args.depths)
     if args.symmetric:
@@ -249,68 +254,53 @@ def _cmd_locus(args) -> tuple[dict, dict, int]:
         solved, cuffs = {"c": c}, (args.a, args.b, c)
     delta = _delta_at(cuffs, depths, tol=LOCUS_DELTA_TOL).delta
     return (
-        {**solved, "delta": delta, "target": args.target},
+        {**solved, "delta": delta, "target": args.target, "validator_passed": _pants(cuffs)[1].passed},
         {"delta_error": abs(delta - args.target)},
-        0,
     )
 
 
-def _cmd_octagon(args) -> tuple[dict, dict, int]:
-    p = build_pants(parse_cuffs(args.cuffs))
-    report = validate_pants(p)
+def _cmd_octagon(args) -> tuple[dict, dict]:
+    p, report = _pants(parse_cuffs(args.cuffs))
     svg = octagon_svg(p, report=report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     residuals = {c.name: c.residual for c in report.checks}
-    return (
-        {"out": args.out, "validator_passed": report.passed},
-        residuals,
-        0 if report.passed else 1,
-    )
+    return {"out": args.out, "validator_passed": report.passed}, residuals
 
 
-def _cmd_cover(args) -> tuple[dict, dict, int]:
+def _cmd_cover(args) -> tuple[dict, dict]:
     from .symbolic import cover_to_csv, cylinder_cover
 
-    p = build_pants(parse_cuffs(args.cuffs))
+    p, report = _pants(parse_cuffs(args.cuffs))
     cov = cylinder_cover(p, args.depth)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(cover_to_csv(cov))
-    return (
-        {
-            "out": args.out,
-            "depth": args.depth,
-            "n_words": cov.n_words,
-            "max_arc_length": float(cov.lengths.max()),
-        },
-        {},
-        0,
-    )
+    results = {"out": args.out, "depth": args.depth, "n_words": cov.n_words,
+               "max_arc_length": float(cov.lengths.max()), "validator_passed": report.passed}
+    return results, {}
 
 
-def _cmd_trace(args) -> tuple[dict, dict, int]:
+def _cmd_trace(args) -> tuple[dict, dict]:
     from .symbolic import GeodesicPair, Ray, cutting_sequence_trace, word_to_string
 
-    p = build_pants(parse_cuffs(args.cuffs))
+    p, report = _pants(parse_cuffs(args.cuffs))
     pair = GeodesicPair(
         Ray.from_string(args.xi, args.xi_period or None),
         Ray.from_string(args.eta, args.eta_period or None),
     )
     word = cutting_sequence_trace(p, pair, args.n)
-    return (
-        {"word": word_to_string(word), "length": len(word)},
-        {},
-        0,
-    )
+    return {"word": word_to_string(word), "length": len(word), "validator_passed": report.passed}, {}
 
 
-def _cmd_favard(args) -> tuple[dict, dict, int]:
+def _cmd_favard(args) -> tuple[dict, dict]:
     from .projlab import _check_favard_grid, four_corner_cover, product_cover, projection_profile, segment_cover
 
     depths = parse_depth_span(args.depths)
     _check_favard_grid(args.grid)  # refused before any cover is built
+    checks = {}
     if args.fixture == "omega":
-        p = build_pants(parse_cuffs(args.cuffs))
+        p, report = _pants(parse_cuffs(args.cuffs))
+        checks["validator_passed"] = report.passed
         covers = {n: product_cover(p, n) for n in depths}
     elif args.fixture == "four-corner":
         covers = {n: four_corner_cover(n) for n in depths}
@@ -322,10 +312,10 @@ def _cmd_favard(args) -> tuple[dict, dict, int]:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(prof.to_csv())
     favards = {str(d): prof.favard(d) for d in depths}
-    return ({"out": args.out, "favard": favards, "fixture": args.fixture}, {}, 0)
+    return {"out": args.out, "favard": favards, "fixture": args.fixture, **checks}, {}
 
 
-def _cmd_certify(args) -> tuple[dict, dict, int]:
+def _cmd_certify(args) -> tuple[dict, dict]:
     from .projlab import FAMILIES, transversality_certify
 
     family = FAMILIES.get(args.family)
@@ -337,11 +327,10 @@ def _cmd_certify(args) -> tuple[dict, dict, int]:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    residuals = {"evaluator_consistency": report.consistency_residual}
-    return payload, residuals, 0 if report.certified else 1
+    return payload, {"evaluator_consistency": report.consistency_residual}
 
 
-def _cmd_sample_cs(args) -> tuple[dict, dict, int]:
+def _cmd_sample_cs(args) -> tuple[dict, dict]:
     from .projlab import box_dimension, sample_complete_geodesic_points, write_point_cloud
 
     if args.count < SAMPLE_CS_MIN_COUNT:
@@ -351,15 +340,14 @@ def _cmd_sample_cs(args) -> tuple[dict, dict, int]:
         )
     # the sampler needs depth >= 4; the chain's transfer depth stops at 10
     _check_range("--chain-depth", args.chain_depth, 4, 10)
-    p = build_pants(parse_cuffs(args.cuffs))
-    if args.s is None:
-        s = hausdorff_delta(p, tol=1e-5, depths=(args.chain_depth - 2, args.chain_depth)).delta
-    else:
-        s = args.s
-    mu = gibbs_measure(p, s, args.chain_depth)
-    sample = sample_complete_geodesic_points(
-        p, mu, args.count, args.seed, word_len=args.word_len
-    )
+    p, report = _pants(parse_cuffs(args.cuffs))
+    s, checks = args.s, {"validator_passed": report.passed}
+    if s is None:
+        res = hausdorff_delta(p, tol=1e-5, depths=(args.chain_depth - 2, args.chain_depth))
+        s = res.delta
+        checks.update(converged=res.converged, depth_used=res.depth_used)
+    chain = gibbs_chain(p, s, args.chain_depth)
+    sample = sample_complete_geodesic_points(p, chain, args.count, args.seed, word_len=args.word_len)
     write_point_cloud(args.out, sample.points)
     fit = box_dimension(sample.points, min_points=SAMPLE_CS_MIN_COUNT)
     results = {
@@ -371,13 +359,14 @@ def _cmd_sample_cs(args) -> tuple[dict, dict, int]:
         "counts": fit.counts.tolist(),
         "scales": fit.scales.tolist(),
         "resampled": sample.resampled,
+        **checks,
     }
     if args.dim_json:
         payload = {k: results[k] for k in ("box_dimension", "counts", "scales", "count", "seed", "s")}
         with open(args.dim_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return results, {"fit_residual": fit.fit_residual}, 0
+    return results, {"fit_residual": fit.fit_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# a results key that fails the command (exit 1, artifact written) when false
+FAILED_IF_FALSE = ("validator_passed", "converged", "certified")
+
 HANDLERS = {
     "delta": _cmd_delta,
     "delta-scan": _cmd_delta_scan,
@@ -477,7 +469,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        results, residuals, status = HANDLERS[args.command](args)
+        results, residuals = HANDLERS[args.command](args)
     except (GeometryError, OSError) as exc:
         kind = "GeometryError" if isinstance(exc, GeometryError) else "OSError"
         print(json.dumps({"error": {"type": kind, "message": str(exc)}}), file=sys.stderr)
@@ -496,8 +488,9 @@ def run(argv) -> int:
         "wall_ms": wall_ms,
         "version": __version__,
     }
-    print(json.dumps(summary, sort_keys=True))
-    return status
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
+    failed = not all(results.get(k, True) for k in FAILED_IF_FALSE) or results.get("failed_rows", 0) > 0
+    return 1 if failed else 0
 
 
 def main() -> None:

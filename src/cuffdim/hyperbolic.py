@@ -118,8 +118,14 @@ def lift_light(z: np.ndarray) -> np.ndarray:
     return out
 
 
-CLIP_EPS = 1e-13
+CLIP_EPS = 1e-13  # zero band of a side product, per unit of the side normal's 1-norm
 CLIP_BLOCK = 4096  # chords per pass of clip_chord
+
+
+def side_eps(normals: np.ndarray) -> np.ndarray:
+    """Each side's zero band CLIP_EPS * ||n_i||_1: a side product's rounding
+    error grows with its normal's 1-norm, which reaches 1.6e5 at cuffs (0.01)^3."""
+    return CLIP_EPS * np.abs(normals).sum(axis=-1)
 
 
 def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
@@ -132,8 +138,9 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
     which has unit speed.  Returns (t_in, t_out, side_in, side_out); a
     miss is reported as t_in > t_out (sides are then meaningless).
 
-    Endpoint products within CLIP_EPS of zero are treated as lying on the
-    bounding plane, so a geodesic running along a side counts as inside.
+    Endpoint products within ``side_eps`` of zero, CLIP_EPS units of side
+    i's rounding scale ||n_i||_1, are treated as lying on the bounding
+    plane, so a geodesic running along a side counts as inside.
     The bounds kernel ``_clip_block`` lays each side's crossing bounds out
     (k, ...), side first, so that every reduction runs over whole rows.
     More chords than ``CLIP_BLOCK`` run in equal blocks that keep the
@@ -144,15 +151,15 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
     the same blocks' bounds without the sides, and ``symbolic._exit_side``
     runs it on one chord in scalars, which the tests hold to this form.
     """
-    n = math.prod(l_back.shape[:-1])
+    n, eps = math.prod(l_back.shape[:-1]), side_eps(normals)
     if n <= CLIP_BLOCK:
-        return _clip_sides(*_clip_block(normals, l_back, l_fwd))
+        return _clip_sides(*_clip_block(normals, eps, l_back, l_fwd))
     back, fwd = l_back.reshape(n, 3), l_fwd.reshape(n, 3)
     out = (np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, np.intp))
     n_blocks = -(-n // CLIP_BLOCK)
     for k in range(n_blocks):
         blk = slice(k * n // n_blocks, (k + 1) * n // n_blocks)
-        for o, r in zip(out, _clip_sides(*_clip_block(normals, back[blk], fwd[blk]))):
+        for o, r in zip(out, _clip_sides(*_clip_block(normals, eps, back[blk], fwd[blk]))):
             o[blk] = r
     return tuple(o.reshape(l_back.shape[:-1]) for o in out)
 
@@ -161,9 +168,9 @@ def _clip_sides(lower: np.ndarray, upper: np.ndarray):
     return lower.max(axis=0), upper.min(axis=0), lower.argmax(axis=0), upper.argmin(axis=0)
 
 
-def _clip_block(normals: np.ndarray, l_back: np.ndarray, l_fwd: np.ndarray):
+def _clip_block(normals: np.ndarray, eps: np.ndarray, l_back: np.ndarray, l_fwd: np.ndarray):
     """Per-side bounds (lower, upper), shape (k, ...): a chord is inside
-    side i for t in [lower[i], upper[i]]."""
+    side i for t in [lower[i], upper[i]]; eps is ``side_eps(normals)``."""
     nJ = normals * np.array([1.0, 1.0, -1.0])
     shape = (len(nJ),) + l_back.shape[:-1]
     a = (nJ @ l_back.reshape(-1, 3).T).reshape(shape)
@@ -174,8 +181,9 @@ def _clip_block(normals: np.ndarray, l_back: np.ndarray, l_fwd: np.ndarray):
         np.log(t, out=t)
     t *= 0.5
 
-    apos, aneg = a > CLIP_EPS, a < -CLIP_EPS
-    bpos, bneg = b > CLIP_EPS, b < -CLIP_EPS
+    eps = eps.reshape((-1,) + (1,) * (a.ndim - 1))
+    apos, aneg = a > eps, a < -eps
+    bpos, bneg = b > eps, b < -eps
     lower = np.where(aneg & bpos, t, -np.inf)
     upper = t
     upper[~(apos & bneg)] = np.inf

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperbolic import TWO_PI, GeometryError, MoebiusTransform
+from .hyperbolic import TWO_PI, GeometryError, MoebiusTransform, side_eps
 
 ALPHA, ABAR, BETA, BBAR = 0, 1, 2, 3
 SYMBOL_NAMES = ("alpha", "abar", "beta", "bbar")
@@ -120,6 +120,7 @@ class PantsGeometry:
     gens: tuple[MoebiusTransform, ...] = field(init=False, repr=False)
     interior_ref: complex = field(init=False, repr=False)
     interior_normals: np.ndarray = field(init=False, repr=False)  # (8, 3), <x, n> > 0 inside
+    side_eps: np.ndarray = field(init=False, repr=False)  # (8,) zero band of each side's products
     arc_len: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -147,8 +148,11 @@ class PantsGeometry:
             if s == 0.0:
                 raise GeometryError("interior reference point lies on an octagon side")
             rows.append(n if s > 0 else (-n[0], -n[1], -n[2]))
-        object.__setattr__(self, "_normal_rows", tuple(rows))
         object.__setattr__(self, "interior_normals", np.array(rows))
+        object.__setattr__(self, "side_eps", side_eps(self.interior_normals))
+        # (n_x, n_y, n_t, eps, -eps) per side, as Python floats for scalar loops
+        eps = self.side_eps.tolist()
+        object.__setattr__(self, "_side_rows", tuple((*n, e, -e) for n, e in zip(rows, eps)))
         object.__setattr__(self, "_cache", {})
 
     # -- Schottky arcs and inverse branches, vectorised over symbols ---------
@@ -336,7 +340,7 @@ def validate_pants(p: PantsGeometry) -> PantsReport:
     closed = p.vertices.shape == (len(p.side_ends),)
     checks.append(ValidationCheck("vertex_closure", closed, 0.0 if closed else 1.0))
 
-    rows = p._normal_rows
+    rows = p._side_rows
     ares = 0.0
     for i in range(8):
         ares = max(ares, abs(_mink(rows[i], rows[(i + 1) % 8])))

@@ -26,7 +26,7 @@ from .pants import PantsGeometry
 from .symbolic import cylinder_cover
 
 if TYPE_CHECKING:
-    from .thermo import CylinderMeasure, GibbsChain
+    from .thermo import GibbsChain
 
 POINT_CLOUD_MAGIC = b"CSPTS001"
 
@@ -611,15 +611,15 @@ def _endpoint_level(p: PantsGeometry, chain: GibbsChain, prev) -> np.ndarray:
 
 def sample_complete_geodesic_points(
     p: PantsGeometry,
-    mu: CylinderMeasure | GibbsChain,
+    chain: GibbsChain,
     count: int,
     seed: int,
     word_len: int = 14,
 ) -> GeodesicPointSample:
     """Points of complete geodesics inside the octagon, flow-time uniform.
 
-    Draws independent forward/backward words from the stationary Gibbs
-    chain (backward word conditioned to start with a different symbol),
+    Draws independent forward/backward words from the Gibbs chain
+    ``chain`` (backward word conditioned to start with a different symbol),
     realizes the geodesic from cylinder midpoints, clips it against the
     octagon and emits the point at a uniform arclength along the chord.
     Non-crossing realizations are resampled and counted.  Deterministic
@@ -648,9 +648,6 @@ def sample_complete_geodesic_points(
         raise GeometryError(f"seed {seed} outside [0, 2^128)")
     if not 1 <= word_len <= 64:
         raise GeometryError(f"word length {word_len} outside [1, 64]")
-    from .thermo import CylinderMeasure  # the projection path never loads thermo
-
-    chain = mu.chain if isinstance(mu, CylinderMeasure) else mu
     if chain.depth < 4:
         raise GeometryError("sampling needs a chain of depth >= 4")
     steps = max(word_len, chain.depth) - chain.depth
@@ -702,7 +699,7 @@ def sample_complete_geodesic_points(
                 blk = slice(b * m // n_blocks, (b + 1) * m // n_blocks)
                 l_fwd = lift_light(realize(xi_idx, xi_syms, xi_key, blk))
                 l_back = lift_light(realize(eta_idx, eta_syms, eta_key, blk))
-                lower, upper = _clip_block(normals, l_back, l_fwd)
+                lower, upper = _clip_block(normals, p.side_eps, l_back, l_fwd)
                 t_in, t_out = lower.max(axis=0), upper.min(axis=0)
                 good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)
                 rows = need[blk][good]

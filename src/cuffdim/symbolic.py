@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import TWO_PI, CLIP_EPS, GeometryError, MoebiusTransform
+from .hyperbolic import TWO_PI, GeometryError, MoebiusTransform
 from .pants import (
     ALPHA,
     ABAR,
@@ -322,19 +322,20 @@ def _point(entry) -> complex:
 # The chord rule, tracing, suspension
 
 
-def _exit_side(normals, z_fwd: complex, z_back: complex):
+def _exit_side(p: PantsGeometry, z_fwd: complex, z_back: complex):
     """(x_in, x_out, exit side) of the chord from z_back to z_fwd through
-    the octagon, None when it misses.
+    p's octagon, None when it misses.
 
     The scalar form of ``clip_chord``'s rule, on x = exp(2t) instead of
     the unit-speed parameter t: side i is crossed at x = -a/b, so the
     chord spends 1/2 log(x_out / x_in) inside.  x_in is 0 when no side
-    bounds the entry.
+    bounds the entry.  A side product a or b within ``p.side_eps[i]`` of
+    zero, CLIP_EPS units of its rounding scale ||n_i||_1, counts as on
+    the side.
     """
     xb, yb, xf, yf = z_back.real, z_back.imag, z_fwd.real, z_fwd.imag
-    eps, neg = CLIP_EPS, -CLIP_EPS
     x_in, x_out, side = 0.0, math.inf, None
-    for i, (nx, ny, nt) in enumerate(normals):
+    for i, (nx, ny, nt, eps, neg) in enumerate(p._side_rows):
         a = nx * xb + ny * yb - nt
         b = nx * xf + ny * yf - nt
         if a < neg:
@@ -374,12 +375,11 @@ def cutting_sequence_trace(
         raise GeometryError(f"trace length {n} outside [0, {MAX_TRACE_LEN}]")
     xi_period, xi_stack = pair.xi.period, _images(p, pair.xi.prefix, pair.xi.period)
     eta_period, eta_stack = pair.eta.period, _images(p, pair.eta.prefix, pair.eta.period)
-    normals = p._normal_rows
     out = []
     for step in range(n):
         if not (xi_stack and eta_stack):
             break
-        hit = _exit_side(normals, _point(xi_stack[-1]), _point(eta_stack[-1]))
+        hit = _exit_side(p, _point(xi_stack[-1]), _point(eta_stack[-1]))
         if hit is None and step == 0:
             raise GeometryError("geodesic misses the octagon")
         if hit is None or hit[2] in CUFF_SIDE_INDICES:
@@ -416,7 +416,7 @@ def periodic_suspension_sum(p: PantsGeometry, word) -> float:
     for i in range(len(word)):
         pair = GeodesicPair.periodic(word[i:] + word[:i])
         z_fwd, z_back = (_realize(p, (), ray.period) for ray in (pair.xi, pair.eta))
-        hit = _exit_side(p._normal_rows, z_fwd, z_back)
+        hit = _exit_side(p, z_fwd, z_back)
         if hit is None or hit[0] == 0.0:
             raise GeometryError("realized geodesic does not cross the octagon")
         total += 0.5 * math.log(hit[1] / hit[0])

@@ -1,4 +1,4 @@
-"""Transfer operators, pressure, limit-set dimension and Gibbs weights.
+"""Transfer operators, pressure, limit-set dimension and the Gibbs chain.
 
 The boundary map on the four Schottky arcs is an expanding Markov map
 whose invariant Cantor set has Hausdorff dimension delta, the unique root
@@ -28,10 +28,11 @@ w -> w' (drop the first symbol, append one) on depth-n reduced words
 carries the contracting inverse-branch derivative of w's first symbol,
 evaluated at the midpoint of the target cylinder arc and raised to the
 power s, and ``pressure`` is the log of its Perron eigenvalue.  Every
-word has exactly three successors and three predecessors, so M x, x M
-and M' x are three-term numpy gathers, and ``pressure_root`` runs the
-collocation's Newton iteration on them.  The locus refines a sign change
-of delta - target by the Illinois method, which needs no derivative.
+word has exactly three successors and three predecessors, so M x and
+M' x are three-term numpy gathers and x M one bincount, and
+``pressure_root`` runs the collocation's Newton iteration on them.  The
+locus refines a sign change of delta - target by the Illinois method,
+which needs no derivative.
 
 All derivative bookkeeping is done on log scale: cuff lengths up to 20
 produce branch derivatives spanning hundreds of orders of magnitude.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,6 +60,7 @@ COLLOCATION_MAXITER = 20_000  # power steps per collocation solve; the most seen
 PRESSURE_BRACKET = (0.001, 0.999)  # s range searched for the pressure root
 NEWTON_XTOL = 1e-14  # Newton stops once its step is this small, at full power accuracy
 NEWTON_MAXITER = 100
+_ADMITTED = np.array([[t for t in range(4) if t != s ^ 1] for s in range(4)])  # (4, 3) next symbols
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +73,6 @@ class TransitionSkeleton:
     cover: CylinderCover
     cols: np.ndarray  # (N, 3) successor indices in lex order
     log_deriv: np.ndarray  # (N, 3) log of the inverse-branch derivative
-    # flat indices into cols.ravel() of the three entries in each column,
-    # in ascending row order: the predecessors of word j are pred[j] // 3
-    pred: np.ndarray  # (N, 3)
 
 
 def transition_skeleton(p: PantsGeometry, n: int) -> TransitionSkeleton:
@@ -88,20 +87,17 @@ def transition_skeleton(p: PantsGeometry, n: int) -> TransitionSkeleton:
     cover = cylinder_cover(p, n)
     w = cover.words.astype(np.int64)
     nwords = w.shape[0]
-    j = np.arange(3, dtype=np.int64)
-    last_bar = (w[:, -1] ^ 1)[:, None]
     if n == 1:
-        cols = j[None, :] + (j[None, :] >= last_bar)
+        cols = _ADMITTED[w[:, 0]]
     else:
         rem = np.arange(nwords, dtype=np.int64) - w[:, 0] * 3 ** (n - 1)
         base = (w[:, 1] * 3 ** (n - 1) + (rem % 3 ** (n - 2)) * 3)[:, None]
-        cols = base + j[None, :]
+        cols = base + np.arange(3)
 
     _, den = p.inverse_branch(w[:, :1], cover.midpoints[cols])
     log_deriv = -2.0 * np.log(np.abs(den))
-    pred = np.argsort(cols.ravel(), kind="stable").reshape(nwords, 3)
 
-    skel = TransitionSkeleton(depth=n, cover=cover, cols=cols, log_deriv=log_deriv, pred=pred)
+    skel = TransitionSkeleton(depth=n, cover=cover, cols=cols, log_deriv=log_deriv)
     p._cache[("skeleton", n)] = skel
     return skel
 
@@ -137,18 +133,13 @@ class TransferMatrix:
     def _succ_terms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.ascontiguousarray(self.skeleton.cols.T), np.ascontiguousarray(self.weights.T)
 
-    @functools.cached_property
-    def _pred_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        pred = self.skeleton.pred.T
-        return pred // 3, self.weights.ravel()[pred]
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x."""
         return _gather(*self._succ_terms, x)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """x M, the product with the transpose."""
-        return _gather(*self._pred_terms, x)
+        """x M: bincount adds each column's three terms in ascending row order."""
+        return np.bincount(self.skeleton.cols.ravel(), (self.weights * x[:, None]).ravel(), len(x))
 
     def dmatvec(self, x: np.ndarray) -> np.ndarray:
         """M' x, the product with the s-derivative of M."""
@@ -249,6 +240,14 @@ def check_ladder(levels) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise GeometryError(f"collocation levels {levels} do not strictly increase")
     return levels
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a ladder tolerance of ``hausdorff_delta`` that is not finite or below 1e-6."""
+    if not tol < math.inf:
+        raise GeometryError(f"tolerance {tol} is not finite")
+    if tol < 1e-6:
+        raise GeometryError(f"tolerance {tol} below the supported 1e-6")
 
 
 @functools.lru_cache(maxsize=64)
@@ -403,13 +402,13 @@ def hausdorff_delta(
     PRESSURE_BRACKET is skipped; only the last one raises, naming the end
     the root lies beyond.  A Newton step to the left of the bracket, or a
     two-sided quotient that is not a positive finite eigenvalue, raises at
-    once.  Stops as soon as successive roots differ by less than ``tol``;
+    once.  Stops as soon as successive roots differ by less than ``tol``,
+    which must be finite and at least 1e-6;
     the result carries the roots of the solved levels so the refinement
     tail is visible, and ``pressure_residual`` is |log lambda_m(delta)| at
     the last one.
     """
-    if tol < 1e-6:
-        raise GeometryError(f"tolerance {tol} below the supported 1e-6")
+    check_tol(tol)
     depths = check_ladder(depths)  # before any solve, not only when a level is reached
     lo = PRESSURE_BRACKET[0]
     roots: list[tuple[int, float]] = []
@@ -477,14 +476,9 @@ def moran_cover_counts(p: PantsGeometry, eps_ladder) -> tuple[np.ndarray, np.nda
         if not len(u):
             break
         nu, nv = p.compose_branch(u, v, last)
-        parts = []
-        for tau in range(4):
-            m = (last ^ 1) != tau
-            parts.append((nu[m], nv[m], np.full(int(m.sum()), tau), length[m]))
-        u = np.concatenate([t[0] for t in parts])
-        v = np.concatenate([t[1] for t in parts])
-        last = np.concatenate([t[2] for t in parts])
-        parent_len = np.concatenate([t[3] for t in parts])
+        # a node's three children share its map and end in the symbols its last one admits
+        u, v, parent_len = np.repeat(nu, 3), np.repeat(nv, 3), np.repeat(length, 3)
+        last = _ADMITTED[last].ravel()
     return eps, np.cumsum(diff)[:-1]
 
 
@@ -513,26 +507,17 @@ def cover_scaling_delta(p: PantsGeometry, max_leaves: int = 250_000):
 
 
 # ---------------------------------------------------------------------------
-# Gibbs weights and the stationary chain
-
-
-@dataclass(frozen=True, eq=False)
-class CylinderMeasure:
-    """Probability weights on depth-n cylinders, aligned with the cover.
-
-    ``chain`` is the Gibbs chain whose stationary law the weights are.
-    """
-
-    depth: int
-    weights: np.ndarray
-    cover: CylinderCover
-    s: float
-    chain: GibbsChain = field(repr=False)
+# The Gibbs chain
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsChain:
-    """Stationary Markov chain on depth-n words induced by the transfer matrix."""
+    """Stationary Markov chain on depth-n words induced by the transfer matrix.
+
+    Its stationary law, products of left and right Perron vector entries,
+    is the Gibbs measure on the depth-n cylinders of ``skeleton.cover``:
+    near the pressure root, the invariant Gibbs measure of the boundary map.
+    """
 
     depth: int
     s: float
@@ -551,19 +536,6 @@ def gibbs_chain(p: PantsGeometry, s: float, n: int) -> GibbsChain:
     pi = left * right
     pi = pi / pi.sum()
     return GibbsChain(depth=n, s=s, skeleton=skel, transition_probs=probs, stationary=pi)
-
-
-def gibbs_measure(p: PantsGeometry, s: float, n: int) -> CylinderMeasure:
-    """Cylinder weights of the equilibrium state at exponent s.
-
-    Meaningful near the pressure root, where the measure is the invariant
-    Gibbs measure of the boundary map; weights are products of left and
-    right Perron vector entries, normalized.
-    """
-    chain = gibbs_chain(p, s, n)
-    return CylinderMeasure(
-        depth=n, weights=chain.stationary, cover=chain.skeleton.cover, s=s, chain=chain
-    )
 
 
 def entropy_identity_check(p: PantsGeometry, delta: float, n: int) -> float:
@@ -634,6 +606,8 @@ def _bracketed_solve(cuffs_at, xs, target: float, tol: float, depths, what: str)
     """
     if not 0.05 < target < 0.95:
         raise GeometryError(f"target {target} outside (0.05, 0.95)")
+    if not 0.0 < tol < math.inf:
+        raise GeometryError(f"locus tolerance {tol} on |delta - target| is not finite and positive")
     xs = [float(x) for x in xs]  # plain floats, so failures name the cuffs legibly
     seen = {}
 

@@ -41,7 +41,6 @@ from cuffdim.thermo import (
     cover_scaling_delta,
     entropy_identity_check,
     gibbs_chain,
-    gibbs_measure,
     hausdorff_delta,
     pressure,
     pressure_root,
@@ -259,8 +258,8 @@ def test_criterion_10_positive_measure_stabilization(pants_dim_07):
 def test_criterion_11_dimension_of_complete_geodesics(half_dim_pants, pants_dim_03):
     _, p_half = half_dim_pants
     t0 = time.perf_counter()
-    mu = gibbs_measure(p_half, 0.5, 6)
-    sample = sample_complete_geodesic_points(p_half, mu, 1_000_000, seed=71)
+    chain = gibbs_chain(p_half, 0.5, 6)
+    sample = sample_complete_geodesic_points(p_half, chain, 1_000_000, seed=71)
     fit = box_dimension(sample.points)
     assert abs(fit.estimate - 2.0) < 0.15
     elapsed_half = time.perf_counter() - t0
@@ -268,8 +267,8 @@ def test_criterion_11_dimension_of_complete_geodesics(half_dim_pants, pants_dim_
 
     t0 = time.perf_counter()
     d3 = hausdorff_delta(pants_dim_03, tol=1e-5, depths=(6, 8)).delta
-    mu3 = gibbs_measure(pants_dim_03, d3, 6)
-    sample3 = sample_complete_geodesic_points(pants_dim_03, mu3, 1_000_000, seed=71)
+    chain3 = gibbs_chain(pants_dim_03, d3, 6)
+    sample3 = sample_complete_geodesic_points(pants_dim_03, chain3, 1_000_000, seed=71)
     fit3 = box_dimension(sample3.points)
     assert abs(fit3.estimate - (1.0 + 2.0 * d3)) < 0.15
     elapsed_03 = time.perf_counter() - t0

@@ -147,7 +147,7 @@ project_cover_length(product_cover(p, 6), 0.3)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 hausdorff_delta(p, depths=(4, 6))
 print("scipy.sparse" in sys.modules, "scipy.optimize" in sys.modules)
-cuffdim.gibbs_measure(p, 0.57, 6)
+cuffdim.gibbs_chain(p, 0.57, 6)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 xi = (0, 2, 1, 3) * 12
 pair = GeodesicPair(Ray(xi), Ray((2,) + xi[1:]))
@@ -187,13 +187,13 @@ class BlockScipy:
 
 
 sys.meta_path.insert(0, BlockScipy())
-from cuffdim import build_pants, gibbs_measure, sample_complete_geodesic_points
+from cuffdim import build_pants, gibbs_chain, sample_complete_geodesic_points
 from cuffdim.thermo import cover_scaling_delta, pressure_root
 
 p = build_pants((2.0, 2.0, 2.0))
 root = pressure_root(p, 6)
 assert abs(root - 0.5699656) < 1e-3, root
-sample = sample_complete_geodesic_points(p, gibbs_measure(p, root, 6), 2000, seed=3)
+sample = sample_complete_geodesic_points(p, gibbs_chain(p, root, 6), 2000, seed=3)
 assert sample.points.shape == (2000,)
 slope, _ = cover_scaling_delta(p, max_leaves=20_000)
 assert abs(slope - root) < 0.1, slope
@@ -525,6 +525,61 @@ def test_sample_cs_command(workdir, capsys):
         ["sample-cs", "--cuffs", "2,2,2", "--count", "20000", "--seed", "5", "--out", "cloud2.bin"],
     )
     assert (workdir / "cloud2.bin").read_bytes() == (workdir / "cloud.bin").read_bytes()
+
+
+CUFF_COMMANDS = {
+    "cover": (["cover", "--depth", "4", "--out", "cover.csv"], "cover.csv"),
+    "trace": (["trace", "--xi-period", "ab", "--eta-period", "BA", "-n", "12"], None),
+    "favard": (["favard", "--depths", "2:3", "--grid", "16", "--out", "fav.csv"], "fav.csv"),
+    "sample-cs": (["sample-cs", "--count", "20000", "--seed", "1", "--out", "cloud.bin"], "cloud.bin"),
+}
+
+
+@pytest.mark.parametrize("cuffs, status", [("2,2,2", 0), ("20,20,20", 1)])
+def test_a_failed_validator_exits_one_with_the_artifact_written(workdir, capsys, cuffs, status):
+    # at (20)^3 these four commands exited 0, with no word of the validator
+    for argv, artifact in CUFF_COMMANDS.values():
+        got, summary = run_json(capsys, argv + ["--cuffs", cuffs])
+        assert got == status, argv
+        assert summary["results"]["validator_passed"] is (status == 0)
+        assert artifact is None or (workdir / artifact).exists()
+
+
+def test_sample_cs_exits_one_on_an_unconverged_exponent(workdir, capsys):
+    # at (0.2)^3 the depth (4, 6) solve gives s = 0.96709, where delta = 0.96443
+    argv = CUFF_COMMANDS["sample-cs"][0] + ["--cuffs", "0.2,0.2,0.2", "--dim-json", "dim.json"]
+    status, summary = run_json(capsys, argv)
+    assert status == 1
+    results = summary["results"]
+    assert results["converged"] is False and results["depth_used"] == 6
+    assert results["validator_passed"] is True
+    assert (workdir / "cloud.bin").exists()
+    assert set(json.loads((workdir / "dim.json").read_text())) == {
+        "box_dimension", "counts", "scales", "count", "seed", "s"}
+    # a given exponent runs no solve, and reports none
+    status, summary = run_json(capsys, argv + ["--s", "0.9"])
+    assert status == 0
+    assert "converged" not in summary["results"] and "depth_used" not in summary["results"]
+
+
+def test_locus_reports_the_validator_at_its_root(workdir, capsys):
+    status, summary = run_json(capsys, ["locus", "--target", "0.5", "--symmetric", "--depths", "4,6"])
+    assert status == 0 and summary["results"]["validator_passed"] is True
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_a_non_finite_or_negative_tolerance_is_refused_before_any_row_or_ledger(workdir, capsys, tol):
+    # --tol inf exited 0 with converged: true and printed Infinity, which is not JSON
+    for argv in (["delta", "--cuffs", "0.2,1,12", "--depths", "4,6"],
+                 ["delta-scan", "--symmetric", "2:2:1", "--out", "scan.csv"],
+                 ["locus", "--target", "0.5", "--symmetric", "--depths", "4,6"]):
+        assert run(argv + [f"--tol={tol}"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())["error"]
+        assert err["type"] == "GeometryError" and "tolerance" in err["message"]
+    assert not (workdir / "scan.csv").exists()
+    assert not (workdir / "ledger.jsonl").exists()
 
 
 def test_unknown_family_rejected(workdir, capsys):

@@ -322,6 +322,16 @@ def test_tolerance_below_supported_raises(pants222):
         hausdorff_delta(pants222, tol=5e-7)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_non_finite_or_non_positive_tolerances_are_refused(pants222, tol):
+    # inf and nan passed the tol < 1e-6 check: inf stopped at the second
+    # level as converged, whatever the gap
+    with pytest.raises(GeometryError, match="tolerance"):
+        hausdorff_delta(pants222, tol=tol, depths=(4, 6))
+    with pytest.raises(GeometryError, match="locus tolerance"):
+        thermo.solve_locus_symmetric(0.5, tol=tol, depths=(4, 6))
+
+
 @pytest.mark.parametrize("cuffs", GRID, ids=lambda t: ",".join(f"{x:g}" for x in t))
 def test_grid_triple_returns_or_fails_fast_with_a_name(cuffs):
     try:

@@ -103,14 +103,16 @@ def test_normal_matches_extended_precision(gap):
 
 
 def _clip_chord_oracle(l_back, l_fwd, normals):
-    """clip_chord as first written: sides last, every mask built by np.where."""
+    """clip_chord as first written: sides last, every mask built by np.where;
+    side i's products within CLIP_EPS * ||n_i||_1 of zero lie on the side."""
     J = np.array([1.0, 1.0, -1.0])
     a = (l_back * J) @ normals.T
     b = (l_fwd * J) @ normals.T
     with np.errstate(divide="ignore", invalid="ignore"):
         t_cross = 0.5 * np.log(-a / b)
-    apos, aneg = a > CLIP_EPS, a < -CLIP_EPS
-    bpos, bneg = b > CLIP_EPS, b < -CLIP_EPS
+    eps = CLIP_EPS * np.abs(normals).sum(axis=1)
+    apos, aneg = a > eps, a < -eps
+    bpos, bneg = b > eps, b < -eps
     azero, bzero = ~(apos | aneg), ~(bpos | bneg)
     lower = np.where(aneg & bpos, t_cross, -np.inf)
     upper = np.where(apos & bneg, t_cross, np.inf)

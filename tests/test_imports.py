@@ -31,8 +31,8 @@ EXPORTED = {
         "word_to_string",
     ),
     "thermo": (
-        "CylinderMeasure", "DeltaResult", "TransferMatrix", "cover_scaling_delta",
-        "entropy_identity_check", "gibbs_chain", "gibbs_measure", "hausdorff_delta",
+        "DeltaResult", "GibbsChain", "TransferMatrix", "cover_scaling_delta",
+        "entropy_identity_check", "gibbs_chain", "hausdorff_delta",
         "pressure", "pressure_root", "solve_locus", "solve_locus_symmetric",
         "transfer_matrix",
     ),

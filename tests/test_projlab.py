@@ -34,7 +34,7 @@ from cuffdim.projlab import (
 )
 from cuffdim import build_pants, hyperbolic, projlab, thermo
 from cuffdim.symbolic import cylinder_cover
-from cuffdim.thermo import gibbs_measure
+from cuffdim.thermo import gibbs_chain
 
 from conftest import A_HALF
 
@@ -461,8 +461,8 @@ def test_non_finite_family_is_refused():
 
 @pytest.fixture(scope="module")
 def sample222(pants222):
-    mu = gibbs_measure(pants222, 0.57, 5)
-    return sample_complete_geodesic_points(pants222, mu, 50_000, seed=11)
+    chain = gibbs_chain(pants222, 0.57, 5)
+    return sample_complete_geodesic_points(pants222, chain, 50_000, seed=11)
 
 
 def test_sampled_points_inside_octagon(pants222, sample222):
@@ -481,55 +481,48 @@ def test_sampler_flow_time_uniform(sample222):
 
 
 def test_sampler_deterministic(pants222):
-    mu = gibbs_measure(pants222, 0.57, 5)
-    s1 = sample_complete_geodesic_points(pants222, mu, 5_000, seed=3)
-    s2 = sample_complete_geodesic_points(pants222, mu, 5_000, seed=3)
+    chain = gibbs_chain(pants222, 0.57, 5)
+    s1 = sample_complete_geodesic_points(pants222, chain, 5_000, seed=3)
+    s2 = sample_complete_geodesic_points(pants222, chain, 5_000, seed=3)
     assert np.array_equal(s1.points, s2.points)
-    s3 = sample_complete_geodesic_points(pants222, mu, 5_000, seed=4)
+    s3 = sample_complete_geodesic_points(pants222, chain, 5_000, seed=4)
     assert not np.array_equal(s1.points, s3.points)
 
 
-def test_sampler_reads_the_chain_the_measure_carries(pants222, monkeypatch):
+def test_sampler_builds_no_chain_of_its_own(pants222, monkeypatch):
+    chain = gibbs_chain(pants222, 0.57, 5)
     calls = []
-    orig = thermo.gibbs_chain
-
-    def spy(*args):
-        calls.append(args[1:])
-        return orig(*args)
-
-    monkeypatch.setattr(thermo, "gibbs_chain", spy)
-    monkeypatch.setattr(projlab, "gibbs_chain", spy, raising=False)
-    mu = gibbs_measure(pants222, 0.57, 5)
-    s1 = sample_complete_geodesic_points(pants222, mu, 5_000, seed=3)
-    assert calls == [(0.57, 5)]
-    s2 = sample_complete_geodesic_points(pants222, orig(pants222, 0.57, 5), 5_000, seed=3)
-    assert np.array_equal(s1.points, s2.points)
+    for name in ("gibbs_chain", "transfer_matrix", "transition_skeleton"):
+        monkeypatch.setattr(thermo, name, lambda *args, name=name: calls.append(name))
+    sample = sample_complete_geodesic_points(pants222, chain, 5_000, seed=3)
+    assert calls == []
+    assert sample.points.shape == (5_000,)
 
 
 def test_sampler_seed_stability_of_dimension(pants222):
-    mu = gibbs_measure(pants222, 0.57, 5)
+    chain = gibbs_chain(pants222, 0.57, 5)
     fits = []
     for seed in (21, 22):
-        s = sample_complete_geodesic_points(pants222, mu, 150_000, seed=seed)
+        s = sample_complete_geodesic_points(pants222, chain, 150_000, seed=seed)
         fits.append(box_dimension(s.points, min_points=100_000).estimate)
     assert abs(fits[0] - fits[1]) < 0.05
 
 
 def test_sampler_count_cap(pants222):
-    mu = gibbs_measure(pants222, 0.57, 5)
+    chain = gibbs_chain(pants222, 0.57, 5)
     for count in (10**7 + 1, 0, -1):
         with pytest.raises(GeometryError, match=r"outside \[1, 1e7\]"):
-            sample_complete_geodesic_points(pants222, mu, count, seed=0)
+            sample_complete_geodesic_points(pants222, chain, count, seed=0)
 
 
 def test_sampler_refuses_a_word_length_outside_one_to_sixty_four(pants222):
-    mu = gibbs_measure(pants222, 0.57, 5)
+    chain = gibbs_chain(pants222, 0.57, 5)
     # 0 and below were read as the chain depth; 10^5 would draw 1.6 MB per point
     for word_len in (0, -3, 65, 10**5):
         with pytest.raises(GeometryError, match=rf"word length {word_len} outside \[1, 64\]"):
-            sample_complete_geodesic_points(pants222, mu, 10**7, seed=0, word_len=word_len)
+            sample_complete_geodesic_points(pants222, chain, 10**7, seed=0, word_len=word_len)
     for word_len in (1, 64):
-        s = sample_complete_geodesic_points(pants222, mu, 10, seed=0, word_len=word_len)
+        s = sample_complete_geodesic_points(pants222, chain, 10, seed=0, word_len=word_len)
         assert np.all(np.abs(s.points) < 1.0)
 
 
@@ -655,8 +648,8 @@ def test_sampler_matches_stepwise_oracle(cuffs, depth, word_len, count):
 def _reject_where(kernel, reject):
     """_clip_block that also rejects every chord whose lifts satisfy reject."""
 
-    def patched(normals, l_back, l_fwd):
-        lower, upper = kernel(normals, l_back, l_fwd)
+    def patched(normals, eps, l_back, l_fwd):
+        lower, upper = kernel(normals, eps, l_back, l_fwd)
         lower[:, reject(l_back, l_fwd)] = np.inf
         return lower, upper
 

@@ -70,7 +70,7 @@ def realized_angle(p, prefix) -> float:
 
 def chord_length(p, z_fwd, z_back) -> float | None:
     """Time the chord from z_back to z_fwd spends in the octagon, by the scalar rule."""
-    hit = symbolic._exit_side(p._normal_rows, z_fwd, z_back)
+    hit = symbolic._exit_side(p, z_fwd, z_back)
     return None if hit is None else 0.5 * math.log(hit[1] / hit[0])
 
 

@@ -15,7 +15,6 @@ from cuffdim.thermo import (
     cover_scaling_delta,
     entropy_identity_check,
     gibbs_chain,
-    gibbs_measure,
     hausdorff_delta,
     moran_cover_counts,
     pressure,
@@ -43,10 +42,6 @@ def test_transfer_matrix_structure(pants222):
         skel = transfer_matrix(pants222, 0.0, n).skeleton
         nwords = len(skel.cols)
         assert np.all(np.bincount(skel.cols.ravel(), minlength=nwords) == 3)
-        # the predecessor table lists each column's entries in ascending row order
-        column = np.repeat(np.arange(nwords), 3).reshape(-1, 3)
-        assert np.array_equal(skel.cols.ravel()[skel.pred], column)
-        assert np.all(np.diff(skel.pred // 3, axis=1) > 0)
     assert np.allclose(tm.rmatvec(np.ones(36)), 3.0)
 
 
@@ -204,31 +199,31 @@ def test_moran_counts_match_brute_force(cuffs):
 
 
 def test_gibbs_at_zero_is_maximal_entropy(pants222):
-    mu = gibbs_measure(pants222, 0.0, 3)
-    assert abs(mu.weights.sum() - 1.0) < 1e-12
-    assert np.allclose(np.bincount(mu.cover.words[:, 0], mu.weights), 0.25, atol=1e-12)
+    mu = gibbs_chain(pants222, 0.0, 3)
+    assert abs(mu.stationary.sum() - 1.0) < 1e-12
+    assert np.allclose(np.bincount(mu.skeleton.cover.words[:, 0], mu.stationary), 0.25, atol=1e-12)
     # depth-1 cylinders all carry weight 1/4
-    mu1 = gibbs_measure(pants222, 0.0, 1)
-    assert np.allclose(mu1.weights, 0.25, atol=1e-12)
+    mu1 = gibbs_chain(pants222, 0.0, 1)
+    assert np.allclose(mu1.stationary, 0.25, atol=1e-12)
 
 
 def test_gibbs_stationarity_proxy(pants222):
-    mu = gibbs_measure(pants222, 0.57, 5)
-    w = mu.cover.words.astype(np.int64)
+    mu = gibbs_chain(pants222, 0.57, 5)
+    w = mu.skeleton.cover.words.astype(np.int64)
     head = lex_rank(w[:, :-1])
     tail = lex_rank(w[:, 1:])
     n_sub = 4 * 3 ** (mu.depth - 2)
     head_marginal = np.zeros(n_sub)
     tail_marginal = np.zeros(n_sub)
-    np.add.at(head_marginal, head, mu.weights)
-    np.add.at(tail_marginal, tail, mu.weights)
+    np.add.at(head_marginal, head, mu.stationary)
+    np.add.at(tail_marginal, tail, mu.stationary)
     assert np.max(np.abs(head_marginal - tail_marginal)) < 1e-6
 
 
 def test_gibbs_ahlfors_ratio_bounded(pants222):
     res = hausdorff_delta(pants222, tol=1e-5, depths=(6, 8))
-    mu = gibbs_measure(pants222, res.delta, 8)
-    ratios = mu.weights / mu.cover.lengths**res.delta
+    mu = gibbs_chain(pants222, res.delta, 8)
+    ratios = mu.stationary / mu.skeleton.cover.lengths**res.delta
     assert ratios.max() / ratios.min() < 50.0
 
 
@@ -237,20 +232,20 @@ def test_gibbs_bar_symmetry(pants222, pants123):
     # bar, so cylinder weights are exactly bar-invariant
     for p in (pants222, pants123):
         d = hausdorff_delta(p, tol=1e-4, depths=(5, 7)).delta
-        mu = gibbs_measure(p, d, 6)
-        idx = lex_rank(mu.cover.words.astype(np.int64) ^ 1)
-        assert np.max(np.abs(mu.weights - mu.weights[idx])) < 1e-8
+        mu = gibbs_chain(p, d, 6)
+        idx = lex_rank(mu.skeleton.cover.words.astype(np.int64) ^ 1)
+        assert np.max(np.abs(mu.stationary - mu.stationary[idx])) < 1e-8
 
 
 def test_gibbs_weights_track_branch_contraction(pants222):
     # bounded-distortion proxy: child weight over parent weight stays
     # within a bounded ratio of the branch contraction to the delta power
     res = hausdorff_delta(pants222, tol=1e-5, depths=(6, 8))
-    mu8 = gibbs_measure(pants222, res.delta, 8)
-    mu7 = gibbs_measure(pants222, res.delta, 7)
-    parents = lex_rank(mu8.cover.words[:, :-1].astype(np.int64))
-    ratio = mu8.weights / mu7.weights[parents]
-    branch = (mu8.cover.lengths / mu7.cover.lengths[parents]) ** res.delta
+    mu8 = gibbs_chain(pants222, res.delta, 8)
+    mu7 = gibbs_chain(pants222, res.delta, 7)
+    parents = lex_rank(mu8.skeleton.cover.words[:, :-1].astype(np.int64))
+    ratio = mu8.stationary / mu7.stationary[parents]
+    branch = (mu8.skeleton.cover.lengths / mu7.skeleton.cover.lengths[parents]) ** res.delta
     spread = (ratio / branch).max() / (ratio / branch).min()
     assert spread < 10.0
 

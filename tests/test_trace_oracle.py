@@ -99,7 +99,7 @@ def rerealizing_trace(p, pair, n):
         if not all(prefix or period for prefix, period in ends):
             break
         z_fwd, z_back = (_realize(p, prefix[: n + 18], period) for prefix, period in ends)
-        hit = _exit_side(p._normal_rows, z_fwd, z_back)
+        hit = _exit_side(p, z_fwd, z_back)
         if hit is None and step == 0:
             raise GeometryError("geodesic misses the octagon")
         if hit is None or hit[2] in CUFF_SIDE_INDICES:
@@ -228,7 +228,7 @@ def test_exit_side_agrees_with_clip_chord(pants222):
         t_in, t_out, _, s_out = clip_chord(
             lift_light(np.array([z_back]))[0], lift_light(np.array([z_fwd]))[0], normals
         )
-        hit = _exit_side(pants222._normal_rows, complex(z_fwd), complex(z_back))
+        hit = _exit_side(pants222, complex(z_fwd), complex(z_back))
         if t_in < t_out:
             hits += 1
             x_in, x_out, side = hit
