@@ -1,9 +1,10 @@
 """Sample the set of complete geodesics and estimate its dimension.
 
 Points lying on geodesics that never leave the surface form a set of
-dimension 1 + 2*delta.  The sampler draws forward and backward symbolic
-endpoints from the Gibbs chain, realizes the geodesic, clips it against
-the octagon and emits a flow-time-uniform point on the chord.  At the
+dimension 1 + 2*delta.  The sampler draws independent stationary forward
+and backward symbolic endpoints from the Gibbs chain, realizes the
+geodesic, clips it against the octagon and emits one point uniform in
+time per chord, which is not the flow-invariant measure.  At the
 dimension-1/2 cuffs the cloud fills two dimensions (while still being
 Lebesgue negligible in the limit); at delta near 0.3 it is visibly
 thinner, matching 1 + 2*delta.

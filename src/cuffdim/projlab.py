@@ -569,6 +569,34 @@ def _prepend_symbols(p: PantsGeometry, z: np.ndarray, cols) -> np.ndarray:
     return z
 
 
+def _head_fold(p: PantsGeometry, heads: np.ndarray, h: int):
+    """Fold function (z, s) -> unit points z pulled back through the heads
+    heads[:h, s] of the states s by one base-point map Phi per state.
+
+    The h branches run on z_c, the midpoint of arc heads[h, s], as in
+    _prepend_symbols, giving phi_c = Phi(z_c), the product D of their
+    denominators and kappa, the sum of conj(v) / (D^2 den) with D before
+    each branch.  Then Phi(z) = phi_c + dz / (D^2 (1 + kappa dz)), dz = z -
+    z_c, exactly; the composed coefficients, whose rounding loses accuracy
+    at short cuffs, are never formed.
+    """
+    zc = p.arc_point(heads[h], 0.0)
+    phi, d, kappa = zc, np.ones(len(zc), complex), np.zeros(len(zc), complex)
+    for sym in heads[:h][::-1]:
+        phi, den = p.inverse_branch(sym, phi)
+        kappa = kappa + p._branch_table[2][sym] / (d * d * den)
+        d = d * den
+        phi /= np.abs(phi)
+    d2 = d * d
+
+    def fold(z, s):
+        dz = z - zc[s]
+        z = phi[s] + dz / (d2[s] * (1.0 + kappa[s] * dz))
+        return z / np.abs(z)
+
+    return fold
+
+
 def _endpoint_table(p: PantsGeometry, chain: GibbsChain, j: int) -> np.ndarray:
     """Read-only table[s * 3^j + key] of the (n + j)-word of depth-n state s
     followed by the j successor choices key, realized from its last
@@ -576,7 +604,9 @@ def _endpoint_table(p: PantsGeometry, chain: GibbsChain, j: int) -> np.ndarray:
 
     Cover words and successor columns are combinatorial, so the table
     depends on the geometry, n and j alone.  It is built level by level,
-    each level once; only level j is kept.
+    each level once; only level j is kept.  Its words are drawn as independent
+    stationary endpoints, one point uniform in time per chord: not the
+    flow-invariant measure.
     """
     key = ("endpoints", chain.depth, j)
     if key not in p._cache:
@@ -616,14 +646,14 @@ def sample_complete_geodesic_points(
     seed: int,
     word_len: int = 14,
 ) -> GeodesicPointSample:
-    """Points of complete geodesics inside the octagon, flow-time uniform.
+    """Points of complete geodesics inside the octagon, one per chord.
 
-    Draws independent forward/backward words from the Gibbs chain
-    ``chain`` (backward word conditioned to start with a different symbol),
-    realizes the geodesic from cylinder midpoints, clips it against the
-    octagon and emits the point at a uniform arclength along the chord.
-    Non-crossing realizations are resampled and counted.  Deterministic
-    for a fixed seed.
+    Draws independent stationary forward/backward words from the Gibbs
+    chain ``chain`` (backward word conditioned to start with a different
+    symbol), realizes the geodesic from cylinder midpoints, clips it against
+    the octagon and emits one point uniform in time along the chord: not the
+    flow-invariant measure.  Non-crossing realizations are resampled and
+    counted.  Deterministic for a fixed seed.
 
     Points are drawn in chunks of SAMPLER_CHUNK: chunk c draws from the
     Philox stream of key ``seed`` and counter c << 192, so chunk 0 is the
@@ -631,16 +661,17 @@ def sample_complete_geodesic_points(
     a call of at most SAMPLER_CHUNK points.  A chunk that draws more than
     SAMPLER_MAX_ATTEMPT_FACTOR geodesics per point is refused.
 
-    Each word is realized from its last symbol's arc midpoint by one
-    normalized inverse branch per preceding symbol.  The branches through
-    its last n + j symbols (n the depth) come from ``_endpoint_table``,
+    Each word is realized from its last symbol's arc midpoint backwards.
+    Its last n + j symbols (n the depth) come from ``_endpoint_table``,
     built once per geometry, n and j over the n_states * 3^j (n + j)-words,
-    j the largest j <= steps with n_states * 3^j <= 2 * min(count,
-    2 * SAMPLER_CHUNK).  Each round walks both endpoints over all its
-    points, drawing one row per step as the walk takes it (forward rows,
-    backward rows, then the chord times), and then looks up, pulls back
-    and clips in ``clip_chord``'s blocks; the output does not depend on j
-    or the blocks.
+    j the largest j <= steps - n + 1 with n_states * 3^j <= 2 * min(count,
+    2 * SAMPLER_CHUNK).  Its first h = min(steps - j, n - 1) symbols run as
+    one ``_head_fold`` map per chain state, built per call, and those between
+    as one normalized inverse branch each.  Each round walks both endpoints
+    over all its points, drawing one row per step as the walk takes it
+    (forward rows, backward rows, then the chord times), and then looks up,
+    pulls back and clips in ``clip_chord``'s blocks; draws and accept/reject
+    do not depend on j or the blocks.
     """
     if not 1 <= count <= 10**7:
         raise GeometryError(f"sample count {count} outside [1, 1e7]")
@@ -659,15 +690,18 @@ def sample_complete_geodesic_points(
     first = words[:, 0].copy()
     # intp symbols keep the coefficient gathers fast
     heads = words.T.astype(np.intp)
-    j = 0  # the table holds at most two entries per point of two chunks
-    while j < steps and len(first) * 3 ** (j + 1) <= 2 * min(count, 2 * SAMPLER_CHUNK):
+    j = 0  # at most two entries per point of two chunks, and no level the fold covers
+    while j <= steps - chain.depth and len(first) * 3 ** (j + 1) <= 2 * min(count, 2 * SAMPLER_CHUNK):
         j += 1
     table = _endpoint_table(p, chain, j)
     walk = _chain_walk(chain)
     n_syms = max(steps - j - chain.depth, 0)
+    h = min(steps - j, chain.depth - 1)
+    fold = _head_fold(p, heads, h) if h else lambda z, s: z
 
     def realize(idx, syms, key, blk):
-        return _prepend_symbols(p, table[key[blk]], list(heads[: steps - j, idx[blk]]) + list(syms[:, blk]))
+        z = _prepend_symbols(p, table[key[blk]], list(heads[h : steps - j, idx[blk]]) + list(syms[:, blk]))
+        return fold(z, idx[blk])
 
     pts = np.empty(count, dtype=complex)
     lens = np.empty(count)
