@@ -22,7 +22,7 @@ import numpy as np
 
 # clip_chord stays bound here for the benchmark tracer, which patches it
 from .hyperbolic import CLIP_BLOCK, GeometryError, _clip_block, chord_point, clip_chord, lift_light  # noqa: F401
-from .pants import PantsGeometry
+from .pants import SEAM_SIDE_SYMBOL, PantsGeometry
 from .symbolic import cylinder_cover
 
 if TYPE_CHECKING:
@@ -490,35 +490,27 @@ class GeodesicPointSample:
 
 
 def _chain_walk(chain: GibbsChain):
-    """Walk function (cur, rng, steps, n_syms, n_keys=0) -> (syms, key):
-    steps chain steps from the states cur, each comparing one fresh row
-    rng.random(len(cur)) with the transition law, so a walk holds one row
-    at a time and draws what rng.random((steps, len(cur))) would.  syms
-    holds the symbols appended by the first n_syms steps; key is the state
-    n_keys steps before the end times 3^n_keys plus the base-3 number of
-    the last n_keys successor choices (the final state when n_keys = 0).
-    A choice counts the first two cumulative probabilities below the draw,
-    so the third successor takes the remainder where a row's sum rounds
-    below 1.
+    """Walk function (cur, rng, steps, stride) -> int32 states (k, len(cur))
+    of the walk from cur at steps 0, stride, 2 * stride, ... and steps.  Each
+    step compares one fresh row rng.random(len(cur)) with the transition
+    law, drawing what rng.random((steps, len(cur))) would.  A choice counts
+    the first two cumulative probabilities below the draw, so the third
+    successor takes the remainder where a row's sum rounds below 1.
     """
     c0, c1 = np.cumsum(chain.transition_probs, axis=1)[:, :2].T.copy()
     succ = chain.skeleton.cols.ravel()
-    last = chain.skeleton.cover.words[:, -1].astype(np.intp)
 
-    def walk(cur, rng, steps, n_syms, n_keys=0):
-        syms = np.empty((n_syms, len(cur)), dtype=np.intp)
-        split = steps - n_keys
-        for k in range(steps):
+    def walk(cur, rng, steps, stride):
+        kept = np.empty((-(-steps // stride) + 1, len(cur)), dtype=np.int32)
+        kept[0] = cur
+        for k in range(1, steps + 1):
             r = rng.random(len(cur))
             # an integer sum: the sum of two bool arrays would be their OR
             choice = (r > c0[cur]).view(np.int8) + (r > c1[cur]).view(np.int8)
-            edge = 3 * cur + choice
-            if k >= split:
-                key = edge if k == split else 3 * key + choice
-            cur = succ[edge]
-            if k < n_syms:
-                syms[k] = last[cur]
-        return syms, cur if n_keys == 0 else key
+            cur = succ[3 * cur + choice]
+            if k % stride == 0 or k == steps:
+                kept[-(-k // stride)] = cur
+        return kept
 
     return walk
 
@@ -526,12 +518,11 @@ def _chain_walk(chain: GibbsChain):
 def _extend_words(chain: GibbsChain, idx: np.ndarray, rng, total_len: int) -> np.ndarray:
     """Word symbols for chain states extended to total_len by chain steps,
     one draw row per step as the walk takes it."""
-    words = chain.skeleton.cover.words[idx].astype(np.uint8)
+    words = chain.skeleton.cover.words
     if total_len <= chain.depth:
-        return words[:, :total_len]
-    steps = total_len - chain.depth
-    syms, _ = _chain_walk(chain)(idx, rng, steps, steps)
-    return np.concatenate([words, syms.T.astype(np.uint8)], axis=1)
+        return words[idx, :total_len]
+    states = _chain_walk(chain)(idx, rng, total_len - chain.depth, 1)
+    return np.concatenate([words[idx], words[states[1:], -1].T], axis=1)
 
 
 def _stationary_draw(pi_cum: np.ndarray):
@@ -561,82 +552,41 @@ def _stationary_draw(pi_cum: np.ndarray):
     return draw
 
 
-def _prepend_symbols(p: PantsGeometry, z: np.ndarray, cols) -> np.ndarray:
-    """Unit points z pulled back through the symbol rows cols, last row first."""
-    for sym in cols[::-1]:
-        z, _ = p.inverse_branch(sym, z)
-        z /= np.abs(z)
-    return z
+def _fold_table(p: PantsGeometry, chain: GibbsChain, h: int):
+    """Read-only (z_c, phi_c, D^2, kappa) per depth-n state s, cached on p per
+    n and h: the base-point form of the map Phi pulling unit points back
+    through the first h symbols of s.
 
-
-def _head_fold(p: PantsGeometry, heads: np.ndarray, h: int):
-    """Fold function (z, s) -> unit points z pulled back through the heads
-    heads[:h, s] of the states s by one base-point map Phi per state.
-
-    The h branches run on z_c, the midpoint of arc heads[h, s], as in
-    _prepend_symbols, giving phi_c = Phi(z_c), the product D of their
-    denominators and kappa, the sum of conj(v) / (D^2 den) with D before
-    each branch.  Then Phi(z) = phi_c + dz / (D^2 (1 + kappa dz)), dz = z -
-    z_c, exactly; the composed coefficients, whose rounding loses accuracy
-    at short cuffs, are never formed.
+    z_c is the midpoint of arc s[h]; phi_c = Phi(z_c) runs the h branches on
+    it one at a time, normalized after each (at h = n - 1, the endpoint of
+    the word s); D is the product of their denominators and kappa the sum
+    of conj(v) / (D^2 den) with D before each branch.  Then Phi(z) = phi_c +
+    dz / (D^2 (1 + kappa dz)), dz = z - z_c, exactly; the composed
+    coefficients, whose rounding loses accuracy at short cuffs, are never
+    formed.
     """
-    zc = p.arc_point(heads[h], 0.0)
-    phi, d, kappa = zc, np.ones(len(zc), complex), np.zeros(len(zc), complex)
-    for sym in heads[:h][::-1]:
-        phi, den = p.inverse_branch(sym, phi)
-        kappa = kappa + p._branch_table[2][sym] / (d * d * den)
-        d = d * den
-        phi /= np.abs(phi)
-    d2 = d * d
-
-    def fold(z, s):
-        dz = z - zc[s]
-        z = phi[s] + dz / (d2[s] * (1.0 + kappa[s] * dz))
-        return z / np.abs(z)
-
-    return fold
-
-
-def _endpoint_table(p: PantsGeometry, chain: GibbsChain, j: int) -> np.ndarray:
-    """Read-only table[s * 3^j + key] of the (n + j)-word of depth-n state s
-    followed by the j successor choices key, realized from its last
-    symbol's arc midpoint; cached on p per depth n and j.
-
-    Cover words and successor columns are combinatorial, so the table
-    depends on the geometry, n and j alone.  It is built level by level,
-    each level once; only level j is kept.  Its words are drawn as independent
-    stationary endpoints, one point uniform in time per chord: not the
-    flow-invariant measure.
-    """
-    key = ("endpoints", chain.depth, j)
+    key = ("fold", chain.depth, h)
     if key not in p._cache:
-        table = None
-        for _ in range(j + 1):
-            table = _endpoint_level(p, chain, table)
-        table.flags.writeable = False
-        p._cache[key] = table
+        heads = chain.skeleton.cover.words.T.astype(np.intp)  # intp symbols keep the gathers fast
+        zc = p.arc_point(heads[h], 0.0)
+        phi, d, kappa = zc, np.ones(len(zc), complex), np.zeros(len(zc), complex)
+        for sym in heads[:h][::-1]:
+            phi, den = p.inverse_branch(sym, phi)
+            kappa = kappa + p._branch_table[2][sym] / (d * d * den)
+            d = d * den
+            phi /= np.abs(phi)
+        p._cache[key] = maps = (zc, phi, d * d, kappa)
+        for a in maps:
+            a.flags.writeable = False
     return p._cache[key]
 
 
-def _endpoint_level(p: PantsGeometry, chain: GibbsChain, prev) -> np.ndarray:
-    """The next level of _endpoint_table after prev, CLIP_BLOCK entries at a time.
-
-    Level 0 (prev None) pulls each state's last-symbol midpoint back
-    through its other symbols; level i + 1 is each entry's first symbol's
-    branch at the level-i entry of its successor's word.
-    """
-    heads = chain.skeleton.cover.words.T.astype(np.intp)  # intp symbols keep the gathers fast
-    succ = chain.skeleton.cols.ravel()
-    w = 1 if prev is None else len(prev) // heads.shape[1]  # 3^i at level i + 1
-    table = np.empty(heads.shape[1] * (1 if prev is None else 3 * w), dtype=complex)
-    for a in range(0, len(table), CLIP_BLOCK):
-        q = np.arange(a, min(a + CLIP_BLOCK, len(table)))
-        if prev is None:
-            z, cols = p.arc_point(np.arange(4), 0.0)[heads[-1, q]], heads[:-1, q]
-        else:
-            z, cols = prev[succ[q // w] * w + q % w], heads[:1, q // (3 * w)]
-        table[a : a + len(q)] = _prepend_symbols(p, z, cols)
-    return table
+def _fold(maps, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Unit points z pulled back by the fold maps of the states s."""
+    zc, phi, d2, kappa = maps
+    dz = z - zc[s]
+    z = phi[s] + dz / (d2[s] * (1.0 + kappa[s] * dz))
+    return z / np.abs(z)
 
 
 def sample_complete_geodesic_points(
@@ -661,17 +611,21 @@ def sample_complete_geodesic_points(
     a call of at most SAMPLER_CHUNK points.  A chunk that draws more than
     SAMPLER_MAX_ATTEMPT_FACTOR geodesics per point is refused.
 
-    Each word is realized from its last symbol's arc midpoint backwards.
-    Its last n + j symbols (n the depth) come from ``_endpoint_table``,
-    built once per geometry, n and j over the n_states * 3^j (n + j)-words,
-    j the largest j <= steps - n + 1 with n_states * 3^j <= 2 * min(count,
-    2 * SAMPLER_CHUNK).  Its first h = min(steps - j, n - 1) symbols run as
-    one ``_head_fold`` map per chain state, built per call, and those between
-    as one normalized inverse branch each.  Each round walks both endpoints
-    over all its points, drawing one row per step as the walk takes it
-    (forward rows, backward rows, then the chord times), and then looks up,
-    pulls back and clips in ``clip_chord``'s blocks; draws and accept/reject
-    do not depend on j or the blocks.
+    A word is a depth-n chain state s_0 walked steps = word_len - n steps.
+    With q, r = divmod(steps, n - 1), its endpoint is phi_c of s_steps under
+    the full fold (``_fold_table``, h = n - 1), pulled back by the h = r fold
+    of s_{q(n-1)} if r > 0 and then by the full folds of s_{k(n-1)}, k = q - 1
+    down to 0.  Each round walks both endpoints over all its points, one
+    draw row per step (forward rows, backward rows, then the chord times),
+    then folds and clips in ``clip_chord``'s blocks, so draws and
+    accept/reject do not depend on the blocks.
+
+    Chords are clipped at the four seam sides alone: the cuff sides lie on
+    lifts of the cuffs, which bound the convex core, and a geodesic between
+    limit points stays in the hull of the limit set, so it never crosses a
+    cuff side.  Sampled endpoints are arc midpoints of finite words, not
+    limit points, so the guarantee is the tests' check that all eight sides
+    accept the same chords with the same t_in and t_out on the grid triples.
     """
     if not 1 <= count <= 10**7:
         raise GeometryError(f"sample count {count} outside [1, 1e7]")
@@ -685,23 +639,22 @@ def sample_complete_geodesic_points(
     pi_cum = np.cumsum(chain.stationary)
     pi_cum[-1] = 1.0
     draw = _stationary_draw(pi_cum)
-    normals = p.interior_normals
-    words = chain.skeleton.cover.words
-    first = words[:, 0].copy()
-    # intp symbols keep the coefficient gathers fast
-    heads = words.T.astype(np.intp)
-    j = 0  # at most two entries per point of two chunks, and no level the fold covers
-    while j <= steps - chain.depth and len(first) * 3 ** (j + 1) <= 2 * min(count, 2 * SAMPLER_CHUNK):
-        j += 1
-    table = _endpoint_table(p, chain, j)
+    seams = list(SEAM_SIDE_SYMBOL)
+    normals, eps = p.interior_normals[seams], p.side_eps[seams]
+    first = chain.skeleton.cover.words[:, 0].copy()
     walk = _chain_walk(chain)
-    n_syms = max(steps - j - chain.depth, 0)
-    h = min(steps - j, chain.depth - 1)
-    fold = _head_fold(p, heads, h) if h else lambda z, s: z
+    q, r = divmod(steps, chain.depth - 1)
+    full = _fold_table(p, chain, chain.depth - 1)
+    part = _fold_table(p, chain, r) if r else None
 
-    def realize(idx, syms, key, blk):
-        z = _prepend_symbols(p, table[key[blk]], list(heads[h : steps - j, idx[blk]]) + list(syms[:, blk]))
-        return fold(z, idx[blk])
+    def realize(states, blk):
+        s = states[:, blk].astype(np.intp)  # one cast, not one per gather
+        z = full[1][s[-1]]
+        if r:
+            z = _fold(part, z, s[q])
+        for k in range(q - 1, -1, -1):
+            z = _fold(full, z, s[k])
+        return z
 
     pts = np.empty(count, dtype=complex)
     lens = np.empty(count)
@@ -724,16 +677,16 @@ def sample_complete_geodesic_points(
             while len(clash):
                 eta_idx[clash] = draw(rng.random(len(clash)))
                 clash = clash[first[xi_idx[clash]] == first[eta_idx[clash]]]
-            xi_syms, xi_key = walk(xi_idx, rng, steps, n_syms, j)
-            eta_syms, eta_key = walk(eta_idx, rng, steps, n_syms, j)
+            xi_states = walk(xi_idx, rng, steps, chain.depth - 1)
+            eta_states = walk(eta_idx, rng, steps, chain.depth - 1)
             u = rng.random(m)
             rejected = []
             n_blocks = -(-m // CLIP_BLOCK)
             for b in range(n_blocks):
                 blk = slice(b * m // n_blocks, (b + 1) * m // n_blocks)
-                l_fwd = lift_light(realize(xi_idx, xi_syms, xi_key, blk))
-                l_back = lift_light(realize(eta_idx, eta_syms, eta_key, blk))
-                lower, upper = _clip_block(normals, p.side_eps, l_back, l_fwd)
+                l_fwd = lift_light(realize(xi_states, blk))
+                l_back = lift_light(realize(eta_states, blk))
+                lower, upper = _clip_block(normals, eps, l_back, l_fwd)
                 t_in, t_out = lower.max(axis=0), upper.min(axis=0)
                 good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out)
                 rows = need[blk][good]

@@ -34,6 +34,7 @@ from cuffdim.projlab import (
     ks_uniform_statistic,
 )
 from cuffdim import build_pants, hyperbolic, projlab, thermo
+from cuffdim.pants import SEAM_SIDE_SYMBOL, PantsGeometry
 from cuffdim.symbolic import cylinder_cover
 from cuffdim.thermo import gibbs_chain
 
@@ -641,11 +642,12 @@ def _assert_sample_equals_oracle(s, want, folded=True):
         assert np.array_equal(s.lengths, lengths)
 
 
-# the counts pick different table depths j: 0 at counts 1 and 2, where the
-# heads past the fold and the walk symbols run step by step, and 1 and 3 at
-# CLIP_BLOCK + 1 and 20,000 at depth 6; depth 4 stops at the fold's cap
-# steps - n + 1 = 2, and depth 8 with one step folds one head at j = 0.
-# CLIP_BLOCK + 1 runs two blocks of unequal size
+# with q, r = divmod(word_len - depth, depth - 1), the configurations run
+# every case of the realization rule: no walk steps (6/4), a partial fold
+# alone (8/9: q = 0, r = 1), full folds with no partial fold (6/11: q = 1,
+# r = 0), both (6/14, 4/9 and 6/20, q = 1, 1 and 2) and eleven full folds
+# (6/64: r = 3).  The counts run one block (1 and 2), two blocks of unequal
+# size (CLIP_BLOCK + 1) and several
 @pytest.mark.parametrize("count", [1, 2, CLIP_BLOCK + 1, 20_000])
 @pytest.mark.parametrize(
     "cuffs, depth, word_len",
@@ -655,6 +657,8 @@ def _assert_sample_equals_oracle(s, want, folded=True):
         ((0.5, 1.0, 6.0), 6, 20),
         ((0.2, 1.0, 12.0), 8, 9),
         ((8.0, 8.0, 8.0), 4, 9),
+        ((2.0, 2.0, 2.0), 6, 11),
+        ((2.0, 2.0, 2.0), 6, 64),
     ],
 )
 def test_sampler_matches_stepwise_oracle(cuffs, depth, word_len, count):
@@ -700,6 +704,35 @@ def test_sampler_rejecting_every_chord_exhausts_the_budget(monkeypatch):
     monkeypatch.setattr(projlab, "_clip_block", kernel)
     with pytest.raises(GeometryError, match="attempt budget"):
         sample_complete_geodesic_points(p, chain, 5_000, seed=7)
+
+
+GRID = (0.01, 0.05, 0.2, 1.0, 5.0, 12.0, 20.0)
+
+
+def test_sampler_seam_clipping_keeps_the_eight_side_chords(monkeypatch):
+    # the sampler clips at the four seam sides; on the grid's 84 triples the
+    # eight sides accept the same chords with the same t_in and t_out bits
+    kernel, chords = hyperbolic._clip_block, []
+
+    def reduce(lower, upper):
+        t_in, t_out = lower.max(axis=0), upper.min(axis=0)
+        return np.isfinite(t_in) & np.isfinite(t_out) & (t_in < t_out), t_in, t_out
+
+    def spy(normals, eps, l_back, l_fwd):
+        assert np.array_equal(normals, p.interior_normals[list(SEAM_SIDE_SYMBOL)])
+        out = kernel(normals, eps, l_back, l_fwd)
+        good, t_in, t_out = reduce(*out)
+        good8, t_in8, t_out8 = reduce(*kernel(p.interior_normals, p.side_eps, l_back, l_fwd))
+        assert np.array_equal(good, good8), cuffs
+        assert np.array_equal(t_in[good], t_in8[good]) and np.array_equal(t_out[good], t_out8[good]), cuffs
+        chords.append(len(good))
+        return out
+
+    monkeypatch.setattr(projlab, "_clip_block", spy)
+    for cuffs in itertools.combinations_with_replacement(GRID, 3):
+        p = build_pants(cuffs)
+        sample_complete_geodesic_points(p, thermo.gibbs_chain(p, 0.5, 4), 2_000, seed=11)
+    assert sum(chords) >= 84 * 2_000
 
 
 @functools.cache
@@ -759,28 +792,39 @@ def test_sampler_memory_of_a_repeat_call_holds_no_table_or_walk_draws():
     sample_complete_geodesic_points(p, chain, 62_500, seed=5)
     s, peak = _traced_peak(lambda: sample_complete_geodesic_points(p, chain, 62_500, seed=6))
     assert len(s.points) == 62_500
-    # 1.9 MiB of it is the output; rebuilding the endpoint table and holding
-    # both walks' (steps, m) draw blocks traced 11.4 MiB
+    # 1.9 MiB of it is the output; rebuilding an endpoint table and holding
+    # both walks' (steps, m) draw blocks traced 11.4 MiB, and keeping the
+    # walks' states as int64 rows 6.9 MiB
     assert peak <= 6.5 * 2**20
 
 
-def test_sampler_builds_the_endpoint_table_once_per_geometry(monkeypatch):
-    built = []
-    level = projlab._endpoint_level
-    monkeypatch.setattr(projlab, "_endpoint_level", lambda *a: built.append(1) or level(*a))
-    p = build_pants((A_HALF,) * 3)
-    chain = thermo.gibbs_chain(p, 0.5, 6)
-    sample_complete_geodesic_points(p, chain, 20_000, seed=7)
-    assert len(built) == 4  # levels 0 to 3: 972 * 3^3 entries for 40,000 endpoints
-    again = sample_complete_geodesic_points(p, chain, 20_000, seed=8)
-    assert len(built) == 4
-    fresh_p = build_pants((A_HALF,) * 3)
-    fresh = sample_complete_geodesic_points(fresh_p, thermo.gibbs_chain(fresh_p, 0.5, 6), 20_000, seed=8)
+@pytest.mark.parametrize(
+    "cuffs, depth, word_len, hs", [((A_HALF,) * 3, 6, 14, (3, 5)), ((2.0, 2.0, 2.0), 8, 18, (3, 7))]
+)
+def test_sampler_builds_the_fold_maps_once_per_geometry(monkeypatch, cuffs, depth, word_len, hs):
+    p = build_pants(cuffs)
+    chain = thermo.gibbs_chain(p, 0.5, depth)
+    calls = []
+    branch = PantsGeometry.inverse_branch
+    monkeypatch.setattr(PantsGeometry, "inverse_branch", lambda *a: calls.append(1) or branch(*a))
+    sample_complete_geodesic_points(p, chain, 20_000, seed=7, word_len=word_len)
+    # one branch row per folded symbol: the partial fold's r and the full fold's n - 1
+    assert len(calls) == sum(hs)
+    maps = {k: v for k, v in p._cache.items() if k[0] == "fold"}
+    assert sorted(maps) == [("fold", depth, h) for h in hs]
+    calls.clear()
+    again = sample_complete_geodesic_points(p, chain, 20_000, seed=8, word_len=word_len)
+    assert calls == []
+    assert all(p._cache[k] is v for k, v in maps.items())
+    monkeypatch.undo()
+    fresh_p = build_pants(cuffs)
+    fresh = sample_complete_geodesic_points(fresh_p, thermo.gibbs_chain(fresh_p, 0.5, depth), 20_000, 8, word_len)
     for f in ("points", "lengths", "time_fractions"):
         assert np.array_equal(getattr(again, f), getattr(fresh, f))
     assert (again.resampled, again.attempts) == (fresh.resampled, fresh.attempts)
-    with pytest.raises(ValueError, match="read-only"):
-        p._cache[("endpoints", 6, 3)][0] = 0.0
+    for a in maps[("fold", depth, hs[1])]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def _words_60_digits(p, words):
@@ -800,45 +844,45 @@ def _words_60_digits(p, words):
     return out
 
 
+def _stepwise(p, z, cols):
+    """Unit points z pulled back through the symbol rows cols, last row first."""
+    for sym in cols[::-1]:
+        z, _ = p.inverse_branch(sym, z)
+        z = z / np.abs(z)
+    return z
+
+
 def test_folded_heads_are_as_accurate_as_step_by_step():
-    # depth 6, word length 14: the sampler folds h = 5 heads onto level j = 3
+    # depth 6, word length 14: the full fold pulls each state's h = 5 heads
+    # back onto the rest of its word
     bound_failed = {}
     for cuffs in [(A_HALF,) * 3, (0.2, 1.0, 12.0), (20.0,) * 3, (0.05,) * 3]:
         p, chain = _sampler_chain(cuffs, 6)
-        heads = chain.skeleton.cover.words.T.astype(np.intp)
+        words = chain.skeleton.cover.words
+        heads = words.T.astype(np.intp)
+        maps = projlab._fold_table(p, chain, 5)
+        # the full fold's base image is the state's own word, step by step
+        assert np.array_equal(maps[1], _stepwise(p, p.arc_point(heads[-1], 0.0), heads[:-1]))
         rng = np.random.Generator(np.random.Philox(key=5))
         idx = rng.integers(0, heads.shape[1], 300)
-        syms, key = projlab._chain_walk(chain)(idx, rng, 8, 8, 3)
-        z = projlab._endpoint_table(p, chain, 3)[key]
+        states = projlab._chain_walk(chain)(idx, rng, 8, 1)
+        word = np.vstack([heads[:, idx], words[states[1:], -1]]).astype(np.intp)
+        z = _stepwise(p, p.arc_point(word[-1], 0.0), word[5:-1])
         u, v = np.ones(300, complex), np.zeros(300, complex)
-        for sym in heads[:5, idx]:
+        for sym in word[:5]:
             u, v = p.compose_branch(u, v, sym)
         composed = (u * z + v) / (v.conj() * z + u.conj())
-        want = _words_60_digits(p, np.vstack([heads[:, idx], syms]))
+        want = _words_60_digits(p, word)
         with mp.workdps(60):
             step, fold, comp = (
                 max(float(abs(x - y)) for x, y in zip(want, got.tolist()))
-                for got in (
-                    projlab._prepend_symbols(p, z, heads[:5, idx]),
-                    projlab._head_fold(p, heads, 5)(z, idx),
-                    composed / np.abs(composed),
-                )
+                for got in (_stepwise(p, z, word[:5]), projlab._fold(maps, z, idx), composed / np.abs(composed))
             )
         assert fold <= 2.0 * step + 4e-16, cuffs
         bound_failed[cuffs] = comp > 2.0 * step + 4e-16
     # the bound rejects the composed coefficients at short cuffs (3e-11
     # against 5e-14 step by step)
     assert bound_failed[(0.2, 1.0, 12.0)]
-
-
-def test_sampler_table_stops_where_the_head_fold_starts():
-    p = build_pants((A_HALF,) * 3)
-    s = sample_complete_geodesic_points(p, thermo.gibbs_chain(p, 0.5, 6), 62_500, seed=7)
-    assert len(s.points) == 62_500
-    # j = 3 (26,244 entries, 0.42 MB) covers what the fold leaves; the
-    # count alone would allow j = 4
-    assert p._cache[("endpoints", 6, 3)].nbytes == 972 * 27 * 16
-    assert ("endpoints", 6, 4) not in p._cache
 
 
 def _extend_words_stepwise(chain, idx, rng, total_len):
