@@ -148,8 +148,9 @@ def clip_chord(l_back: np.ndarray, l_fwd: np.ndarray, normals: np.ndarray):
     numpy rounds differently (by gemv).
 
     This is the vector reference of the rule: the geodesic sampler reduces
-    the same blocks' bounds without the sides, and ``symbolic._exit_side``
-    runs it on one chord in scalars, which the tests hold to this form.
+    the same blocks' bounds of the four seam sides alone, without the side
+    indices, and ``symbolic._exit_side`` runs it on one chord in scalars,
+    which the tests hold to this form.
     """
     n, eps = math.prod(l_back.shape[:-1]), side_eps(normals)
     if n <= CLIP_BLOCK:
